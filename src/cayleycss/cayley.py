@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,6 +23,11 @@ from .gf2 import BitMatrix, BitVector
 #: Largest group dimension for which we materialize 2^m x 2^m matrices
 #: (m = 16 means a 512 MB bit matrix).
 MAX_MATERIALIZED_DIMENSION = 16
+
+#: Adjacency matrices kept per process, least recently used dropped
+#: first.  Holds every tower level of a ``verify --suite all`` run, so
+#: each matrix, with its echelon and solver caches, is built once.
+ADJACENCY_CACHE_SIZE = 16
 
 
 class SizeGuardError(ValueError):
@@ -189,13 +194,22 @@ def graph_distance(m: int, S: GeneratorSet, x: int, y: int) -> Optional[int]:
 def adjacency_matrix(
     m: int, S: GeneratorSet, max_dimension: int = MAX_MATERIALIZED_DIMENSION
 ) -> BitMatrix:
-    """The 2^m x 2^m adjacency matrix; row p is sphere(p, 1)."""
+    """The 2^m x 2^m adjacency matrix; row p is sphere(p, 1).
+
+    Returns one shared (immutable) matrix per (m, S), so its elimination
+    caches serve every caller in the process.
+    """
     if S.m != m:
         raise ValueError("generator set does not live in F_2^m")
     if m > max_dimension:
         raise SizeGuardError(
             f"2^{m} x 2^{m} matrix exceeds the m <= {max_dimension} guard"
         )
+    return _adjacency(m, S)
+
+
+@lru_cache(maxsize=ADJACENCY_CACHE_SIZE)
+def _adjacency(m: int, S: GeneratorSet) -> BitMatrix:
     n = 1 << m
     words = np.zeros((n, max(1, n >> 6)), dtype=np.uint64)
     idx = np.arange(n)

@@ -365,6 +365,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"error: --n must be an integer, got {args.n!r}",
                   file=sys.stderr)
             return EXIT_PRECONDITION
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}",
+              file=sys.stderr)
+        return EXIT_PRECONDITION
+    if getattr(args, "radius", None) is not None and args.radius < 0:
+        print(f"error: --radius must be at least 0, got {args.radius}",
+              file=sys.stderr)
+        return EXIT_PRECONDITION
     started = time.perf_counter()
     handlers = {
         "build": cmd_build,

@@ -10,6 +10,7 @@ are write-once and safe to share between threads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -213,7 +214,7 @@ class BitMatrix:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BitMatrix":
-        dense = np.asarray(dense, dtype=np.uint8) & 1
+        dense = np.ascontiguousarray(np.asarray(dense, dtype=np.uint8) & 1)
         rows, cols = dense.shape
         packed = np.packbits(dense, axis=1, bitorder="little")
         pad = _n_words(cols) * 8 - packed.shape[1]
@@ -286,33 +287,55 @@ class RowEchelonCache:
         return out
 
 
-def _echelonize(M: BitMatrix) -> RowEchelonCache:
-    work = M.words.copy()
-    nrows = M.rows
+def _eliminate(
+    work: np.ndarray, pivot_words: int
+) -> tuple[list[int], np.ndarray]:
+    """Row echelon elimination of ``work`` in place, one word at a time.
+
+    Pivots are sought only in the first ``pivot_words`` words.  For each
+    64-column word, the rows that are not pivot rows yet and have a
+    nonzero entry in it are the candidates; their copy of the word is
+    gathered once, the 64 columns are pivoted among them, and each pivot
+    row is XORed into the others from this word on (earlier words of
+    candidate rows are already zero).  Pivot rows stay where they are.
+
+    Returns the pivot columns in increasing order and the indices of
+    their rows.  Every other row ends up zero in the pivot words.
+    """
+    live = np.ones(work.shape[0], dtype=bool)
     pivots: list[int] = []
-    r = 0
-    for c in range(M.cols):
-        wi = c >> 6
-        bit = np.uint64(1 << (c & 63))
-        hits = np.nonzero(work[r:, wi] & bit)[0]
-        if hits.size == 0:
+    pivot_rows: list[int] = []
+    for wi in range(pivot_words):
+        cand = np.flatnonzero(live & (work[:, wi] != 0))
+        if cand.size == 0:
             continue
-        p = r + int(hits[0])
-        if p != r:
-            work[[r, p]] = work[[p, r]]
-        below = (work[r + 1:, wi] & bit) != 0
-        if below.any():
-            work[r + 1:][below] ^= work[r]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return RowEchelonCache(pivots, work[: len(pivots)].copy())
+        first = len(pivot_rows)
+        # This word of each candidate; a row drops to 0 once it pivots.
+        col = work[cand, wi]
+        bits = int(np.bitwise_or.reduce(col))
+        while bits:
+            b = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            hits = np.flatnonzero(col & np.uint64(1 << b))
+            if hits.size == 0:
+                continue
+            p = int(hits[0])
+            if hits.size > 1:
+                below = hits[1:]
+                work[cand[below], wi:] ^= work[cand[p], wi:]
+                col[below] ^= col[p]
+            col[p] = 0
+            pivots.append(wi * WORD_BITS + b)
+            pivot_rows.append(int(cand[p]))
+        live[pivot_rows[first:]] = False
+    return pivots, np.array(pivot_rows, dtype=np.intp)
 
 
 def _echelon(M: BitMatrix) -> RowEchelonCache:
     if M._ech is None:
-        M._ech = _echelonize(M)
+        work = M.words.copy()
+        pivots, rows = _eliminate(work, work.shape[1])
+        M._ech = RowEchelonCache(pivots, work[rows])
     return M._ech
 
 
@@ -322,15 +345,29 @@ def rank(M: BitMatrix) -> int:
 
 
 def _rref(ech: RowEchelonCache) -> np.ndarray:
-    """Fully reduced rows (zeros above every pivot)."""
+    """Fully reduced rows (zeros above every pivot).
+
+    Works one pivot word at a time, from the last: among the rows with a
+    bit in one of the word's pivot columns, each pivot row of the word,
+    last first, is XORed into the others that have its bit.  A reduced
+    pivot row is zero in every other pivot column, so these XORs never
+    change which rows have a later pivot's bit.
+    """
     basis = ech.basis.copy()
-    for r in range(ech.rank - 1, 0, -1):
-        c = ech.pivots[r]
-        wi = c >> 6
-        bit = np.uint64(1 << (c & 63))
-        above = (basis[:r, wi] & bit) != 0
-        if above.any():
-            basis[:r][above] ^= basis[r]
+    pivots = ech.pivots
+    hi = ech.rank
+    while hi:
+        wi = pivots[hi - 1] >> 6
+        lo = bisect_left(pivots, wi * WORD_BITS)
+        bits = [np.uint64(1 << (c & 63)) for c in pivots[lo:hi]]
+        cand = np.flatnonzero(basis[:hi, wi] & np.bitwise_or.reduce(bits))
+        col = basis[cand, wi]
+        for r in range(hi - 1, lo - 1, -1):
+            col[np.searchsorted(cand, r)] = 0
+            hits = cand[np.flatnonzero(col & bits[r - lo])]
+            if hits.size:
+                basis[hits, wi:] ^= basis[r, wi:]
+        hi = lo
     return basis
 
 
@@ -362,40 +399,25 @@ def in_row_space(M: BitMatrix, v: BitVector) -> bool:
 class _Solver:
     """Fixed linear section of x -> M . x^T, built once per matrix.
 
-    Eliminates the augmented matrix [M | I] so that applying the
-    recorded transform to a right-hand side reads off a solution with
-    all free variables pinned to zero.  The resulting map b -> x is a
-    genuine linear map.
+    Eliminates the augmented matrix [M | I] with pivots in the M-columns
+    only and fully reduces the pivot rows, so the identity block records
+    a transform T with T . M in reduced row echelon form on top and zero
+    below.  Applying T to a right-hand side reads off a solution with
+    all free variables pinned to zero; b -> x is a genuine linear map.
     """
 
     __slots__ = ("pivots", "transform", "rank")
 
     def __init__(self, M: BitMatrix):
         nw_m = _n_words(M.cols)
-        # Eliminate on the M-columns only; the identity block records ops.
         work = np.hstack([M.words, BitMatrix.identity(M.rows).words])
-        pivots: list[int] = []
-        r = 0
-        for c in range(M.cols):
-            wi = c >> 6
-            bit = np.uint64(1 << (c & 63))
-            hits = np.nonzero(work[r:, wi] & bit)[0]
-            if hits.size == 0:
-                continue
-            p = r + int(hits[0])
-            if p != r:
-                work[[r, p]] = work[[p, r]]
-            others = (work[:, wi] & bit) != 0
-            others[r] = False
-            if others.any():
-                work[others] ^= work[r]
-            pivots.append(c)
-            r += 1
-            if r == M.rows:
-                break
+        pivots, rows = _eliminate(work, nw_m)
+        rest = np.ones(M.rows, dtype=bool)
+        rest[rows] = False
+        rref = _rref(RowEchelonCache(pivots, work[rows]))
         self.pivots = pivots
         self.rank = len(pivots)
-        self.transform = work[:, nw_m:].copy()  # (rows, n_words(rows))
+        self.transform = np.vstack([rref[:, nw_m:], work[rest, nw_m:]])
 
     def solve(self, cols: int, b: BitVector) -> BitVector | None:
         tb = (

@@ -33,19 +33,15 @@ MAX_RECURSIVE_DIMENSION = 11
 #: desk-scale.
 MAX_VERIFIED_DIMENSION = 13
 
-_matrix_cache: dict[int, BitMatrix] = {}
-
 
 def generators(n: int) -> GeneratorSet:
     return GeneratorSet.canonical_with_all_ones(n)
 
 
 def matrix(n: int) -> BitMatrix:
-    """The adjacency matrix for basis-plus-all-ones generators,
-    memoized per n (immutable, safe for concurrent reads)."""
-    if n not in _matrix_cache:
-        _matrix_cache[n] = adjacency_matrix(n, generators(n))
-    return _matrix_cache[n]
+    """The adjacency matrix for basis-plus-all-ones generators, shared
+    with every other caller asking for the same (n, S)."""
+    return adjacency_matrix(n, generators(n))
 
 
 def reversal(v: BitVector) -> BitVector:

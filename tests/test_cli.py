@@ -130,6 +130,37 @@ def test_cover_collision_exit(capsys):
     assert "counterexample" in cert
 
 
+def refuse_work(*_):
+    raise AssertionError("the command ran despite an out-of-range argument")
+
+
+def test_cover_negative_radius_exits_before_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_cover", refuse_work)
+    code, out, err = run_cli(
+        capsys, "cover", "--m", "5", "--gens", "11111", "--radius", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--radius" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_before_work(capsys, monkeypatch, threads):
+    monkeypatch.setattr(cli, "cmd_verify", refuse_work)
+    monkeypatch.setattr(cli, "cmd_params", refuse_work)
+    code, out, err = run_cli(capsys, "verify", "--suite", "recursion",
+                             "--n", "4..6", "--threads", threads)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--threads" in err
+    monkeypatch.setenv("CAYLEY_CSS_THREADS", threads)
+    code, out, err = run_cli(capsys, "params", "--n", "3",
+                             "--family", "repetition")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--threads" in err
+
+
 def test_witness_report(capsys):
     code, report = run_report(capsys, "witness", "--n", "3")
     assert code == 0

@@ -101,6 +101,21 @@ def test_packed_bytes_little_endian():
     assert v.packed_bytes() == bytes([0x01, 0x09])
 
 
+@pytest.mark.parametrize("rows", [63, 64, 65, 128])
+def test_transpose_and_from_dense_at_word_boundaries(rows):
+    rng = np.random.default_rng(rows)
+    dense = (rng.random((rows, 10)) < 0.5).astype(np.uint8)
+    M = BitMatrix.from_dense(dense)
+    assert np.array_equal(M.transpose().to_dense(), dense.T)
+    assert M.transpose().transpose() == M
+    assert BitMatrix.zeros(rows, 10).transpose() == BitMatrix.zeros(10, rows)
+    # Non-C-contiguous inputs: a transposed view and a strided slice.
+    wide = (rng.random((2 * rows, 3 * rows)) < 0.5).astype(np.uint8)
+    for view in (wide[:rows, :rows].T, wide[::2, ::3], np.asfortranarray(wide)):
+        assert not view.flags.c_contiguous
+        assert np.array_equal(BitMatrix.from_dense(view).to_dense(), view)
+
+
 # -- elimination vs oracle ------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from cayleycss import css, gf2, repetition
+from cayleycss import cayley, css, gf2, repetition
 from cayleycss.cayley import SizeGuardError
 from cayleycss.gf2 import BitMatrix, BitVector
 from cayleycss.repetition import (
@@ -114,6 +114,17 @@ def test_kernel_dimension_formula():
     for n in (3, 5, 7, 9):
         M = matrix(n)
         assert M.cols - gf2.rank(M) == (1 << (n - 1)) + (1 << ((n - 1) // 2))
+
+
+def test_tower_matrix_is_shared_and_eliminated_once():
+    cayley._adjacency.cache_clear()
+    n = 7
+    code = css.build_css(n, repetition.generators(n))
+    assert code.matrix is matrix(n)
+    assert matrix(n)._ech is None
+    gf2.rank(code.matrix)
+    assert matrix(n)._ech is not None
+    assert gf2._echelon(matrix(n)) is gf2._echelon(code.matrix)
 
 
 # -- image parametrization and normal forms --------------------------------

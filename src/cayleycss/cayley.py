@@ -27,7 +27,14 @@ MAX_MATERIALIZED_DIMENSION = 16
 #: Adjacency matrices kept per process, least recently used dropped
 #: first.  Holds every tower level of a ``verify --suite all`` run, so
 #: each matrix, with its echelon and solver caches, is built once.
+#: An entry at m = 13 holds up to about 20 MB (8 MB matrix, 4 MB
+#: echelon, 8 MB solver), so a full cache stays near 0.3 GB.
 ADJACENCY_CACHE_SIZE = 16
+
+#: Largest m whose adjacency matrices are cached.  Larger ones (32 MB
+#: at m = 14, 512 MB at m = 16, before their echelon and solver) are
+#: built afresh per call and freed with their last user.
+MAX_CACHED_DIMENSION = 13
 
 
 class SizeGuardError(ValueError):
@@ -196,8 +203,9 @@ def adjacency_matrix(
 ) -> BitMatrix:
     """The 2^m x 2^m adjacency matrix; row p is sphere(p, 1).
 
-    Returns one shared (immutable) matrix per (m, S), so its elimination
-    caches serve every caller in the process.
+    Up to m = MAX_CACHED_DIMENSION, returns one shared (immutable)
+    matrix per (m, S), so its elimination caches serve every caller in
+    the process; see ADJACENCY_CACHE_SIZE for the memory this keeps.
     """
     if S.m != m:
         raise ValueError("generator set does not live in F_2^m")
@@ -205,11 +213,12 @@ def adjacency_matrix(
         raise SizeGuardError(
             f"2^{m} x 2^{m} matrix exceeds the m <= {max_dimension} guard"
         )
+    if m > MAX_CACHED_DIMENSION:
+        return _build_adjacency(m, S)
     return _adjacency(m, S)
 
 
-@lru_cache(maxsize=ADJACENCY_CACHE_SIZE)
-def _adjacency(m: int, S: GeneratorSet) -> BitMatrix:
+def _build_adjacency(m: int, S: GeneratorSet) -> BitMatrix:
     n = 1 << m
     words = np.zeros((n, max(1, n >> 6)), dtype=np.uint64)
     idx = np.arange(n)
@@ -217,6 +226,9 @@ def _adjacency(m: int, S: GeneratorSet) -> BitMatrix:
         cols = idx ^ s
         words[idx, cols >> 6] |= np.uint64(1) << (cols & 63).astype(np.uint64)
     return BitMatrix(n, n, words)
+
+
+_adjacency = lru_cache(maxsize=ADJACENCY_CACHE_SIZE)(_build_adjacency)
 
 
 @dataclass(frozen=True)

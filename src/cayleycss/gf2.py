@@ -10,7 +10,6 @@ are write-once and safe to share between threads.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -344,37 +343,22 @@ def rank(M: BitMatrix) -> int:
     return _echelon(M).rank
 
 
-def _rref(ech: RowEchelonCache) -> np.ndarray:
-    """Fully reduced rows (zeros above every pivot).
-
-    Works one pivot word at a time, from the last: among the rows with a
-    bit in one of the word's pivot columns, each pivot row of the word,
-    last first, is XORed into the others that have its bit.  A reduced
-    pivot row is zero in every other pivot column, so these XORs never
-    change which rows have a later pivot's bit.
-    """
-    basis = ech.basis.copy()
-    pivots = ech.pivots
-    hi = ech.rank
-    while hi:
-        wi = pivots[hi - 1] >> 6
-        lo = bisect_left(pivots, wi * WORD_BITS)
-        bits = [np.uint64(1 << (c & 63)) for c in pivots[lo:hi]]
-        cand = np.flatnonzero(basis[:hi, wi] & np.bitwise_or.reduce(bits))
-        col = basis[cand, wi]
-        for r in range(hi - 1, lo - 1, -1):
-            col[np.searchsorted(cand, r)] = 0
-            hits = cand[np.flatnonzero(col & bits[r - lo])]
-            if hits.size:
-                basis[hits, wi:] ^= basis[r, wi:]
-        hi = lo
+def _rref(basis: np.ndarray, pivots: Sequence[int]) -> np.ndarray:
+    """Fully reduce echelon rows in place (zeros above every pivot)."""
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
+        wi = c >> 6
+        bit = np.uint64(1 << (c & 63))
+        above = (basis[:r, wi] & bit) != 0
+        if above.any():
+            basis[:r][above] ^= basis[r]
     return basis
 
 
 def kernel_basis(M: BitMatrix) -> list[BitVector]:
     """Basis of {v : M . v^T = 0}; has cols - rank(M) elements."""
     ech = _echelon(M)
-    rref = _rref(ech)
+    rref = _rref(ech.basis.copy(), ech.pivots)
     pivot_set = set(ech.pivots)
     free_cols = [c for c in range(M.cols) if c not in pivot_set]
     basis = []
@@ -412,12 +396,13 @@ class _Solver:
         nw_m = _n_words(M.cols)
         work = np.hstack([M.words, BitMatrix.identity(M.rows).words])
         pivots, rows = _eliminate(work, nw_m)
+        work[rows] = _rref(work[rows], pivots)
         rest = np.ones(M.rows, dtype=bool)
         rest[rows] = False
-        rref = _rref(RowEchelonCache(pivots, work[rows]))
+        order = np.concatenate([rows, np.flatnonzero(rest)])
         self.pivots = pivots
         self.rank = len(pivots)
-        self.transform = np.vstack([rref[:, nw_m:], work[rest, nw_m:]])
+        self.transform = work[order, nw_m:]
 
     def solve(self, cols: int, b: BitVector) -> BitVector | None:
         tb = (

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from cayleycss import css, gf2, repetition, verify
+from cayleycss import cayley, css, gf2, repetition, verify
 from cayleycss.cayley import (
     BigWord,
     GeneratorSet,
@@ -43,6 +43,8 @@ GOLDEN_8x8 = np.array(
 def test_01_golden_8x8_adjacency_under_1ms():
     best = float("inf")
     for _ in range(5):
+        # time a build, not a hit in the shared per-(m, S) cache
+        cayley._adjacency.cache_clear()
         t0 = time.perf_counter()
         M = adjacency_matrix(3, GeneratorSet.named("S3'"))
         best = min(best, time.perf_counter() - t0)
@@ -56,6 +58,7 @@ def test_02_kernel_dimension_formula_up_to_n13_under_60s():
     assert css.css_from_matrix(base).K == 4
     for n in (3, 5, 7, 9, 11, 13):
         # fresh matrix so the n = 13 timing is honest, not cache-warm
+        cayley._adjacency.cache_clear()
         t0 = time.perf_counter()
         M = adjacency_matrix(n, GeneratorSet.named(f"S{n}'"))
         dim = M.cols - gf2.rank(M)

@@ -4,7 +4,7 @@ self-orthogonality tests, bipartite halving, and group algebra."""
 import numpy as np
 import pytest
 
-from cayleycss import gf2
+from cayleycss import cayley, gf2
 from cayleycss.cayley import (
     BigWord,
     CyclicProductGroup,
@@ -79,6 +79,15 @@ def test_adjacency_rows_are_spheres():
     M = adjacency_matrix(5, S)
     for p in (0, 7, 31):
         assert M.row(p) == sphere(5, S, p).bits
+
+
+def test_adjacency_shared_only_up_to_cache_limit(monkeypatch):
+    monkeypatch.setattr(cayley, "MAX_CACHED_DIMENSION", 4)
+    S4, S5 = GeneratorSet.canonical(4), GeneratorSet.named("S5'")
+    assert adjacency_matrix(4, S4) is adjacency_matrix(4, S4)
+    fresh = adjacency_matrix(5, S5)
+    assert fresh is not adjacency_matrix(5, S5)
+    assert fresh == adjacency_matrix(5, S5)
 
 
 def test_adjacency_size_guard():

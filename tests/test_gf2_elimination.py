@@ -156,7 +156,7 @@ def test_kernel_matches_column_loop(dense, seed):
     want = oracle_echelon(M)
     assert ech.pivots == want.pivots
     assert gf2.rank(M) == want.rank
-    assert np.array_equal(gf2._rref(ech), oracle_rref(want))
+    assert np.array_equal(gf2._rref(ech.basis.copy(), ech.pivots), oracle_rref(want))
     rng = np.random.default_rng(seed)
     for _ in range(4):
         v = vector(rng, M.cols)

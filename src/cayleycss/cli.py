@@ -236,6 +236,7 @@ def cmd_cover(args, started: float) -> int:
                 "center": cert.center,
                 "first": cert.first,
                 "second": cert.second,
+                "kind": cert.kind,
             }
             break
     outputs = {
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cover = sub.add_parser("cover", help="certify a covering map")
     common(p_cover)
     p_cover.add_argument(
-        "--radius", type=int, help="ball radius (default floor((d-1)/2))"
+        "--radius", type=int, help="ball radius (default floor((d-2)/2))"
     )
 
     p_witness = sub.add_parser(

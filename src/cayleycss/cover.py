@@ -2,9 +2,10 @@
 
 The projection sends a hypercube vertex x in F_2^(m+w) to the XOR of
 the parity-check columns selected by x, so e_i maps to e_i for i <= m
-and e_(m+j) maps to W_j.  Fibers are cosets of the classical code and
-the map restricts to a graph isomorphism on balls of radius up to
-floor((d-1)/2), which we certify computationally rather than assume.
+and e_(m+j) maps to W_j.  Fibers are cosets of the classical code.  The map is injective on
+balls of radius r with 2r < d, and a graph isomorphism on them (induced
+edges included) when 2r + 1 < d, i.e. up to floor((d-2)/2); we certify
+this computationally rather than assume it.
 """
 
 from __future__ import annotations
@@ -37,12 +38,15 @@ class BallIsomorphismCertificate:
 
 @dataclass(frozen=True)
 class BallCollision:
-    """Two distinct ball vertices with the same projection."""
+    """Why the projection is not an isomorphism on a ball: two distinct
+    vertices with the same image ("vertex-collision"), or two vertices
+    whose images are adjacent while they are not ("edge-mismatch")."""
 
     center: int
     radius: int
     first: int
     second: int
+    kind: str
 
 
 class CoverMap:
@@ -74,8 +78,9 @@ class CoverMap:
 
     @property
     def safe_radius(self) -> int:
-        """floor((d-1)/2): the proven ball-isomorphism radius."""
-        return (self.classical_distance - 1) // 2
+        """floor((d-2)/2), the largest r with 2r + 1 < d: the proven
+        ball-isomorphism radius, induced edges included."""
+        return (self.classical_distance - 2) // 2
 
     def domain_generators(self) -> GeneratorSet:
         return GeneratorSet.canonical(self.n)
@@ -118,7 +123,9 @@ def certify_ball_isomorphism(
     for v in domain_ball:
         img = cm.project(v)
         if img in images:
-            return BallCollision(center, r, images[img], v)
+            return BallCollision(
+                center, r, images[img], v, "vertex-collision"
+            )
         images[img] = v
     target_ball = set(
         ball(cm.m, cm.target_generators(), cm.project(center), r).vertices()
@@ -139,7 +146,9 @@ def certify_ball_isomorphism(
             if v > u and v in target_ball:
                 lifted_diff = images[u] ^ images[v]
                 if lifted_diff.bit_count() != 1:
-                    return BallCollision(center, r, images[u], images[v])
+                    return BallCollision(
+                        center, r, images[u], images[v], "edge-mismatch"
+                    )
                 edges += 1
     return BallIsomorphismCertificate(center, r, len(domain_ball), edges)
 
@@ -153,7 +162,7 @@ def lift_ball_word(
         raise ValueError("word does not live in the cover target")
     if r > cm.safe_radius:
         raise RadiusTooLargeError(
-            f"radius {r} exceeds floor((d-1)/2) = {cm.safe_radius}"
+            f"radius {r} exceeds floor((d-2)/2) = {cm.safe_radius}"
         )
     # center is a target vertex; it is its own canonical fiber point
     # because the identity columns come first.

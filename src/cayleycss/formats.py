@@ -25,10 +25,18 @@ assert _BIN_HEADER.size == 16
 FORMAT_NAMES = ("alist", "mtx", "bin", "json")
 
 
+def _group(keys: np.ndarray, values: np.ndarray, n: int) -> list[list[int]]:
+    """Split ``values`` by ``keys`` (sorted ascending) into n lists."""
+    bounds = np.searchsorted(keys, np.arange(n + 1)).tolist()
+    items = values.tolist()
+    return [items[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def write_alist(M: BitMatrix) -> str:
-    dense = M.to_dense()
-    col_lists = [list(np.nonzero(dense[:, j])[0] + 1) for j in range(M.cols)]
-    row_lists = [list(np.nonzero(dense[i, :])[0] + 1) for i in range(M.rows)]
+    rr, cc = M.nonzero()
+    by_col = np.argsort(cc, kind="stable")  # rows stay ascending per column
+    col_lists = _group(cc[by_col], rr[by_col] + 1, M.cols)
+    row_lists = _group(rr, cc + 1, M.rows)
     col_deg = [len(c) for c in col_lists]
     row_deg = [len(r) for r in row_lists]
     max_col = max(col_deg, default=0)
@@ -71,8 +79,7 @@ def read_alist(text: str) -> BitMatrix:
 
 
 def write_mtx(M: BitMatrix) -> str:
-    dense = M.to_dense()
-    rr, cc = np.nonzero(dense)
+    rr, cc = M.nonzero()
     lines = [
         "%%MatrixMarket matrix coordinate pattern general",
         f"{M.rows} {M.cols} {len(rr)}",
@@ -97,9 +104,8 @@ def read_mtx(text: str) -> BitMatrix:
 
 def write_bin(M: BitMatrix) -> bytes:
     header = _BIN_HEADER.pack(BIN_MAGIC, BIN_VERSION, 0, M.rows, M.cols)
-    return header + b"".join(
-        M.row(i).packed_bytes() for i in range(M.rows)
-    )
+    stride = (M.cols + 7) // 8
+    return header + M.words.view(np.uint8)[:, :stride].tobytes()
 
 
 def read_bin(blob: bytes) -> BitMatrix:
@@ -123,13 +129,11 @@ def read_bin(blob: bytes) -> BitMatrix:
 
 def write_json(M: BitMatrix) -> str:
     """Row support lists (0-based), the most greppable of the formats."""
-    dense = M.to_dense()
+    rr, cc = M.nonzero()
     payload = {
         "rows": M.rows,
         "cols": M.cols,
-        "row_support": [
-            np.nonzero(dense[i, :])[0].tolist() for i in range(M.rows)
-        ],
+        "row_support": _group(rr, cc, M.rows),
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -234,6 +234,23 @@ class BitMatrix:
             count=self.cols,
         )
 
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the set bits in row-major order,
+        equal to ``np.nonzero(self.to_dense())``.
+
+        Only the nonzero words are gathered, and only their nonzero
+        bytes are unpacked, so the cost follows the number of set bits
+        rather than rows x cols.
+        """
+        wr, wc = np.nonzero(self.words)
+        data = self.words[wr, wc].view(np.uint8)
+        nzb = np.flatnonzero(data)
+        bits = np.unpackbits(data[nzb, None], axis=1, bitorder="little")
+        k, b = np.nonzero(bits)
+        byte = nzb[k]
+        word = byte >> 3
+        return wr[word], wc[word] * WORD_BITS + (byte & 7) * 8 + b
+
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_dense(self.to_dense().T)
 
@@ -430,8 +447,38 @@ def solve_preimage(M: BitMatrix, b: BitVector) -> BitVector | None:
     return M._solver.solve(M.cols, b)
 
 
+#: Cost of one column-sharing row pair in the sparse self-orthogonality
+#: test, in word operations of the dense row loop (which does
+#: rows^2 * words of them); measured, see is_self_orthogonal.
+PAIR_COST_IN_WORDS = 8
+
+#: Most column-sharing pairs (sum of squared column degrees) the sparse
+#: test lists at once: its index arrays take about 15 bytes per pair,
+#: so about 250 MB here.  Larger inputs take the dense row loop.
+MAX_SPARSE_PAIRS = 1 << 24
+
+
 def is_self_orthogonal(M: BitMatrix) -> bool:
-    """True iff M . M^T = 0 over GF(2)."""
+    """True iff M . M^T = 0 over GF(2).
+
+    Entry (i, j) of M . M^T is the parity of the number of columns rows
+    i and j share.  With small column degrees, those shared columns are
+    counted from the set-bit coordinates, sum_c deg(c)^2 pairs in all;
+    otherwise, when that costs more than the rows^2 * words word
+    operations of the dense row loop, the row loop runs.
+    """
+    limit = min(
+        M.rows * M.rows * M.words.shape[1] // PAIR_COST_IN_WORDS,
+        MAX_SPARSE_PAIRS,
+    )
+    nnz = int(np.bitwise_count(M.words).sum())
+    # sum_c deg(c)^2 >= nnz^2 / cols rules out dense inputs before their
+    # coordinates are listed.
+    if nnz * nnz <= limit * M.cols:
+        rows, cols = M.nonzero()
+        deg = np.bincount(cols, minlength=M.cols)
+        if int(deg @ deg) <= limit:
+            return _sparse_self_orthogonal(rows, cols, deg, M.rows)
     for i in range(M.rows):
         parities = (
             np.bitwise_count(M.words & M.words[i][None, :]).sum(axis=1) & 1
@@ -439,6 +486,25 @@ def is_self_orthogonal(M: BitMatrix) -> bool:
         if parities.any():
             return False
     return True
+
+
+def _sparse_self_orthogonal(
+    rows: np.ndarray, cols: np.ndarray, deg: np.ndarray, n_rows: int
+) -> bool:
+    """M . M^T = 0 from the set-bit coordinates of M: each pair of rows
+    i <= j is listed once per column they share, keyed i * n_rows + j,
+    and every key must occur an even number of times."""
+    r = rows[np.argsort(cols, kind="stable")]  # by column, rows ascending
+    # Entry e pairs with itself and the later entries of its column;
+    # pair t, the k-th of entry e, joins e with entry e + k.
+    partners = np.repeat(np.cumsum(deg), deg) - np.arange(r.size)
+    ends = np.cumsum(partners)
+    second = np.arange(int(ends[-1]) if ends.size else 0)
+    second -= np.repeat(ends - partners - np.arange(r.size), partners)
+    keys = r[second]
+    keys += np.repeat(r * n_rows, partners)
+    _, counts = np.unique(keys, return_counts=True)
+    return not (counts & 1).any()
 
 
 def _int_echelon(vectors: Iterable[int]) -> list[int]:

@@ -33,6 +33,11 @@ MAX_RECURSIVE_DIMENSION = 11
 #: desk-scale.
 MAX_VERIFIED_DIMENSION = 13
 
+#: Largest n for which a witness (a 2^n-bit word) is built.  Time grows
+#: about 3.7x per step of two: n = 21 takes 6 s and n = 23 takes 17 to
+#: 23 s on a 2-core host, so n = 25 would exceed a 60 s budget.
+MAX_WITNESS_DIMENSION = 23
+
 
 def generators(n: int) -> GeneratorSet:
     return GeneratorSet.canonical_with_all_ones(n)
@@ -290,6 +295,10 @@ def min_weight_witness(n: int) -> BitVector:
         raise ValueError("witnesses exist for odd n only")
     if n < 3:
         raise ValueError("the tower starts at n = 3")
+    if n > MAX_WITNESS_DIMENSION:
+        raise SizeGuardError(
+            f"witness size guard: n = {n} exceeds {MAX_WITNESS_DIMENSION}"
+        )
     if n == 3:
         w = BitVector.from_support(8, BASE_WITNESS_VERTICES)
     else:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from cayleycss import cayley, css, gf2, repetition, verify
+from cayleycss import cayley, css, formats, gf2, repetition, verify
 from cayleycss.cayley import (
     BigWord,
     GeneratorSet,
@@ -197,3 +197,25 @@ def test_12_lower_bound_arithmetic_and_ball_weight_spot_check():
     report = css.ball_weight_check(code, BigWord(9, w), n_classical=10)
     assert report.threshold == 4
     assert report.ok, "a support vertex saw fewer than 4 ones in its ball"
+
+
+def test_13_self_orthogonality_of_n13_tower_under_5s():
+    cayley._adjacency.cache_clear()
+    M = repetition.matrix(13)
+    t0 = time.perf_counter()
+    ok = gf2.is_self_orthogonal(M)
+    elapsed = time.perf_counter() - t0
+    assert ok
+    assert elapsed < 5, f"is_self_orthogonal at n=13 took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("fmt", formats.FORMAT_NAMES)
+def test_14_n13_tower_export_under_2s(fmt, tmp_path):
+    cayley._adjacency.cache_clear()
+    M = repetition.matrix(13)
+    path = str(tmp_path / f"tower13.{fmt}")
+    t0 = time.perf_counter()
+    formats.write_matrix(M, fmt, path)
+    elapsed = time.perf_counter() - t0
+    assert formats.read_matrix(fmt, path) == M
+    assert elapsed < 2, f"{fmt} export at n=13 took {elapsed:.2f} s"

@@ -1,6 +1,7 @@
 """CLI surface: reports, formats, exit codes, and schema validity."""
 
 import json
+import time
 
 import jsonschema
 import pytest
@@ -127,7 +128,23 @@ def test_cover_collision_exit(capsys):
     assert code == 3
     cert = report["outputs"]["certificate"]
     assert cert["status"] == "collision"
-    assert "counterexample" in cert
+    assert cert["counterexample"]["kind"] == "vertex-collision"
+
+
+@pytest.mark.parametrize("m, gens, d", [("4", "1111", 5), ("6", "111111", 7)])
+def test_cover_default_radius_for_odd_distance(capsys, m, gens, d):
+    code, report = run_report(capsys, "cover", "--m", m, "--gens", gens)
+    assert code == 0
+    out = report["outputs"]
+    assert out["classical_distance"] == d
+    assert out["safe_radius"] == (d - 2) // 2
+    assert out["certificate"]["status"] == "isomorphism"
+    assert out["certificate"]["radius"] == out["safe_radius"]
+    code, report = run_report(capsys, "cover", "--m", m, "--gens", gens,
+                              "--radius", str((d - 1) // 2))
+    assert code == 3
+    ce = report["outputs"]["certificate"]["counterexample"]
+    assert ce["kind"] == "edge-mismatch"
 
 
 def refuse_work(*_):
@@ -170,6 +187,16 @@ def test_witness_report(capsys):
     assert out["classification"] == "logical"
     code5, report5 = run_report(capsys, "witness", "--n", "5")
     assert report5["outputs"]["weight"] == 4
+
+
+def test_witness_size_guard_exits_before_work(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "witness", "--n", "31")
+    elapsed = time.perf_counter() - t0
+    assert code == 4
+    assert out == ""
+    assert "guard" in err
+    assert elapsed < 0.5, f"guard took {elapsed:.2f} s"
 
 
 def test_witness_even_n(capsys):

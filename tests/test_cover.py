@@ -1,6 +1,8 @@
 """Hypercube covering maps: fibers, ball isomorphisms, lifts, and
 sphere-sum decompositions."""
 
+import itertools
+
 import pytest
 
 from cayleycss import verify
@@ -67,9 +69,54 @@ def test_ball_isomorphism_within_safe_radius(repetition_cover):
 def test_collision_beyond_safe_radius(repetition_cover):
     cert = certify_ball_isomorphism(repetition_cover, 0, 3)
     assert isinstance(cert, BallCollision)
+    assert cert.kind == "vertex-collision"
     assert cert.first != cert.second
     cm = repetition_cover
     assert cm.project(cert.first) == cm.project(cert.second)
+
+
+def small_covers():
+    """Every [I_m | W] code with m <= 4 and |W| <= 2."""
+    for m in range(2, 5):
+        basis = {1 << i for i in range(m)}
+        extra = [v for v in range(1, 1 << m) if v not in basis]
+        for size in (1, 2):
+            for W in itertools.combinations(extra, size):
+                yield CoverMap(build_parity_check(m, W))
+
+
+def test_certificate_verdict_follows_radius_formula_for_every_small_W():
+    parities = set()
+    for cm in small_covers():
+        d = cm.classical_distance
+        parities.add(d % 2)
+        assert cm.safe_radius == max(r for r in range(d) if 2 * r + 1 < d)
+        for r in range(d):
+            certs = [
+                certify_ball_isomorphism(cm, center, r)
+                for center in range(1 << cm.n)
+            ]
+            iso = 2 * r + 1 < d
+            assert all(
+                isinstance(c, BallIsomorphismCertificate) == iso
+                for c in certs
+            ), (cm.m, cm.code.W, r)
+            for c in certs:
+                if isinstance(c, BallCollision):
+                    edge = d % 2 == 1 and 2 * r + 1 == d
+                    want = "edge-mismatch" if edge else "vertex-collision"
+                    assert c.kind == want, (cm.m, cm.code.W, r)
+    assert parities == {0, 1}
+
+
+def test_lift_at_safe_radius_for_odd_distance():
+    cm = CoverMap(build_parity_check(4, (0b1111,)))
+    assert (cm.classical_distance, cm.safe_radius) == (5, 1)
+    c = BigWord.from_vertices(4, [1, 2])
+    lifted = lift_ball_word(cm, c, 0, 1)
+    assert sorted(cm.project(v) for v in lifted.vertices()) == [1, 2]
+    with pytest.raises(RadiusTooLargeError, match=r"floor\(\(d-2\)/2\) = 1"):
+        lift_ball_word(cm, c, 0, 2)
 
 
 def test_lift_round_trip(repetition_cover):

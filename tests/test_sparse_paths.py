@@ -191,6 +191,19 @@ def test_self_orthogonality_on_cayley_matrices_and_near_misses(M):
     both_branches_agree(M)
 
 
+def test_odd_entries_with_equal_index_sums_are_not_confused():
+    # M . M^T is odd at exactly (0, 3) and (1, 2); every row has even
+    # weight, so only a pair key that tells (0, 3) from (1, 2) sees it.
+    M = BitMatrix.from_dense([
+        [1, 1, 0, 0, 0, 0],
+        [0, 0, 0, 1, 1, 0],
+        [0, 0, 0, 1, 0, 1],
+        [1, 0, 1, 0, 0, 0],
+    ])
+    both_branches_agree(M)
+    assert not gf2.is_self_orthogonal(M)
+
+
 def sparse_branch_taken(M: BitMatrix) -> bool:
     with mock.patch.object(
         gf2, "_sparse_self_orthogonal", wraps=gf2._sparse_self_orthogonal

@@ -2,10 +2,11 @@
 
 The projection sends a hypercube vertex x in F_2^(m+w) to the XOR of
 the parity-check columns selected by x, so e_i maps to e_i for i <= m
-and e_(m+j) maps to W_j.  Fibers are cosets of the classical code.  The map is injective on
-balls of radius r with 2r < d, and a graph isomorphism on them (induced
-edges included) when 2r + 1 < d, i.e. up to floor((d-2)/2); we certify
-this computationally rather than assume it.
+and e_(m+j) maps to W_j.  Fibers are cosets of the classical code.
+The map is injective on balls of radius r with 2r < d, and a graph
+isomorphism on them, induced edges included, when 2r + 1 < d, that is
+up to floor((d-2)/2); we certify this computationally rather than
+assume it.
 """
 
 from __future__ import annotations

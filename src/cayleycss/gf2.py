@@ -447,14 +447,14 @@ def solve_preimage(M: BitMatrix, b: BitVector) -> BitVector | None:
     return M._solver.solve(M.cols, b)
 
 
-#: Cost of one column-sharing row pair in the sparse self-orthogonality
-#: test, in word operations of the dense row loop (which does
-#: rows^2 * words of them); measured, see is_self_orthogonal.
+#: Cost of listing one column-sharing row pair in the sparse
+#: self-orthogonality test, in word operations of the dense row loop;
+#: measured, see is_self_orthogonal.
 PAIR_COST_IN_WORDS = 8
 
 #: Most column-sharing pairs (sum of squared column degrees) the sparse
-#: test lists at once: its index arrays take about 15 bytes per pair,
-#: so about 250 MB here.  Larger inputs take the dense row loop.
+#: test lists: its index arrays take about 15 bytes per pair, so about
+#: 250 MB at this cap.  Larger inputs take the dense row loop.
 MAX_SPARSE_PAIRS = 1 << 24
 
 
@@ -462,10 +462,11 @@ def is_self_orthogonal(M: BitMatrix) -> bool:
     """True iff M . M^T = 0 over GF(2).
 
     Entry (i, j) of M . M^T is the parity of the number of columns rows
-    i and j share.  With small column degrees, those shared columns are
-    counted from the set-bit coordinates, sum_c deg(c)^2 pairs in all;
-    otherwise, when that costs more than the rows^2 * words word
-    operations of the dense row loop, the row loop runs.
+    i and j share.  Listing the row pairs of every column costs
+    sum_c deg(c)^2 pairs, against rows^2 * words word operations for
+    the dense row loop; the pairs are counted when that is the cheaper
+    (at PAIR_COST_IN_WORDS words per pair) and fits MAX_SPARSE_PAIRS,
+    and the row loop runs otherwise.
     """
     limit = min(
         M.rows * M.rows * M.words.shape[1] // PAIR_COST_IN_WORDS,
@@ -498,9 +499,9 @@ def _sparse_self_orthogonal(
     # Entry e pairs with itself and the later entries of its column;
     # pair t, the k-th of entry e, joins e with entry e + k.
     partners = np.repeat(np.cumsum(deg), deg) - np.arange(r.size)
-    ends = np.cumsum(partners)
-    second = np.arange(int(ends[-1]) if ends.size else 0)
-    second -= np.repeat(ends - partners - np.arange(r.size), partners)
+    first_pair = np.cumsum(partners) - partners
+    second = np.arange(partners.sum())
+    second -= np.repeat(first_pair - np.arange(r.size), partners)
     keys = r[second]
     keys += np.repeat(r * n_rows, partners)
     _, counts = np.unique(keys, return_counts=True)

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix, BitVector, int_echelon
 
 #: Largest group dimension for which we materialize 2^m x 2^m matrices
 #: (m = 16 means a 512 MB bit matrix).
@@ -99,14 +99,7 @@ class GeneratorSet:
 
     def spans(self) -> bool:
         """Whether the generators span F_2^m (graph connectivity)."""
-        basis: list[int] = []
-        for s in self.elements:
-            for b in basis:
-                s = min(s, s ^ b)
-            if s:
-                basis.append(s)
-                basis.sort(reverse=True)
-        return len(basis) == self.m
+        return len(int_echelon(self.elements)) == self.m
 
     def as_strings(self) -> list[str]:
         return [format_small_word(s, self.m) for s in self.elements]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cayley import BigWord, GeneratorSet, ball, sphere
-from .gf2 import BitVector
+from .gf2 import int_echelon, int_reduce
 from .smallcode import ClassicalCode, enumerate_codewords, min_distance
 
 
@@ -221,25 +221,8 @@ def decompose_as_sphere_sum(
             f"support vertex {outside[0]} escapes the radius-{r} ball"
         )
     candidates = sorted(ball(m, S, center, max(r - 1, 0)).vertices())
-    # Eliminate with coefficient tracking: each echelon entry carries
-    # the set of candidate centers that produced it.
-    echelon: list[tuple[int, set[int]]] = []
-    for t in candidates:
-        vec = sphere(m, S, t).bits.to_int()
-        combo = {t}
-        for b, bc in echelon:
-            if vec.bit_length() == b.bit_length():
-                vec ^= b
-                combo ^= bc
-        if vec:
-            echelon.append((vec, combo))
-            echelon.sort(key=lambda e: e[0].bit_length(), reverse=True)
-    residual = c.bits.to_int()
-    chosen: set[int] = set()
-    for b, bc in echelon:
-        if residual.bit_length() == b.bit_length():
-            residual ^= b
-            chosen ^= bc
+    basis = int_echelon(sphere(m, S, t).bits.to_int() for t in candidates)
+    residual, mask = int_reduce(basis, c.bits.to_int())
     if residual:
         return None
-    return chosen
+    return {t for i, t in enumerate(candidates) if mask >> i & 1}

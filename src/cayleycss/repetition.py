@@ -33,9 +33,11 @@ MAX_RECURSIVE_DIMENSION = 11
 #: desk-scale.
 MAX_VERIFIED_DIMENSION = 13
 
-#: Largest n for which a witness (a 2^n-bit word) is built.  Time grows
-#: about 3.7x per step of two: n = 21 takes 6 s and n = 23 takes 17 to
-#: 23 s on a 2-core host, so n = 25 would exceed a 60 s budget.
+#: Largest n for which a witness (a 2^n-bit word) is built.  On a
+#: 2-core host ``witness --n 23`` takes 0.9 s at 68 MB peak RSS, and
+#: n = 25 (guard raised) 1.5 s at 124 MB.  The word's dense transients
+#: grow 4x per step of two, so memory, not time, should set a higher
+#: guard.
 MAX_WITNESS_DIMENSION = 23
 
 

@@ -16,6 +16,7 @@ from .gf2 import (
     BitMatrix,
     BitVector,
     DimensionBudgetError,
+    gray_span,
     kernel_basis,
 )
 from .cayley import format_small_word
@@ -102,15 +103,9 @@ def enumerate_codewords(code: ClassicalCode) -> list[int]:
     """All 2^dim codewords as integers, in Gray-code order over the
     fixed basis (deterministic)."""
     basis = code.codeword_basis()
-    k = len(basis)
-    if k > MAX_ENUMERATION_DIMENSION:
-        raise DimensionBudgetError(k, MAX_ENUMERATION_DIMENSION)
-    out = [0]
-    cur = 0
-    for i in range(1, 1 << k):
-        cur ^= basis[(i & -i).bit_length() - 1]
-        out.append(cur)
-    return out
+    if len(basis) > MAX_ENUMERATION_DIMENSION:
+        raise DimensionBudgetError(len(basis), MAX_ENUMERATION_DIMENSION)
+    return list(gray_span(basis))
 
 
 def min_distance(code: ClassicalCode) -> int | None:
@@ -120,16 +115,10 @@ def min_distance(code: ClassicalCode) -> int | None:
     never a sentinel integer.
     """
     basis = code.codeword_basis()
-    k = len(basis)
-    if k == 0:
+    if not basis:
         return None
-    if k > MAX_ENUMERATION_DIMENSION:
-        raise DimensionBudgetError(k, MAX_ENUMERATION_DIMENSION)
-    best = code.length + 1
-    cur = 0
-    for i in range(1, 1 << k):
-        cur ^= basis[(i & -i).bit_length() - 1]
-        w = cur.bit_count()
-        if w < best:
-            best = w
-    return best
+    if len(basis) > MAX_ENUMERATION_DIMENSION:
+        raise DimensionBudgetError(len(basis), MAX_ENUMERATION_DIMENSION)
+    words = gray_span(basis)
+    next(words)  # zero comes first
+    return min(v.bit_count() for v in words)

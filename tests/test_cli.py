@@ -6,7 +6,7 @@ import time
 import jsonschema
 import pytest
 
-from cayleycss import cli, formats
+from cayleycss import cli, formats, verify
 from cayleycss.cayley import GeneratorSet, adjacency_matrix
 
 try:
@@ -101,6 +101,25 @@ def test_verify_all_small_range(capsys):
     assert report["outputs"]["failed"] == 0
 
 
+def test_verify_all_report_does_not_depend_on_threads(capsys):
+    reports = []
+    for threads in ("1", "2"):
+        code, report = run_report(
+            capsys, "verify", "--suite", "all", "--n", "3..5",
+            "--m", "4", "--gens", "1111", "--threads", threads,
+        )
+        assert code == 0
+        for key in ("timings", "threads"):
+            report.pop(key)
+        for check in report["checks"]:
+            check.pop("elapsed_s")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    names = {c["name"] for c in reports[0]["checks"]}
+    # The cover suite ran on the given code, not the m = 5 default.
+    assert "cover/non-liftable-word" not in names
+
+
 def test_verify_cover_suite(capsys):
     code, report = run_report(
         capsys, "verify", "--suite", "cover", "--m", "5", "--gens", "11111"
@@ -176,6 +195,15 @@ def test_threads_below_one_exits_before_work(capsys, monkeypatch, threads):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "--threads" in err
+
+
+@pytest.mark.parametrize("flag", [["--m", "4"], ["--gens", "1111"]])
+def test_verify_m_and_gens_go_together(capsys, monkeypatch, flag):
+    monkeypatch.setattr(verify, "run_suite", refuse_work)
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", *flag)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--m" in err and "--gens" in err
 
 
 def test_witness_report(capsys):

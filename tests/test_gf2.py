@@ -65,12 +65,14 @@ def random_dense(rng, rows, cols):
 
 def test_bitvector_int_round_trip():
     rng = random.Random(7)
-    for length in (1, 7, 63, 64, 65, 200):
-        value = rng.getrandbits(length)
-        v = BitVector.from_int(length, value)
-        assert v.to_int() == value
-        assert v.weight == value.bit_count()
-        assert v.support() == [i for i in range(length) if value >> i & 1]
+    for length in (1, 7, 63, 64, 65, 128, 200):
+        for value in (rng.getrandbits(length), 0, (1 << length) - 1):
+            v = BitVector.from_int(length, value)
+            assert v.to_int() == value
+            assert v.weight == value.bit_count()
+            assert v.support() == [
+                i for i in range(length) if value >> i & 1
+            ]
 
 
 def test_bitvector_from_support_matches_bits():

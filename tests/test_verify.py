@@ -21,6 +21,13 @@ def test_each_suite_passes_at_small_sizes(name):
         assert d["elapsed_s"] >= 0
 
 
+def test_run_suite_finds_rebound_suites(monkeypatch):
+    # The benchmark tracer rebinds module attributes; dispatch must see it.
+    item = verify.CheckItem("recursion/stub", True, 0.0)
+    monkeypatch.setattr(verify, "suite_recursion", lambda *_, **__: [item])
+    assert verify.run_suite("recursion", [3]) == [item]
+
+
 def test_checks_report_failures_not_exceptions():
     # a crash inside a check is captured as a failed item
     item = verify._run("boom", lambda: 1 / 0)

@@ -212,13 +212,9 @@ def adjacency_matrix(
 
 
 def _build_adjacency(m: int, S: GeneratorSet) -> BitMatrix:
-    n = 1 << m
-    words = np.zeros((n, max(1, n >> 6)), dtype=np.uint64)
-    idx = np.arange(n)
-    for s in S.elements:
-        cols = idx ^ s
-        words[idx, cols >> 6] |= np.uint64(1) << (cols & 63).astype(np.uint64)
-    return BitMatrix(n, n, words)
+    p = np.arange(1 << m)[:, None]
+    s = np.array(S.elements, dtype=np.int64)
+    return BitMatrix.from_nonzero(1 << m, 1 << m, p, p ^ s)
 
 
 _adjacency = lru_cache(maxsize=ADJACENCY_CACHE_SIZE)(_build_adjacency)
@@ -425,18 +421,14 @@ def halved_matrix(m: int, S: GeneratorSet) -> BitMatrix:
     Rows are indexed by even-weight vertices, columns by odd-weight
     vertices, both in increasing integer order.
     """
-    split = bipartite_split(m, S)
-    if split is None:
+    if any(s.bit_count() % 2 == 0 for s in S.elements):
         raise ValueError("graph is not bipartite by weight parity")
-    evens = split[0].vertices()
-    odds = split[1].vertices()
-    odd_index = {v: j for j, v in enumerate(odds)}
+    v = np.arange(1 << m)
+    evens = v[np.bitwise_count(v) % 2 == 0][:, None]
+    s = np.array(S.elements, dtype=np.int64)
+    # 2k and 2k + 1 differ in weight parity: v >> 1 indexes v in its class.
     half = 1 << (m - 1)
-    dense = np.zeros((half, half), dtype=np.uint8)
-    for i, v in enumerate(evens):
-        for s in S.elements:
-            dense[i, odd_index[v ^ s]] = 1
-    return BitMatrix.from_dense(dense)
+    return BitMatrix.from_nonzero(half, half, evens >> 1, (evens ^ s) >> 1)
 
 
 # -- Hamming isometries -----------------------------------------------

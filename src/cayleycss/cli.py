@@ -16,8 +16,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-import numpy as np
-
 from . import __version__, cover, css, formats, gf2, repetition, verify
 from .cayley import (
     BigWord,
@@ -26,9 +24,9 @@ from .cayley import (
     adjacency_matrix,
     format_small_word,
 )
-from .gf2 import BitMatrix, DimensionBudgetError
-from .smallcode import InvalidGeneratorError, build_parity_check
-from .verify import SUITE_NAMES, torus_example_generators
+from .gf2 import DimensionBudgetError
+from .smallcode import ClassicalCode, InvalidGeneratorError, build_parity_check
+from .verify import SUITE_NAMES, torus_adjacency
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -132,17 +130,6 @@ def cmd_build(args, started: float) -> int:
     return EXIT_OK
 
 
-def torus_adjacency(n: int) -> BitMatrix:
-    """Adjacency matrix of the two-cyclic-torus example family."""
-    group, terms = torus_example_generators(n)
-    idxs = sorted({group.index(t) for t in terms} - {0})
-    dense = np.zeros((group.order, group.order), dtype=np.uint8)
-    for p in range(group.order):
-        for s in idxs:
-            dense[p, group.add(p, s)] ^= 1
-    return BitMatrix.from_dense(dense)
-
-
 def cmd_params(args, started: float) -> int:
     m, S = resolve_generators(args)
     code = css.build_css(m, S)
@@ -179,15 +166,21 @@ def cmd_params(args, started: float) -> int:
     return EXIT_OK
 
 
+def cover_code(args) -> ClassicalCode:
+    """The classical code [I_m | W] of --m and --gens."""
+    W = GeneratorSet.from_strings(args.m, args.gens).elements
+    try:
+        return build_parity_check(args.m, W)
+    except InvalidGeneratorError as exc:
+        raise CliError(str(exc))
+
+
 def cmd_verify(args, started: float) -> int:
     ns = parse_n_range(args.n_range) if args.n_range else list(range(3, 14))
     if (args.m is None) != (not args.gens):
         raise CliError("--m and --gens go together (cover suite)")
-    W = None
-    if args.gens:
-        W = tuple(
-            GeneratorSet.from_strings(args.m, args.gens).elements
-        )
+    # Checked here, so that bad generators are refused before any suite.
+    W = cover_code(args).W if args.gens else None
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
 
     def run(name):
@@ -215,12 +208,7 @@ def cmd_verify(args, started: float) -> int:
 def cmd_cover(args, started: float) -> int:
     if args.m is None or not args.gens:
         raise CliError("cover needs --m and --gens")
-    W = GeneratorSet.from_strings(args.m, args.gens).elements
-    try:
-        code = build_parity_check(args.m, W)
-    except InvalidGeneratorError as exc:
-        raise CliError(str(exc))
-    cm = cover.CoverMap(code)
+    cm = cover.CoverMap(cover_code(args))
     radius = args.radius if args.radius is not None else cm.safe_radius
     centers_checked = 0
     counterexample = None

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import chain
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix
 
 #: Binary header: magic, version, reserved, rows, cols (little endian).
 BIN_MAGIC = b"CAYM"
@@ -58,24 +59,27 @@ def write_alist(M: BitMatrix) -> str:
 
 
 def read_alist(text: str) -> BitMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # Lines are positional: an empty degree or index list is a blank line.
+    lines = text.splitlines() or [""]
     cols, rows = map(int, lines[0].split())
-    col_deg = list(map(int, lines[2].split()))
-    row_deg = list(map(int, lines[3].split()))
-    if len(col_deg) != cols or len(row_deg) != rows:
+    if len(lines) < 4 + cols + rows:
+        raise ValueError("alist file ends before its last list")
+    col_deg = np.array(lines[2].split(), dtype=np.int64)
+    if len(col_deg) != cols or len(lines[3].split()) != rows:
         raise ValueError("degree lists do not match the dimensions")
-    dense = np.zeros((rows, cols), dtype=np.uint8)
-    for j in range(cols):
-        entries = [e for e in map(int, lines[4 + j].split()) if e]
-        if len(entries) != col_deg[j]:
-            raise ValueError(f"column {j + 1} degree mismatch")
-        for i in entries:
-            dense[i - 1, j] = 1
-    for i in range(rows):
-        entries = [e for e in map(int, lines[4 + cols + i].split()) if e]
-        if sorted(entries) != sorted(np.nonzero(dense[i, :])[0] + 1):
-            raise ValueError(f"row {i + 1} list disagrees with columns")
-    return BitMatrix.from_dense(dense)
+    # Line j < cols lists column j, line cols + i lists row i; zeros pad.
+    parts = [ln.split() for ln in lines[4:4 + cols + rows]]
+    line = np.repeat(np.arange(cols + rows), [len(p) for p in parts])
+    index = np.array(list(chain.from_iterable(parts)), dtype=np.int64)
+    line, index = line[index != 0], index[index != 0] - 1
+    bad = np.flatnonzero(np.bincount(line, minlength=cols)[:cols] != col_deg)
+    if bad.size:
+        raise ValueError(f"column {bad[0] + 1} degree mismatch")
+    col = line < cols
+    M = BitMatrix.from_nonzero(rows, cols, index[col], line[col])
+    if BitMatrix.from_nonzero(rows, cols, line[~col] - cols, index[~col]) != M:
+        raise ValueError("row lists disagree with columns")
+    return M
 
 
 def write_mtx(M: BitMatrix) -> str:
@@ -91,15 +95,16 @@ def write_mtx(M: BitMatrix) -> str:
 def read_mtx(text: str) -> BitMatrix:
     lines = [
         ln for ln in text.splitlines() if ln.strip() and not ln.startswith("%")
-    ]
+    ] or [""]
     rows, cols, nnz = map(int, lines[0].split())
-    dense = np.zeros((rows, cols), dtype=np.uint8)
     if len(lines) - 1 != nnz:
         raise ValueError("entry count disagrees with the header")
-    for ln in lines[1:]:
-        i, j = map(int, ln.split())
-        dense[i - 1, j - 1] = 1
-    return BitMatrix.from_dense(dense)
+    ij = np.zeros((0, 2), dtype=np.int64)
+    if nnz:
+        ij = np.loadtxt(lines[1:], dtype=np.int64, ndmin=2, comments=None)
+    if ij.shape[1] != 2:
+        raise ValueError("Matrix Market entries are not index pairs")
+    return BitMatrix.from_nonzero(rows, cols, ij[:, 0] - 1, ij[:, 1] - 1)
 
 
 def write_bin(M: BitMatrix) -> bytes:
@@ -109,22 +114,23 @@ def write_bin(M: BitMatrix) -> bytes:
 
 
 def read_bin(blob: bytes) -> BitMatrix:
+    if len(blob) < _BIN_HEADER.size:
+        raise ValueError("binary matrix header is truncated")
     magic, version, _, rows, cols = _BIN_HEADER.unpack_from(blob)
     if magic != BIN_MAGIC:
         raise ValueError("bad magic in binary matrix header")
     if version != BIN_VERSION:
         raise ValueError(f"unsupported binary version {version}")
     stride = (cols + 7) // 8
-    body = blob[_BIN_HEADER.size:]
-    if len(body) != rows * stride:
+    body = np.frombuffer(blob, dtype=np.uint8, offset=_BIN_HEADER.size)
+    if body.size != rows * stride:
         raise ValueError("binary payload length mismatch")
-    out_rows = []
-    for i in range(rows):
-        chunk = body[i * stride:(i + 1) * stride]
-        out_rows.append(
-            BitVector.from_int(cols, int.from_bytes(chunk, "little"))
-        )
-    return BitMatrix.from_rows(out_rows)
+    body = body.reshape(rows, stride)
+    if cols % 8 and (body[:, -1] >> cols % 8).any():
+        raise ValueError("set bits beyond the last column")
+    # Each row's bytes, zero-padded to whole 64-bit words.
+    words = np.pad(body, ((0, 0), (0, -stride % 8))).view(np.uint64)
+    return BitMatrix(rows, cols, words)
 
 
 def write_json(M: BitMatrix) -> str:
@@ -140,30 +146,29 @@ def write_json(M: BitMatrix) -> str:
 
 def read_json(text: str) -> BitMatrix:
     payload = json.loads(text)
-    dense = np.zeros((payload["rows"], payload["cols"]), dtype=np.uint8)
-    for i, sup in enumerate(payload["row_support"]):
-        dense[i, sup] = 1
-    return BitMatrix.from_dense(dense)
+    rows, cols = payload["rows"], payload["cols"]
+    support = payload["row_support"]
+    if len(support) != rows:
+        raise ValueError(f"{len(support)} row_support lists for {rows} rows")
+    cc = np.array(list(chain.from_iterable(support)))
+    if cc.size and cc.dtype.kind != "i":
+        raise ValueError("row_support holds a non-integer index")
+    rr = np.repeat(np.arange(rows), [len(s) for s in support])
+    return BitMatrix.from_nonzero(rows, cols, rr, cc)
+
+
+def _mode(fmt: str) -> str:
+    """The file mode suffix of a format; an unknown one raises ValueError."""
+    if fmt not in FORMAT_NAMES:
+        raise ValueError(f"unknown format {fmt!r}")
+    return "b" if fmt == "bin" else ""
 
 
 def write_matrix(M: BitMatrix, fmt: str, path: str) -> None:
-    if fmt == "bin":
-        with open(path, "wb") as fh:
-            fh.write(write_bin(M))
-        return
-    writers = {"alist": write_alist, "mtx": write_mtx, "json": write_json}
-    if fmt not in writers:
-        raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "w") as fh:
-        fh.write(writers[fmt](M))
+    with open(path, "w" + _mode(fmt)) as fh:
+        fh.write(globals()["write_" + fmt](M))
 
 
 def read_matrix(fmt: str, path: str) -> BitMatrix:
-    if fmt == "bin":
-        with open(path, "rb") as fh:
-            return read_bin(fh.read())
-    readers = {"alist": read_alist, "mtx": read_mtx, "json": read_json}
-    if fmt not in readers:
-        raise ValueError(f"unknown format {fmt!r}")
-    with open(path) as fh:
-        return readers[fmt](fh.read())
+    with open(path, "r" + _mode(fmt)) as fh:
+        return globals()["read_" + fmt](fh.read())

@@ -132,10 +132,8 @@ class BitVector:
 
     def reversed(self) -> "BitVector":
         """Bit reversal: position p maps to length-1-p."""
-        bits = np.unpackbits(
-            self.words.view(np.uint8), bitorder="little", count=self.length
-        )
-        return BitVector.from_bits(bits[::-1].tolist())
+        n = self.length
+        return BitVector.from_support(n, [n - 1 - p for p in self.support()])
 
     def packed_bytes(self) -> bytes:
         """The first ceil(length/8) bytes of the little-endian payload."""
@@ -200,10 +198,25 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        words = np.zeros((n, _n_words(n)), dtype=np.uint64)
-        idx = np.arange(n)
-        words[idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
-        return cls(n, n, words)
+        i = np.arange(n)
+        return cls.from_nonzero(n, n, i, i)
+
+    @classmethod
+    def from_nonzero(cls, rows: int, cols: int, rr, cc) -> "BitMatrix":
+        """The rows x cols matrix with ones at the coordinates (rr, cc),
+        the inverse of ``nonzero()``.  The index arrays broadcast
+        against each other; a repeated coordinate sets its bit once, and
+        one outside the matrix raises ValueError.
+        """
+        rr = np.asarray(rr, dtype=np.int64)
+        cc = np.asarray(cc, dtype=np.int64)
+        if not ((0 <= rr) & (rr < rows) & (0 <= cc) & (cc < cols)).all():
+            raise ValueError(f"coordinate outside the {rows} x {cols} matrix")
+        words = np.zeros((rows, _n_words(cols)), dtype=np.uint64)
+        flat = rr * words.shape[1] + cc // WORD_BITS
+        bits = np.uint64(1) << (cc % WORD_BITS).astype(np.uint64)
+        np.bitwise_or.at(words.reshape(-1), flat, bits)
+        return cls(rows, cols, words)
 
     @classmethod
     def from_rows(cls, rows: Sequence[BitVector]) -> "BitMatrix":
@@ -255,7 +268,8 @@ class BitMatrix:
         return wr[word], wc[word] * WORD_BITS + (byte & 7) * 8 + b
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_dense(self.to_dense().T)
+        rr, cc = self.nonzero()
+        return BitMatrix.from_nonzero(self.cols, self.rows, cc, rr)
 
     def mul_vector(self, v: BitVector) -> BitVector:
         """M . v^T, a vector indexed by rows."""
@@ -263,10 +277,8 @@ class BitMatrix:
             raise ValueError(
                 f"vector length {v.length} != column count {self.cols}"
             )
-        parities = (
-            np.bitwise_count(self.words & v.words[None, :]).sum(axis=1) & 1
-        ).astype(np.uint8)
-        return BitVector.from_bits(parities.tolist())
+        odd = np.bitwise_count(self.words & v.words).sum(axis=1) & 1
+        return BitVector.from_support(self.rows, np.flatnonzero(odd).tolist())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -378,19 +390,19 @@ def _rref(basis: np.ndarray, pivots: Sequence[int]) -> np.ndarray:
 def kernel_basis(M: BitMatrix) -> list[BitVector]:
     """Basis of {v : M . v^T = 0}; has cols - rank(M) elements."""
     ech = _echelon(M)
-    rref = _rref(ech.basis.copy(), ech.pivots)
-    pivot_set = set(ech.pivots)
-    free_cols = [c for c in range(M.cols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        words = np.zeros(_n_words(M.cols), dtype=np.uint64)
-        words[f >> 6] |= np.uint64(1 << (f & 63))
-        fb = (rref[:, f >> 6] >> np.uint64(f & 63)) & np.uint64(1)
-        for r in np.nonzero(fb)[0]:
-            c = ech.pivots[int(r)]
-            words[c >> 6] |= np.uint64(1 << (c & 63))
-        basis.append(BitVector(M.cols, words))
-    return basis
+    rref = BitMatrix(ech.rank, M.cols, _rref(ech.basis.copy(), ech.pivots))
+    free = np.ones(M.cols, dtype=bool)
+    free[ech.pivots] = False
+    # Vector k: the k-th free column f and the pivots of rows with a 1 at f.
+    k = np.cumsum(free) - 1
+    r, c = rref.nonzero()
+    r, c = r[free[c]], c[free[c]]
+    f = np.flatnonzero(free)
+    K = BitMatrix.from_nonzero(
+        f.size, M.cols, np.concatenate([k[f], k[c]]),
+        np.concatenate([f, np.array(ech.pivots, dtype=np.int64)[r]]),
+    )
+    return [K.row(i) for i in range(K.rows)]
 
 
 def in_row_space(M: BitMatrix, v: BitVector) -> bool:
@@ -430,11 +442,8 @@ class _Solver:
         )
         if tb[self.rank:].any():
             return None
-        words = np.zeros(_n_words(cols), dtype=np.uint64)
-        for r in np.nonzero(tb[: self.rank])[0]:
-            c = self.pivots[int(r)]
-            words[c >> 6] |= np.uint64(1 << (c & 63))
-        return BitVector(cols, words)
+        rows = np.flatnonzero(tb[: self.rank]).tolist()
+        return BitVector.from_support(cols, [self.pivots[r] for r in rows])
 
 
 def solve_preimage(M: BitMatrix, b: BitVector) -> BitVector | None:

@@ -57,8 +57,8 @@ def reversal(v: BitVector) -> BitVector:
 
 
 def reversal_matrix(size: int) -> BitMatrix:
-    dense = np.fliplr(np.eye(size, dtype=np.uint8))
-    return BitMatrix.from_dense(dense)
+    i = np.arange(size)
+    return BitMatrix.from_nonzero(size, size, i, size - 1 - i)
 
 
 def build_recursive(n: int) -> BitMatrix:
@@ -86,8 +86,9 @@ def conjugation_check(n: int) -> bool:
     if n % 2 == 0:
         raise ValueError("the identity is stated for odd n")
     M = matrix(n)
-    dense = M.to_dense()
-    if not np.array_equal(dense[::-1, ::-1], dense):
+    rr, cc = M.nonzero()
+    N = M.rows
+    if BitMatrix.from_nonzero(N, N, N - 1 - rr, N - 1 - cc) != M:
         return False
     for v in gf2.kernel_basis(M):
         if not M.mul_vector(reversal(v)).is_zero():

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gf2 import (
     BitMatrix,
     BitVector,
@@ -89,14 +87,11 @@ def build_parity_check(m: int, W: tuple[int, ...] | list[int]) -> ClassicalCode:
                 f"duplicate generator {format_small_word(w, m)}"
             )
         seen.add(w)
-    n = m + len(W)
-    dense = np.zeros((m, n), dtype=np.uint8)
-    for i in range(m):
-        dense[i, i] = 1
-    for j, w in enumerate(W):
-        for i in range(m):
-            dense[i, m + j] = w >> i & 1
-    return ClassicalCode(m, W, BitMatrix.from_dense(dense))
+    entries = [(i, i) for i in range(m)] + [
+        (i, m + j) for j, w in enumerate(W) for i in range(m) if w >> i & 1
+    ]
+    H = BitMatrix.from_nonzero(m, m + len(W), *zip(*entries))
+    return ClassicalCode(m, W, H)
 
 
 def enumerate_codewords(code: ClassicalCode) -> list[int]:

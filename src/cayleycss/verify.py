@@ -26,7 +26,7 @@ from .cayley import (
     algebra_nilpotency_check,
     check_self_orthogonal_combinatorial,
 )
-from .gf2 import BitVector
+from .gf2 import BitMatrix, BitVector
 from .smallcode import build_parity_check
 
 SUITE_NAMES = (
@@ -86,8 +86,11 @@ def suite_recursion(ns: Iterable[int], **_) -> list[CheckItem]:
             ))
     for s in (2, 8, 64, 1 << 10):
         def involution(s=s):
-            J = repetition.reversal_matrix(s).to_dense()
-            ok = bool(np.array_equal(J @ J % 2, np.eye(s, dtype=np.uint8)))
+            J = repetition.reversal_matrix(s)
+            i, j = J.nonzero()
+            JJ = np.zeros_like(J.words)  # row i: XOR of rows j, J[i, j] = 1
+            np.bitwise_xor.at(JJ, i, J.words[j])
+            ok = BitMatrix(s, s, JJ) == BitMatrix.identity(s)
             return ok, "J^2 = I" if ok else "J^2 != I"
         items.append(_run(f"recursion/reversal-involution-{s}", involution))
     return items
@@ -245,6 +248,14 @@ def torus_example_generators(n: int) -> tuple[CyclicProductGroup, list]:
     return group, terms
 
 
+def torus_adjacency(n: int) -> BitMatrix:
+    """Adjacency matrix of the two-cyclic-torus example family."""
+    group, terms = torus_example_generators(n)
+    idxs = {group.index(t) for t in terms} - {0}
+    entries = [(p, group.add(p, s)) for p in range(group.order) for s in idxs]
+    return BitMatrix.from_nonzero(group.order, group.order, *zip(*entries))
+
+
 def suite_algebra(
     ns: Iterable[int] = (), seed: int = 20240901, samples: int = 100, **_
 ) -> list[CheckItem]:
@@ -279,13 +290,8 @@ def suite_algebra(
         if not algebra_nilpotency_check(group, terms):
             return False, "generator sum square is nonzero"
         # Cross-check against the materialized adjacency matrix.
-        idxs = {group.index(t) for t in terms} - {0}
-        rows = []
-        for p in range(group.order):
-            r = 0
-            for s in idxs:
-                r ^= 1 << group.add(p, s)
-            rows.append(r)
+        M = torus_adjacency(n)
+        rows = [M.row(p).to_int() for p in range(M.rows)]
         return (
             _rows_self_orthogonal(rows),
             "group algebra and adjacency matrix agree",

@@ -1,0 +1,148 @@
+"""Matrix builders that set bits from coordinates, each against the dense
+code it replaced: a rows x cols uint8 array filled entry by entry and
+packed with ``from_dense``, or a word loop over the pivots.  Results
+must be equal bit for bit.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from cayleycss import cayley, cli, gf2, repetition
+from cayleycss.cayley import GeneratorSet, halved_matrix
+from cayleycss.gf2 import BitMatrix, BitVector
+from cayleycss.smallcode import build_parity_check
+from cayleycss.verify import torus_example_generators
+
+from test_sparse_paths import matrices
+
+# -- oracles: the dense builders ---------------------------------------------
+
+
+def oracle_halved(m: int, S: GeneratorSet) -> BitMatrix:
+    evens = [v for v in range(1 << m) if v.bit_count() % 2 == 0]
+    odds = [v for v in range(1 << m) if v.bit_count() % 2 == 1]
+    odd_index = {v: j for j, v in enumerate(odds)}
+    half = 1 << (m - 1)
+    dense = np.zeros((half, half), dtype=np.uint8)
+    for i, v in enumerate(evens):
+        for s in S.elements:
+            dense[i, odd_index[v ^ s]] = 1
+    return BitMatrix.from_dense(dense)
+
+
+def oracle_torus(n: int) -> BitMatrix:
+    group, terms = torus_example_generators(n)
+    idxs = sorted({group.index(t) for t in terms} - {0})
+    dense = np.zeros((group.order, group.order), dtype=np.uint8)
+    for p in range(group.order):
+        for s in idxs:
+            dense[p, group.add(p, s)] ^= 1
+    return BitMatrix.from_dense(dense)
+
+
+def oracle_parity_check(m: int, W: tuple[int, ...]) -> BitMatrix:
+    dense = np.zeros((m, m + len(W)), dtype=np.uint8)
+    for i in range(m):
+        dense[i, i] = 1
+    for j, w in enumerate(W):
+        for i in range(m):
+            dense[i, m + j] = w >> i & 1
+    return BitMatrix.from_dense(dense)
+
+
+def oracle_kernel_basis(M: BitMatrix) -> list[BitVector]:
+    ech = gf2._echelon(M)
+    rref = gf2._rref(ech.basis.copy(), ech.pivots)
+    basis = []
+    for f in sorted(set(range(M.cols)) - set(ech.pivots)):
+        words = np.zeros(M.words.shape[1], dtype=np.uint64)
+        words[f >> 6] |= np.uint64(1 << (f & 63))
+        fb = (rref[:, f >> 6] >> np.uint64(f & 63)) & np.uint64(1)
+        for r in np.nonzero(fb)[0]:
+            c = ech.pivots[int(r)]
+            words[c >> 6] |= np.uint64(1 << (c & 63))
+        basis.append(BitVector(M.cols, words))
+    return basis
+
+
+# -- builders --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_halved_matrix_matches_dense_builder(n):
+    S = repetition.generators(n)
+    assert halved_matrix(n, S) == oracle_halved(n, S)
+
+
+def test_empty_generator_sets_give_zero_matrices():
+    S = GeneratorSet(3, ())
+    assert cayley.adjacency_matrix(3, S) == BitMatrix.zeros(8, 8)
+    assert halved_matrix(3, S) == BitMatrix.zeros(4, 4)
+
+
+def test_halved_matrix_refuses_non_bipartite_generators():
+    with pytest.raises(ValueError, match="not bipartite"):
+        halved_matrix(3, GeneratorSet(3, (1, 3)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_torus_adjacency_matches_dense_builder(n):
+    assert cli.torus_adjacency(n) == oracle_torus(n)
+
+
+def small_generator_sets():
+    for m in range(1, 5):
+        for size in (1, 2):
+            for W in itertools.permutations(range(1, 1 << m), size):
+                yield m, W
+
+
+def test_parity_check_matches_dense_builder_for_every_small_W():
+    built = 0
+    for m, W in small_generator_sets():
+        if any(w & (w - 1) == 0 for w in W):
+            continue  # canonical basis elements are refused
+        assert build_parity_check(m, W).parity_check == oracle_parity_check(
+            m, W
+        ), (m, W)
+        built += 1
+    assert built > 100
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(matrices())
+def test_kernel_basis_matches_word_loop(dense):
+    M = BitMatrix.from_dense(dense)
+    assert gf2.kernel_basis(M) == oracle_kernel_basis(M)
+
+
+def test_conjugation_check_rejects_an_asymmetric_matrix(monkeypatch):
+    M = repetition.matrix(5)
+    dense = M.to_dense()
+    dense[0, 1] ^= 1  # J M J differs from M at (N - 1, N - 2)
+    monkeypatch.setattr(
+        repetition, "matrix", lambda n: BitMatrix.from_dense(dense)
+    )
+    assert not repetition.conjugation_check(5)
+
+
+# -- from_nonzero ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rr, cc",
+    [([0, 2], [0, 0]), ([0, -1], [0, 0]), ([0], [3]), ([0], [-1])],
+)
+def test_from_nonzero_refuses_coordinates_outside(rr, cc):
+    with pytest.raises(ValueError, match="outside"):
+        BitMatrix.from_nonzero(2, 3, rr, cc)
+
+
+def test_from_nonzero_broadcasts_and_sets_repeats_once():
+    p = np.arange(8)[:, None]
+    M = BitMatrix.from_nonzero(8, 8, p, p ^ np.array([1, 2, 4, 7, 1]))
+    assert M == cayley.adjacency_matrix(3, GeneratorSet.named("S3'"))
+    assert BitMatrix.from_nonzero(0, 5, [], []) == BitMatrix.zeros(0, 5)

@@ -206,6 +206,17 @@ def test_verify_m_and_gens_go_together(capsys, monkeypatch, flag):
     assert err.count("\n") == 1 and "--m" in err and "--gens" in err
 
 
+def test_verify_checks_gens_against_m_before_any_suite(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "run_suite", refuse_work)
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "all", "--n", "3..13",
+        "--m", "4", "--gens", "1000",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "canonical basis" in err
+
+
 def test_witness_report(capsys):
     code, report = run_report(capsys, "witness", "--n", "3")
     assert code == 0

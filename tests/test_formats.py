@@ -1,5 +1,7 @@
 """Matrix serialization round trips and golden outputs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,83 @@ def test_file_io_round_trip(tower_8x8, tmp_path):
 def test_unknown_format(tower_8x8, tmp_path):
     with pytest.raises(ValueError):
         formats.write_matrix(tower_8x8, "csv", str(tmp_path / "m.csv"))
+
+
+# -- malformed input: ValueError, never a wrapped index or an IndexError -----
+
+MTX_HEAD = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n"
+
+
+def alist_2x2(col1: str, row1: str = "1") -> str:
+    """The 2 x 2 identity in alist, with column 1 and row 1 replaced."""
+    return f"2 2\n1 1\n1 1\n1 1\n{col1}\n2\n{row1}\n2\n"
+
+
+def json_2x2(support) -> str:
+    return json.dumps({"rows": 2, "cols": 2, "row_support": support})
+
+
+def test_malformed_input_cases_start_from_well_formed_files():
+    eye = BitMatrix.identity(2)
+    assert formats.read_alist(alist_2x2("1")) == eye
+    mtx = MTX_HEAD.replace(" 1\n", " 2\n") + "1 1\n2 2\n"
+    assert formats.read_mtx(mtx) == eye
+    assert formats.read_json(json_2x2([[0], [1]])) == eye
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        alist_2x2("0"),  # 0 is padding, so column 1 loses its entry
+        alist_2x2("-1"),
+        alist_2x2("3"),
+        alist_2x2("1", row1="-1"),
+        alist_2x2("1", row1="3"),
+        alist_2x2("1")[:-4],  # the last row list is missing
+    ],
+    ids=["zero", "negative", "past-end", "row-negative", "row-past-end",
+         "truncated"],
+)
+def test_alist_rejects_bad_indices(text):
+    with pytest.raises(ValueError):
+        formats.read_alist(text)
+
+
+@pytest.mark.parametrize(
+    "entry", ["0 1", "1 0", "-1 1", "1 -1", "3 1", "1 3", "1 1 1", "1"]
+)
+def test_mtx_rejects_bad_indices(entry):
+    with pytest.raises(ValueError):
+        formats.read_mtx(MTX_HEAD + entry + "\n")
+
+
+@pytest.mark.parametrize(
+    "support",
+    [[[-1], []], [[2], []], [[0], [-3]], [[0]], [[0], [1], []], [[0.5], []]],
+    ids=["negative", "past-end", "row-negative", "too-few-lists",
+         "too-many-lists", "non-integer"],
+)
+def test_json_rejects_bad_indices_and_list_counts(support):
+    with pytest.raises(ValueError):
+        formats.read_json(json_2x2(support))
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda b: b[:10],  # truncated header
+        lambda b: b[:-1],  # payload one byte short
+        lambda b: b[:-1] + b"\x04",  # a set bit beyond column 2
+    ],
+    ids=["header", "payload", "pad-bit"],
+)
+def test_bin_rejects_truncation_and_pad_bits(mangle):
+    blob = formats.write_bin(BitMatrix.identity(2))
+    with pytest.raises(ValueError):
+        formats.read_bin(mangle(blob))
+
+
+def test_empty_text_is_a_value_error():
+    for reader in (formats.read_alist, formats.read_mtx):
+        with pytest.raises(ValueError):
+            reader("")

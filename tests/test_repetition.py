@@ -59,7 +59,7 @@ def test_reversal_is_involution(size):
     assert reversal(reversal(v)) == v
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_conjugation_identity(n):
     assert conjugation_check(n)
 

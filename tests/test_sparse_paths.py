@@ -1,5 +1,6 @@
-"""Property tests for the set-bit paths: ``BitMatrix.nonzero``, the four
-writers and ``is_self_orthogonal``.
+"""Property tests for the set-bit paths: ``BitMatrix.nonzero`` and its
+inverse ``BitMatrix.from_nonzero``, the four writers and readers, and
+``is_self_orthogonal``.
 
 The oracles below are the dense implementations these paths replaced:
 writers that unpack the whole matrix to one byte per entry, and the row
@@ -165,6 +166,29 @@ def test_nonzero_and_writers_match_dense_oracles(dense):
     assert np.array_equal(cols, want_cols)
     for fmt, oracle in ORACLES.items():
         assert getattr(formats, f"write_{fmt}")(M) == oracle(M), fmt
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(matrices())
+def test_readers_invert_writers(dense):
+    M = BitMatrix.from_dense(dense)
+    for fmt in formats.FORMAT_NAMES:
+        written = getattr(formats, f"write_{fmt}")(M)
+        assert getattr(formats, f"read_{fmt}")(written) == M, fmt
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(matrices(), st.integers(0, 2**32 - 1))
+def test_from_nonzero_inverts_nonzero_with_repeats(dense, seed):
+    M = BitMatrix.from_dense(dense)
+    rng = np.random.default_rng(seed)
+    rows, cols = M.nonzero()
+    # Every coordinate, about half of them twice, in random order.
+    take = np.concatenate(
+        [np.arange(rows.size), rng.choice(rows.size, size=rows.size // 2)]
+    )
+    take = rng.permutation(take)
+    assert BitMatrix.from_nonzero(M.rows, M.cols, rows[take], cols[take]) == M
 
 
 def both_branches_agree(M: BitMatrix) -> None:

@@ -1,8 +1,10 @@
 """Suite plumbing: every named suite runs and reports well-formed items."""
 
+import numpy as np
 import pytest
 
-from cayleycss import verify
+from cayleycss import repetition, verify
+from cayleycss.gf2 import BitMatrix
 
 
 def test_unknown_suite():
@@ -40,3 +42,21 @@ def test_three_way_agreement_helper():
 
     assert verify.three_way_agreement(3, GeneratorSet(3, (1, 2, 4, 7)))
     assert verify.three_way_agreement(3, GeneratorSet(3, (3, 5)))
+
+
+def test_reversal_involution_checks_compute_the_product(monkeypatch):
+    # A cyclic shift P is an involution only on two points; the verdicts
+    # must follow the dense product P . P.
+    def shift(size):
+        i = np.arange(size)
+        return BitMatrix.from_nonzero(size, size, i, (i + 1) % size)
+
+    monkeypatch.setattr(repetition, "reversal_matrix", shift)
+    items = verify.run_suite("recursion", [3])
+    verdicts = {c.name: c.ok for c in items}
+    for s in (2, 8, 64, 1024):
+        P = shift(s).to_dense().astype(np.int64)
+        want = bool(np.array_equal(P @ P % 2, np.eye(s)))
+        assert verdicts[f"recursion/reversal-involution-{s}"] == want
+    assert not verdicts["recursion/reversal-involution-8"]
+    assert verdicts["recursion/reversal-involution-2"]

@@ -16,7 +16,6 @@ from .cayley import (  # noqa: F401
     SizeGuardError,
     adjacency_matrix,
     ball,
-    bipartite_split,
     check_self_orthogonal_combinatorial,
     graph_distance,
     halved_matrix,

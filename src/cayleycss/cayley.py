@@ -400,21 +400,6 @@ def algebra_nilpotency_check_f2(m: int, S: GeneratorSet) -> bool:
 # -- bipartite structure ----------------------------------------------
 
 
-def bipartite_split(
-    m: int, S: GeneratorSet
-) -> Optional[tuple[BigWord, BigWord]]:
-    """Even/odd-weight vertex classes, when every generator has odd
-    weight (each edge then changes weight parity); None otherwise."""
-    if any(s.bit_count() % 2 == 0 for s in S.elements):
-        return None
-    evens = [v for v in range(1 << m) if v.bit_count() % 2 == 0]
-    odds = [v for v in range(1 << m) if v.bit_count() % 2 == 1]
-    return (
-        BigWord.from_vertices(m, evens),
-        BigWord.from_vertices(m, odds),
-    )
-
-
 def halved_matrix(m: int, S: GeneratorSet) -> BitMatrix:
     """The biadjacency block U of a bipartite Cayley graph.
 

@@ -20,6 +20,7 @@ from . import __version__, cover, css, formats, gf2, repetition, verify
 from .cayley import (
     BigWord,
     GeneratorSet,
+    MAX_MATERIALIZED_DIMENSION,
     SizeGuardError,
     adjacency_matrix,
     format_small_word,
@@ -65,6 +66,8 @@ def resolve_generators(args) -> tuple[int, GeneratorSet]:
         n = args.n
         if n is None:
             raise CliError("--family repetition needs --n")
+        if n < 3:
+            raise CliError(f"the tower starts at n = 3, got --n {n}")
         return n, repetition.generators(n)
     if family == "hypercube":
         n = args.n if args.n is not None else args.m
@@ -154,7 +157,7 @@ def cmd_params(args, started: float) -> int:
             outputs["D"] = {
                 "method": "witness-upper",
                 "upper": upper.upper,
-                "claimed": 1 << ((m - 1) // 2),
+                "claimed": repetition.parameters(m)[2],
                 "label": "paper-claimed, witness-upper-bound-verified",
             }
         else:
@@ -177,6 +180,13 @@ def cover_code(args) -> ClassicalCode:
 
 def cmd_verify(args, started: float) -> int:
     ns = parse_n_range(args.n_range) if args.n_range else list(range(3, 14))
+    if ns[0] < 3:
+        raise CliError(f"the tower starts at n = 3, got --n {args.n_range}")
+    if ns[-1] > MAX_MATERIALIZED_DIMENSION:
+        raise SizeGuardError(
+            f"--n {args.n_range} exceeds the m <= "
+            f"{MAX_MATERIALIZED_DIMENSION} matrix guard"
+        )
     if (args.m is None) != (not args.gens):
         raise CliError("--m and --gens go together (cover suite)")
     # Checked here, so that bad generators are refused before any suite.
@@ -352,6 +362,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_PRECONDITION
     if args.threads < 1:
         print(f"error: --threads must be at least 1, got {args.threads}",
+              file=sys.stderr)
+        return EXIT_PRECONDITION
+    if not 0 <= args.exact_budget <= gf2.MAX_ENUMERATION_BUDGET:
+        print(f"error: --exact-budget must be between 0 and "
+              f"{gf2.MAX_ENUMERATION_BUDGET}, got {args.exact_budget}",
               file=sys.stderr)
         return EXIT_PRECONDITION
     if getattr(args, "radius", None) is not None and args.radius < 0:

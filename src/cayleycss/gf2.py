@@ -21,6 +21,11 @@ WORD_BITS = 64
 #: run for days fails loudly instead.
 DEFAULT_ENUMERATION_BUDGET = 26
 
+#: Largest budget the CLI accepts.  At the Gray engine's ~161 ns per
+#: word, 2^30 words take about 3 minutes; 2^31 would take 6, and each
+#: further step doubles it.
+MAX_ENUMERATION_BUDGET = 30
+
 
 class GF2Error(Exception):
     """Base class for GF(2) linear-algebra errors."""

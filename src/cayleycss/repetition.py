@@ -16,14 +16,13 @@ order; the reversal matrix J acts as p -> 2^n - 1 - p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import css as css_mod
 from . import gf2
 from .cayley import GeneratorSet, SizeGuardError, adjacency_matrix, halved_matrix
-from .css import CssCode, WordClass, classify_word
+from .css import CssCode
 from .gf2 import BitMatrix, BitVector
 
 #: Recursive block assembly guard (2^11 x 2^11 dense intermediates).
@@ -39,6 +38,14 @@ MAX_VERIFIED_DIMENSION = 13
 #: grow 4x per step of two, so memory, not time, should set a higher
 #: guard.
 MAX_WITNESS_DIMENSION = 23
+
+
+def parameters(n: int) -> tuple[int, int, int]:
+    """The paper's [[N, K, D]] = [[2^n, 2^((n+1)/2), 2^((n-1)/2)]] of
+    the level-n tower."""
+    if n % 2 == 0 or n < 3:
+        raise ValueError(f"the tower is defined for odd n >= 3, got {n}")
+    return 1 << n, 1 << ((n + 1) // 2), 1 << ((n - 1) // 2)
 
 
 def generators(n: int) -> GeneratorSet:
@@ -314,72 +321,12 @@ def min_weight_witness(n: int) -> BitVector:
             raise AssertionError("witness escaped the kernel")
         if gf2.in_row_space(M, w):
             raise AssertionError("witness degenerated into the row space")
-    expected = 1 << ((n - 1) // 2)
+    expected = parameters(n)[2]
     if w.weight != expected:
         raise AssertionError(
             f"witness weight {w.weight} != {expected}"
         )
     return w
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    """Computed-versus-claimed parameter record for one tower level."""
-
-    n: int
-    N: int
-    K: int
-    distance: Optional[int]
-    distance_upper: Optional[int]
-    distance_claimed: int
-    distance_exact: bool
-    witness_weight: int
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "N": self.N,
-            "K": self.K,
-            "D": {
-                "value": self.distance,
-                "upper": self.distance_upper,
-                "claimed": self.distance_claimed,
-                "exact": self.distance_exact,
-                "label": (
-                    "exact"
-                    if self.distance_exact
-                    else "paper-claimed, witness-upper-bound-verified"
-                ),
-            },
-            "witness_weight": self.witness_weight,
-        }
-
-
-def verify_theorem_main(
-    n: int, budget: int = gf2.DEFAULT_ENUMERATION_BUDGET
-) -> TheoremReport:
-    """Compute N and K exactly, the distance exactly where the kernel
-    fits the enumeration budget, and otherwise a verified witness
-    upper bound labelled as such."""
-    if n % 2 == 0 or n < 3:
-        raise ValueError("the tower is defined for odd n >= 3")
-    code = build_code(n)
-    claimed = 1 << ((n - 1) // 2)
-    witness = min_weight_witness(n)
-    kernel_dim = code.N - code.rank
-    if kernel_dim <= budget:
-        report = css_mod.distance_exact(code, budget)
-        return TheoremReport(
-            n, code.N, code.K, report.value, report.value, claimed,
-            True, witness.weight,
-        )
-    upper = css_mod.distance_witness_upper(code, witness)
-    if upper.rejected_reason:
-        raise AssertionError(upper.rejected_reason)
-    return TheoremReport(
-        n, code.N, code.K, None, upper.upper, claimed, False,
-        witness.weight,
-    )
 
 
 def build_code(n: int) -> CssCode:

@@ -99,10 +99,6 @@ def suite_recursion(ns: Iterable[int], **_) -> list[CheckItem]:
 # -- dimension ---------------------------------------------------------
 
 
-def kernel_dimension_formula(n: int) -> int:
-    return (1 << (n - 1)) + (1 << ((n - 1) // 2))
-
-
 def suite_dimension(
     ns: Iterable[int], seed: int = 20240901, **_
 ) -> list[CheckItem]:
@@ -111,14 +107,16 @@ def suite_dimension(
         def check(n=n):
             M = repetition.matrix(n)
             dim = M.cols - gf2.rank(M)
-            want = kernel_dimension_formula(n)
+            N, K, _ = repetition.parameters(n)
+            want = (N + K) // 2
             return dim == want, f"dim ker = {dim}, expected {want}"
         items.append(_run(f"dimension/kernel-n{n}", check))
     for n in _odd(ns):
         if 5 <= n <= 9:
             def check(n=n):
                 basis = repetition.kernel_basis_recursive(n - 2)
-                want = kernel_dimension_formula(n)
+                N, K, _ = repetition.parameters(n)
+                want = (N + K) // 2
                 return (
                     len(basis) == want,
                     f"recursive basis size {len(basis)}, expected {want}",
@@ -136,12 +134,14 @@ def suite_dimension(
 # -- distance ----------------------------------------------------------
 
 
-def suite_distance(ns: Iterable[int], budget: int = 26, **_) -> list[CheckItem]:
+def suite_distance(
+    ns: Iterable[int], budget: int = gf2.DEFAULT_ENUMERATION_BUDGET, **_
+) -> list[CheckItem]:
     items = []
     for n in _odd(ns):
-        claimed = 1 << ((n - 1) // 2)
         if n <= 5:
-            def check(n=n, claimed=claimed):
+            def check(n=n):
+                claimed = repetition.parameters(n)[2]
                 report = css.distance_exact(repetition.build_code(n), budget)
                 return (
                     report.value == claimed,
@@ -149,7 +149,8 @@ def suite_distance(ns: Iterable[int], budget: int = 26, **_) -> list[CheckItem]:
                 )
             items.append(_run(f"distance/exact-n{n}", check))
         elif n <= repetition.MAX_VERIFIED_DIMENSION:
-            def check(n=n, claimed=claimed):
+            def check(n=n):
+                claimed = repetition.parameters(n)[2]
                 w = repetition.min_weight_witness(n)
                 code = repetition.build_code(n)
                 report = css.distance_witness_upper(
@@ -199,11 +200,8 @@ def suite_bipartite(ns: Iterable[int], **_) -> list[CheckItem]:
         if n in (3, 5):
             def check(n=n):
                 code = repetition.halved_repetition_code(n)
-                want = (
-                    1 << (n - 1),
-                    1 << ((n - 1) // 2),
-                    1 << ((n - 1) // 2),
-                )
+                N, K, D = repetition.parameters(n)
+                want = (N // 2, K // 2, D)
                 report = css.distance_exact(code)
                 got = (code.N, code.K, report.value)
                 return got == want, f"halved parameters {got}, expected {want}"

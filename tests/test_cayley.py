@@ -16,7 +16,6 @@ from cayleycss.cayley import (
     algebra_nilpotency_check_f2,
     apply_isometry,
     ball,
-    bipartite_split,
     check_self_orthogonal_combinatorial,
     format_small_word,
     generator_sum,
@@ -186,15 +185,6 @@ def test_algebra_order_guard():
 
 
 # -- bipartite halving ----------------------------------------------------
-
-
-def test_bipartite_split_odd_weight_generators():
-    split = bipartite_split(3, GeneratorSet.named("S3'"))
-    assert split is not None
-    evens, odds = split
-    assert sorted(evens.vertices()) == [0, 3, 5, 6]
-    assert sorted(odds.vertices()) == [1, 2, 4, 7]
-    assert bipartite_split(3, GeneratorSet(3, (3,))) is None
 
 
 def test_halved_matrix_m2():

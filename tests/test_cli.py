@@ -35,29 +35,33 @@ def run_report(capsys, *argv):
 
 
 def test_params_repetition_n3(capsys):
-    code, report = run_report(
-        capsys, "params", "--n", "3", "--family", "repetition"
-    )
-    assert code == 0
-    assert report["outputs"]["N"] == 8
-    assert report["outputs"]["K"] == 4
-    assert report["outputs"]["D"]["value"] == 2
-    assert report["command"] == "params"
-    assert "x_i" in report["indexing_convention"]
+    for n, N, K, D in ((3, 8, 4, 2), (5, 32, 8, 4)):
+        code, report = run_report(
+            capsys, "params", "--n", str(n), "--family", "repetition"
+        )
+        assert code == 0
+        assert report["outputs"]["N"] == N
+        assert report["outputs"]["K"] == K
+        assert report["outputs"]["D"]["method"] == "exact"
+        assert report["outputs"]["D"]["value"] == D
+        assert report["command"] == "params"
+        assert "x_i" in report["indexing_convention"]
 
 
 def test_params_bounded_regime(capsys):
-    code, report = run_report(
-        capsys, "params", "--n", "7", "--family", "repetition"
-    )
-    assert code == 0
-    D = report["outputs"]["D"]
-    assert D == {
-        "method": "witness-upper",
-        "upper": 8,
-        "claimed": 8,
-        "label": "paper-claimed, witness-upper-bound-verified",
-    }
+    for n, N, K, D in ((7, 128, 16, 8), (9, 512, 32, 16),
+                       (11, 2048, 64, 32), (13, 8192, 128, 64)):
+        code, report = run_report(
+            capsys, "params", "--n", str(n), "--family", "repetition"
+        )
+        assert code == 0
+        assert (report["outputs"]["N"], report["outputs"]["K"]) == (N, K)
+        assert report["outputs"]["D"] == {
+            "method": "witness-upper",
+            "upper": D,
+            "claimed": D,
+            "label": "paper-claimed, witness-upper-bound-verified",
+        }
 
 
 def test_params_trivial_hypercube(capsys):
@@ -195,6 +199,49 @@ def test_threads_below_one_exits_before_work(capsys, monkeypatch, threads):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "--threads" in err
+
+
+@pytest.mark.parametrize("budget", ["-1", "31", "80"])
+def test_exact_budget_out_of_range_exits_before_work(capsys, monkeypatch,
+                                                     budget):
+    monkeypatch.setattr(cli, "cmd_params", refuse_work)
+    code, out, err = run_cli(capsys, "params", "--family", "repetition",
+                             "--n", "7", "--exact-budget", budget)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--exact-budget" in err
+
+
+@pytest.mark.parametrize("command, n", [
+    ("params", "-3"), ("params", "1"), ("build", "2"),
+])
+def test_tower_below_n3_exits_before_work(capsys, monkeypatch, command, n):
+    monkeypatch.setattr(cli.repetition, "generators", refuse_work)
+    code, out, err = run_cli(capsys, command, "--family", "repetition",
+                             "--n", n, "--out", "unused.alist")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "n = 3" in err
+
+
+@pytest.mark.parametrize("n_range", ["1..2", "-3..5"])
+def test_verify_below_n3_exits_before_any_suite(capsys, monkeypatch, n_range):
+    monkeypatch.setattr(verify, "run_suite", refuse_work)
+    code, out, err = run_cli(capsys, "verify", "--suite", "all",
+                             f"--n={n_range}")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "n = 3" in err
+
+
+def test_verify_above_size_guard_exits_4_before_any_suite(capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(verify, "run_suite", refuse_work)
+    code, out, err = run_cli(capsys, "verify", "--suite", "dimension",
+                             "--n", "17")
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "guard" in err
 
 
 @pytest.mark.parametrize("flag", [["--m", "4"], ["--gens", "1111"]])

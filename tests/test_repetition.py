@@ -20,7 +20,6 @@ from cayleycss.repetition import (
     representative_normal_form,
     reversal,
     reversal_matrix,
-    verify_theorem_main,
 )
 
 
@@ -194,19 +193,10 @@ def test_witness_rejects_even_n():
         min_weight_witness(4)
 
 
-def test_theorem_report_exact_regime():
-    for n, d in ((3, 2), (5, 4)):
-        rep = verify_theorem_main(n)
-        assert (rep.N, rep.K) == (1 << n, 1 << ((n + 1) // 2))
-        assert rep.distance == d and rep.distance_exact
-        assert rep.as_dict()["D"]["label"] == "exact"
-
-
-def test_theorem_report_bounded_regime():
-    rep = verify_theorem_main(7)
-    assert (rep.N, rep.K) == (128, 16)
-    assert rep.distance is None and rep.distance_upper == 8
-    assert rep.as_dict()["D"]["label"].startswith("paper-claimed")
+@pytest.mark.parametrize("n", [-3, 0, 1, 2, 4, 6])
+def test_parameters_refuse_even_and_small_n(n):
+    with pytest.raises(ValueError, match="odd n >= 3"):
+        repetition.parameters(n)
 
 
 @pytest.mark.parametrize("n,params", [(3, (4, 2, 2)), (5, (16, 4, 4))])

@@ -193,6 +193,12 @@ def test_witness_rejects_even_n():
         min_weight_witness(4)
 
 
+def test_parameters_closed_form():
+    for n in range(3, 24, 2):
+        N, K, D = repetition.parameters(n)
+        assert N == 2 ** n and K == 2 ** ((n + 1) / 2) and D == K // 2
+
+
 @pytest.mark.parametrize("n", [-3, 0, 1, 2, 4, 6])
 def test_parameters_refuse_even_and_small_n(n):
     with pytest.raises(ValueError, match="odd n >= 3"):

@@ -205,6 +205,24 @@ def test_parameters_refuse_even_and_small_n(n):
         repetition.parameters(n)
 
 
+def test_theorem_report_exact_regime():
+    for n, d in ((3, 2), (5, 4)):
+        code = repetition.build_code(n)
+        assert (code.N, code.K) == (1 << n, 1 << ((n + 1) // 2))
+        assert code.N - code.rank <= gf2.DEFAULT_ENUMERATION_BUDGET
+        assert css.distance_exact(code).value == d
+        assert repetition.parameters(n) == (code.N, code.K, d)
+
+
+def test_theorem_report_bounded_regime():
+    code = repetition.build_code(7)
+    assert (code.N, code.K) == (128, 16)
+    assert code.N - code.rank > gf2.DEFAULT_ENUMERATION_BUDGET
+    upper = css.distance_witness_upper(code, min_weight_witness(7))
+    assert upper.rejected_reason is None
+    assert upper.upper == 8 == repetition.parameters(7)[2]
+
+
 @pytest.mark.parametrize("n,params", [(3, (4, 2, 2)), (5, (16, 4, 4))])
 def test_halved_code_parameters(n, params):
     code = repetition.halved_repetition_code(n)

@@ -17,7 +17,6 @@ from .cayley import (  # noqa: F401
     adjacency_matrix,
     ball,
     check_self_orthogonal_combinatorial,
-    graph_distance,
     halved_matrix,
     sphere,
 )

@@ -11,8 +11,7 @@ family hold literally.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -142,12 +141,10 @@ class BigWord:
         return BigWord(self.m, self.bits ^ other.bits)
 
 
-def sphere(m: int, S: GeneratorSet, x: int, radius: int = 1) -> BigWord:
+def sphere(m: int, S: GeneratorSet, x: int) -> BigWord:
     """The radius-1 sphere around x: the set {x + s : s in S}."""
     if S.m != m:
         raise ValueError("generator set does not live in F_2^m")
-    if radius != 1:
-        raise ValueError("only radius-1 spheres are rows of the adjacency")
     if not 0 <= x < (1 << m):
         raise ValueError(f"vertex {x} outside F_2^{m}")
     return BigWord.from_vertices(m, (x ^ s for s in S.elements))
@@ -173,27 +170,7 @@ def ball(m: int, S: GeneratorSet, x: int, r: int) -> BigWord:
     return BigWord.from_vertices(m, seen)
 
 
-def graph_distance(m: int, S: GeneratorSet, x: int, y: int) -> Optional[int]:
-    """BFS distance between two vertices, None if disconnected."""
-    if x == y:
-        return 0
-    seen = {x}
-    frontier = deque([(x, 0)])
-    while frontier:
-        v, d = frontier.popleft()
-        for s in S.elements:
-            u = v ^ s
-            if u == y:
-                return d + 1
-            if u not in seen:
-                seen.add(u)
-                frontier.append((u, d + 1))
-    return None
-
-
-def adjacency_matrix(
-    m: int, S: GeneratorSet, max_dimension: int = MAX_MATERIALIZED_DIMENSION
-) -> BitMatrix:
+def adjacency_matrix(m: int, S: GeneratorSet) -> BitMatrix:
     """The 2^m x 2^m adjacency matrix; row p is sphere(p, 1).
 
     Up to m = MAX_CACHED_DIMENSION, returns one shared (immutable)
@@ -202,9 +179,10 @@ def adjacency_matrix(
     """
     if S.m != m:
         raise ValueError("generator set does not live in F_2^m")
-    if m > max_dimension:
+    if m > MAX_MATERIALIZED_DIMENSION:
         raise SizeGuardError(
-            f"2^{m} x 2^{m} matrix exceeds the m <= {max_dimension} guard"
+            f"2^{m} x 2^{m} matrix exceeds the m <= "
+            f"{MAX_MATERIALIZED_DIMENSION} guard"
         )
     if m > MAX_CACHED_DIMENSION:
         return _build_adjacency(m, S)
@@ -311,10 +289,6 @@ class CyclicProductGroup:
     def neg(self, a: int) -> int:
         return self.index(tuple(-x for x in self.element(a)))
 
-    @property
-    def identity(self) -> int:
-        return 0
-
 
 @dataclass(frozen=True)
 class GroupAlgebraElement:
@@ -331,11 +305,6 @@ class GroupAlgebraElement:
         for t in terms:
             sup.symmetric_difference_update({t})
         return cls(group, frozenset(sup))
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return GroupAlgebraElement(
-            self.group, self.support ^ other.support
-        )
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         """Convolution over the group law, coefficients in F_2."""
@@ -415,49 +384,3 @@ def halved_matrix(m: int, S: GeneratorSet) -> BitMatrix:
     half = 1 << (m - 1)
     return BitMatrix.from_nonzero(half, half, evens >> 1, (evens ^ s) >> 1)
 
-
-# -- Hamming isometries -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class IsometryResult:
-    """A relabelled big word plus the generator-stabilization verdict."""
-
-    word: BigWord
-    stabilizes_generators: Optional[bool] = None
-
-
-def permute_coordinates(x: int, perm: Sequence[int]) -> int:
-    """Send coordinate i of x to coordinate perm[i] (0-based)."""
-    out = 0
-    for i, p in enumerate(perm):
-        if x >> i & 1:
-            out |= 1 << p
-    return out
-
-
-def apply_isometry(
-    w: BigWord,
-    translation: int,
-    perm: Sequence[int],
-    S: Optional[GeneratorSet] = None,
-) -> IsometryResult:
-    """Relabel a big word by the isometry x -> sigma(x) + translation.
-
-    Weight is preserved.  When S is given, reports whether sigma
-    stabilizes S as a set; only then is the map a code automorphism.
-    """
-    m = w.m
-    if sorted(perm) != list(range(m)):
-        raise ValueError("perm is not a permutation of the coordinates")
-    if not 0 <= translation < (1 << m):
-        raise ValueError("translation outside the group")
-    mapped = [
-        permute_coordinates(x, perm) ^ translation for x in w.vertices()
-    ]
-    stabilizes = None
-    if S is not None:
-        stabilizes = set(
-            permute_coordinates(s, perm) for s in S.elements
-        ) == set(S.elements)
-    return IsometryResult(BigWord.from_vertices(m, mapped), stabilizes)

@@ -18,7 +18,6 @@ from typing import Optional
 
 from . import __version__, cover, css, formats, gf2, repetition, verify
 from .cayley import (
-    BigWord,
     GeneratorSet,
     MAX_MATERIALIZED_DIMENSION,
     SizeGuardError,
@@ -50,13 +49,16 @@ class CliError(Exception):
 
 def parse_n_range(text: str) -> list[int]:
     """Parse "3..13" or a single "5" into a list of integers."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if lo > hi:
-            raise CliError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    parts = text.split("..", 1)
+    try:
+        lo, hi = int(parts[0]), int(parts[-1])
+    except ValueError:
+        raise CliError(
+            f"--n must be an integer or a range LO..HI, got {text!r}"
+        ) from None
+    if lo > hi:
+        raise CliError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def resolve_generators(args) -> tuple[int, GeneratorSet]:
@@ -83,7 +85,7 @@ def resolve_generators(args) -> tuple[int, GeneratorSet]:
 
 def make_report(args, inputs: dict, outputs: dict,
                 checks: list, started: float) -> dict:
-    report = {
+    return {
         "tool": "cayley-css",
         "version": __version__,
         "command": args.command,
@@ -98,7 +100,6 @@ def make_report(args, inputs: dict, outputs: dict,
         "seed": args.seed,
         "threads": args.threads,
     }
-    return report
 
 
 def emit(report: dict, out: Optional[str]) -> None:
@@ -203,6 +204,10 @@ def cmd_verify(args, started: float) -> int:
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         mapper = pool.map if args.threads > 1 else map
         items = [c for suite in mapper(run, names) for c in suite]
+    if not items:
+        raise CliError(
+            f"suite {args.suite} has no check for --n {ns[0]}..{ns[-1]}"
+        )
     failed = [c for c in items if not c.ok]
     report = make_report(
         args,
@@ -256,7 +261,6 @@ def cmd_witness(args, started: float) -> int:
     if args.n % 2 == 0:
         raise CliError(f"witnesses exist for odd n only, got {args.n}")
     w = repetition.min_weight_witness(args.n)
-    word = BigWord(args.n, w)
     outputs: dict = {
         "n": args.n,
         "weight": w.weight,
@@ -267,7 +271,7 @@ def cmd_witness(args, started: float) -> int:
     }
     if args.n <= repetition.MAX_VERIFIED_DIMENSION:
         code = repetition.build_code(args.n)
-        cls = css.classify_word(code, word)
+        cls = css.classify_word(code, w)
         outputs["in_kernel"] = cls is not css.WordClass.NOT_IN_DUAL
         outputs["in_row_space"] = cls is css.WordClass.STABILIZER
         outputs["classification"] = cls.value
@@ -347,9 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def check_options(args) -> None:
+    """Refuse malformed or out-of-range options before any work."""
     if args.command == "verify":
         if args.n_range is None and args.n is not None:
             args.n_range = args.n
@@ -357,23 +360,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         try:
             args.n = int(args.n)
         except ValueError:
-            print(f"error: --n must be an integer, got {args.n!r}",
-                  file=sys.stderr)
-            return EXIT_PRECONDITION
+            raise CliError(f"--n must be an integer, got {args.n!r}") from None
     if args.threads < 1:
-        print(f"error: --threads must be at least 1, got {args.threads}",
-              file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise CliError(f"--threads must be at least 1, got {args.threads}")
     if not 0 <= args.exact_budget <= gf2.MAX_ENUMERATION_BUDGET:
-        print(f"error: --exact-budget must be between 0 and "
-              f"{gf2.MAX_ENUMERATION_BUDGET}, got {args.exact_budget}",
-              file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise CliError(
+            f"--exact-budget must be between 0 and "
+            f"{gf2.MAX_ENUMERATION_BUDGET}, got {args.exact_budget}"
+        )
     if getattr(args, "radius", None) is not None and args.radius < 0:
-        print(f"error: --radius must be at least 0, got {args.radius}",
-              file=sys.stderr)
-        return EXIT_PRECONDITION
-    started = time.perf_counter()
+        raise CliError(f"--radius must be at least 0, got {args.radius}")
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     handlers = {
         "build": cmd_build,
         "params": cmd_params,
@@ -382,18 +382,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         "witness": cmd_witness,
     }
     try:
-        return handlers[args.command](args, started)
+        check_options(args)
+        return handlers[args.command](args, time.perf_counter())
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (DimensionBudgetError, SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, InvalidGeneratorError,
-            css.SelfOrthogonalityError, css.InapplicableBoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # Bad generators, a matrix that is not self-orthogonal, an
+        # unreadable file: every other refusal is a precondition.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

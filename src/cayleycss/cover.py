@@ -12,6 +12,7 @@ assume it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .cayley import BigWord, GeneratorSet, ball, sphere
@@ -59,23 +60,17 @@ class CoverMap:
         self.m = code.m
         self.n = code.length
         self.columns = tuple(1 << i for i in range(code.m)) + code.W
-        self._codewords: Optional[tuple[int, ...]] = None
-        self._min_distance: Optional[int] = None
 
-    @property
+    @cached_property
     def codewords(self) -> tuple[int, ...]:
-        if self._codewords is None:
-            self._codewords = tuple(enumerate_codewords(self.code))
-        return self._codewords
+        return tuple(enumerate_codewords(self.code))
 
-    @property
+    @cached_property
     def classical_distance(self) -> int:
-        if self._min_distance is None:
-            d = min_distance(self.code)
-            if d is None:
-                raise ValueError("cover of a dimension-0 code is trivial")
-            self._min_distance = d
-        return self._min_distance
+        d = min_distance(self.code)
+        if d is None:
+            raise ValueError("cover of a dimension-0 code is trivial")
+        return d
 
     @property
     def safe_radius(self) -> int:
@@ -192,11 +187,7 @@ def sphere_orthogonality_profile(
 ) -> list[int]:
     """All centers x whose radius-1 sphere meets c an odd number of
     times; empty iff c is orthogonal to every adjacency row."""
-    violations = []
-    for x in range(1 << m):
-        if c.bits.dot(sphere(m, S, x).bits):
-            violations.append(x)
-    return violations
+    return [x for x in range(1 << m) if c.bits.dot(sphere(m, S, x).bits)]
 
 
 def decompose_as_sphere_sum(

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import gf2
@@ -58,7 +59,6 @@ class CssCode:
     matrix: BitMatrix
     m: Optional[int] = None
     generators: Optional[GeneratorSet] = None
-    _kernel: tuple[BitVector, ...] = field(default=None, repr=False)
 
     @property
     def N(self) -> int:
@@ -72,13 +72,9 @@ class CssCode:
     def K(self) -> int:
         return self.N - 2 * self.rank
 
-    @property
+    @cached_property
     def kernel(self) -> tuple[BitVector, ...]:
-        if self._kernel is None:
-            object.__setattr__(
-                self, "_kernel", tuple(gf2.kernel_basis(self.matrix))
-            )
-        return self._kernel
+        return tuple(gf2.kernel_basis(self.matrix))
 
     @property
     def is_trivial(self) -> bool:
@@ -111,14 +107,13 @@ def css_from_matrix(H: BitMatrix) -> CssCode:
 class DistanceReport:
     """Distance information with its provenance.
 
-    method is one of "exact", "witness-upper" or "theorem-lower"; the
-    self-dual case carries trivial=True instead of a number.
+    method is "exact" or "witness-upper"; the self-dual case carries
+    trivial=True instead of a number.
     """
 
     method: str
     value: Optional[int] = None
     upper: Optional[int] = None
-    lower: Optional[int] = None
     witness: Optional[BitVector] = None
     trivial: bool = False
     rejected_reason: Optional[str] = None
@@ -213,13 +208,17 @@ def ball_weight_check(
     code: CssCode, w: BigWord, n_classical: int
 ) -> BallWeightReport:
     """Check |w intersect B(x, 4)| >= ceil(n^2/32) at every x in the
-    support of w, using the code's own Cayley graph."""
+    support of w, using the code's own Cayley graph.
+
+    Translations are graph automorphisms, B(x, 4) = x + B(0, 4), so one
+    BFS from 0 serves every center: v lies in B(x, 4) iff x + v does
+    in B(0, 4)."""
     if code.m is None or code.generators is None:
         raise ValueError("ball weights need a graph-backed CSS code")
     threshold = math.ceil(n_classical * n_classical / 32)
-    margins = {}
-    for x in w.vertices():
-        b = ball(code.m, code.generators, x, 4)
-        inside = sum(1 for v in w.vertices() if v in b)
-        margins[x] = inside - threshold
+    near = set(ball(code.m, code.generators, 0, 4).vertices())
+    support = w.vertices()
+    margins = {
+        x: sum(x ^ v in near for v in support) - threshold for x in support
+    }
     return BallWeightReport(threshold, margins)

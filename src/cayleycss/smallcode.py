@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import (
-    BitMatrix,
-    BitVector,
-    DimensionBudgetError,
-    gray_span,
-    kernel_basis,
-)
+from .gf2 import BitMatrix, BitVector, DimensionBudgetError, gray_span
 from .cayley import format_small_word
 
 #: Exhaustive minimum-distance searches refuse dimensions above this.
@@ -50,11 +44,7 @@ class ClassicalCode:
 
     def codeword_basis(self) -> list[int]:
         """Basis of the codeword space as integers, one per W element."""
-        if self.W:
-            return [
-                w | (1 << (self.m + j)) for j, w in enumerate(self.W)
-            ]
-        return [v.to_int() for v in kernel_basis(self.parity_check)]
+        return [w | (1 << (self.m + j)) for j, w in enumerate(self.W)]
 
     @property
     def dimension(self) -> int:

@@ -27,7 +27,7 @@ from .cayley import (
     check_self_orthogonal_combinatorial,
 )
 from .gf2 import BitMatrix, BitVector
-from .smallcode import build_parity_check
+from .smallcode import build_parity_check, min_distance
 
 SUITE_NAMES = (
     "recursion",
@@ -73,7 +73,9 @@ def _odd(ns: Iterable[int]) -> list[int]:
 # -- recursion ---------------------------------------------------------
 
 
-def suite_recursion(ns: Iterable[int], **_) -> list[CheckItem]:
+def suite_recursion(
+    ns: Iterable[int], seed: int = 20240901, **_
+) -> list[CheckItem]:
     items = []
     for n in ns:
         if 4 <= n <= repetition.MAX_RECURSIVE_DIMENSION:
@@ -93,7 +95,76 @@ def suite_recursion(ns: Iterable[int], **_) -> list[CheckItem]:
             ok = BitMatrix(s, s, JJ) == BitMatrix.identity(s)
             return ok, "J^2 = I" if ok else "J^2 != I"
         items.append(_run(f"recursion/reversal-involution-{s}", involution))
+    for t in (5, 7):
+        if t in ns:
+            items.append(_run(
+                f"recursion/image-parametrization-n{t}",
+                lambda t=t: image_parametrization(t),
+            ))
+            items.append(_run(
+                f"recursion/normal-form-n{t}",
+                lambda t=t: normal_forms(t, 16, seed),
+            ))
     return items
+
+
+def image_parametrization(t: int) -> tuple[bool, str]:
+    """The image words of the 4 * 2^(t-2) unit blocks lie in the row
+    space of the level-t matrix and span all of it."""
+    n = t - 2
+    zero = BitVector.zeros(1 << n)
+    words = []
+    for i in range(4):
+        for p in range(1 << n):
+            blocks = [zero] * 4
+            blocks[i] = BitVector.from_support(1 << n, [p])
+            words.append(repetition.image_element(n, *blocks))
+    M = repetition.matrix(t)
+    outside = sum(not gf2.in_row_space(M, c) for c in words)
+    got, want = gf2.rank(BitMatrix.from_rows(words)), gf2.rank(M)
+    return outside == 0 and got == want, (
+        f"{len(words)} unit-block image words, {outside} outside the row "
+        f"space, rank {got}, expected {want}"
+    )
+
+
+def normal_forms(t: int, samples: int, seed: int) -> tuple[bool, str]:
+    """Image words reduce to (c, 0, 0, c); random kernel words and the
+    witness either reduce to that shape or come back unchanged."""
+    rng = random.Random(seed)
+    n = t - 2
+    kernel = [v.to_int() for v in gf2.kernel_basis(repetition.matrix(t))]
+    words = [
+        (repetition.image_element(n, *(
+            BitVector.from_int(1 << n, rng.getrandbits(1 << n))
+            for _ in range(4)
+        )), True)
+        for _ in range(samples)
+    ]
+    for _ in range(samples):
+        value = 0
+        for v in kernel:
+            if rng.random() < 0.5:
+                value ^= v
+        words.append((BitVector.from_int(1 << t, value), False))
+    words.append((repetition.min_weight_witness(t), False))
+    reduced = 0
+    for c, from_image in words:
+        nf = repetition.representative_normal_form(t, c)
+        c1, c2, c3, c4 = nf.quad.parts
+        if nf.reduced:
+            if not (c2.is_zero() and c3.is_zero() and c1 == c4):
+                return False, "a reduced word is not of the shape (c, 0, 0, c)"
+            reduced += 1
+        elif from_image:
+            return False, "an image word was not reduced"
+        elif nf.quad.join() != c:
+            return False, "an unreduced word came back changed"
+    return True, (
+        f"{samples} image words reduced to (c, 0, 0, c); "
+        f"{reduced - samples} of {samples + 1} kernel words reduced, "
+        "the rest unchanged"
+    )
 
 
 # -- dimension ---------------------------------------------------------
@@ -161,7 +232,34 @@ def suite_distance(
                     f"witness upper bound {report.upper}, claimed {claimed}",
                 )
             items.append(_run(f"distance/witness-n{n}", check))
+            if n >= 9:
+                items.append(_run(
+                    f"distance/lower-bound-n{n}",
+                    lambda n=n: lower_bound(n),
+                ))
     return items
+
+
+def lower_bound(n: int) -> tuple[bool, str]:
+    """The paper's bound ceil(d l^2 / 640) from the classical code
+    [I_n | 1] (length l and distance d both n + 1) lies below the
+    claimed D and the witness weight, and every support vertex of the
+    witness sees at least ceil(l^2 / 32) of its ones within radius 4."""
+    classical = build_parity_check(n, ((1 << n) - 1,))
+    length, d = classical.length, min_distance(classical)
+    if length != n + 1 or d != n + 1:
+        return False, f"classical length {length}, distance {d}"
+    lower = css.distance_lower_bound_theorem(length, d)
+    claimed = repetition.parameters(n)[2]
+    w = repetition.min_weight_witness(n)
+    balls = css.ball_weight_check(
+        repetition.build_code(n), BigWord(n, w), length
+    )
+    return lower <= claimed <= w.weight and balls.ok, (
+        f"lower bound {lower}, claimed {claimed}, witness weight "
+        f"{w.weight}; least ball-weight margin "
+        f"{min(balls.margins.values())} over threshold {balls.threshold}"
+    )
 
 
 # -- conjugation -------------------------------------------------------

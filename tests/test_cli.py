@@ -234,6 +234,30 @@ def test_verify_below_n3_exits_before_any_suite(capsys, monkeypatch, n_range):
     assert err.count("\n") == 1 and "n = 3" in err
 
 
+@pytest.mark.parametrize("n_range", ["a..b", "3..", "x"])
+def test_verify_malformed_range_exits_before_any_suite(capsys, monkeypatch,
+                                                       n_range):
+    monkeypatch.setattr(verify, "run_suite", refuse_work)
+    code, out, err = run_cli(capsys, "verify", "--suite", "all",
+                             f"--n={n_range}")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "range LO..HI" in err and repr(n_range) in err
+    assert "invalid literal" not in err
+
+
+@pytest.mark.parametrize("suite, n_range",
+                         [("distance", "15..16"), ("conjugation", "11..13")])
+def test_verify_run_without_checks_exits_2(capsys, suite, n_range):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                             "--n", n_range)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"suite {suite}" in err and n_range in err
+
+
 def test_verify_above_size_guard_exits_4_before_any_suite(capsys,
                                                           monkeypatch):
     monkeypatch.setattr(verify, "run_suite", refuse_work)

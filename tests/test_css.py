@@ -1,9 +1,12 @@
 """CSS code parameters, word classification, and distance reports."""
 
+import math
+import random
+
 import pytest
 
-from cayleycss import css, gf2
-from cayleycss.cayley import BigWord, GeneratorSet, adjacency_matrix
+from cayleycss import css, gf2, repetition
+from cayleycss.cayley import BigWord, GeneratorSet, adjacency_matrix, ball
 from cayleycss.css import (
     InapplicableBoundError,
     SelfOrthogonalityError,
@@ -107,3 +110,37 @@ def test_ball_weight_margins():
     # radius-4 balls cover the whole graph, so both ones are inside
     assert all(m == 1 for m in report.margins.values())
     assert report.ok
+
+
+def per_vertex_ball_margins(code, w, n_classical):
+    """Reference margins: one BFS ball per support vertex, no
+    translation."""
+    threshold = math.ceil(n_classical * n_classical / 32)
+    margins = {}
+    for x in w.vertices():
+        b = ball(code.m, code.generators, x, 4)
+        inside = sum(1 for v in w.vertices() if v in b)
+        margins[x] = inside - threshold
+    return margins
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11])
+def test_ball_weight_margins_match_per_vertex_balls_on_witnesses(n):
+    code = repetition.build_code(n)
+    w = BigWord(n, repetition.min_weight_witness(n))
+    report = css.ball_weight_check(code, w, n_classical=n + 1)
+    assert report.margins == per_vertex_ball_margins(code, w, n + 1)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_ball_weight_margins_match_per_vertex_balls_on_random_words(n):
+    # Up to n = 7 a radius-4 ball is the whole graph (graph distance is
+    # at most (n + 1) / 2), so n = 9 is the first size with proper balls.
+    rng = random.Random(n)
+    code = repetition.build_code(n)
+    for _ in range(5):
+        w = BigWord.from_vertices(
+            n, rng.sample(range(1 << n), rng.randint(1, 32))
+        )
+        report = css.ball_weight_check(code, w, n_classical=n + 1)
+        assert report.margins == per_vertex_ball_margins(code, w, n + 1)

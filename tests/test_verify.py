@@ -1,9 +1,11 @@
 """Suite plumbing: every named suite runs and reports well-formed items."""
 
+import json
+
 import numpy as np
 import pytest
 
-from cayleycss import repetition, verify
+from cayleycss import cli, css, repetition, verify
 from cayleycss.gf2 import BitMatrix
 
 
@@ -62,3 +64,98 @@ def test_reversal_involution_checks_compute_the_product(monkeypatch):
         assert verdicts[f"recursion/reversal-involution-{s}"] == want
     assert not verdicts["recursion/reversal-involution-8"]
     assert verdicts["recursion/reversal-involution-2"]
+
+
+PAPER_CHECKS = {
+    "recursion/image-parametrization-n5": 5,
+    "recursion/image-parametrization-n7": 7,
+    "recursion/normal-form-n5": 5,
+    "recursion/normal-form-n7": 7,
+    "distance/lower-bound-n9": 9,
+    "distance/lower-bound-n11": 11,
+    "distance/lower-bound-n13": 13,
+}
+
+
+def paper_checks(ns):
+    items = verify.run_suite("recursion", ns) + verify.run_suite("distance", ns)
+    return {c.name: c for c in items if c.name in PAPER_CHECKS}
+
+
+def test_paper_checks_pass_over_3_to_13():
+    found = paper_checks(range(3, 14))
+    assert set(found) == set(PAPER_CHECKS)
+    for item in found.values():
+        assert item.ok, f"{item.name}: {item.detail}"
+
+
+def test_paper_checks_run_only_at_their_sizes():
+    assert paper_checks([3, 4, 6, 8, 10, 12]) == {}
+    found = paper_checks([5, 9])
+    assert set(found) == {
+        name for name, n in PAPER_CHECKS.items() if n in (5, 9)
+    }
+
+
+def test_image_parametrization_catches_a_dropped_cross_term(monkeypatch):
+    honest = repetition.image_element
+
+    def dropped(n, a1, a2, a3, a4):
+        # The first block loses its a2 + a3 cross term.
+        word = repetition.QuadSplit.split(honest(n, a1, a2, a3, a4))
+        first = word.parts[0] ^ a2 ^ a3
+        return repetition.QuadSplit((first, *word.parts[1:])).join()
+
+    monkeypatch.setattr(repetition, "image_element", dropped)
+    (item,) = [c for c in verify.run_suite("recursion", [5])
+               if c.name == "recursion/image-parametrization-n5"]
+    assert not item.ok
+
+
+def test_lower_bound_check_fails_above_the_witness(monkeypatch):
+    weight = repetition.min_weight_witness(9).weight
+    monkeypatch.setattr(
+        css, "distance_lower_bound_theorem", lambda n, d: weight + 1
+    )
+    (item,) = [c for c in verify.run_suite("distance", [9])
+               if c.name == "distance/lower-bound-n9"]
+    assert not item.ok
+
+
+# The check names of ``verify --suite all --n 3..13``; a check that
+# silently drops out of the scoreboard fails here.
+ALL_CHECKS_3_TO_13 = sorted(
+    [f"algebra/exhaustive-m{m}" for m in (2, 3, 4)]
+    + [f"algebra/random-m{m}" for m in (5, 6)]
+    + [f"algebra/torus-n{n}" for n in (2, 3, 4)]
+    + [f"bipartite/halved-block-n{n}" for n in (3, 5, 7, 9)]
+    + [f"bipartite/halved-params-n{n}" for n in (3, 5)]
+    + [f"conjugation/n{n}" for n in (3, 5, 7, 9)]
+    + ["cover/ball-isomorphism", "cover/collision-beyond-radius",
+       "cover/fibers", "cover/non-liftable-word"]
+    + [f"dimension/characterize-n{n}" for n in (5, 7)]
+    + [f"dimension/kernel-n{n}" for n in (3, 5, 7, 9, 11, 13)]
+    + [f"dimension/recursive-basis-n{n}" for n in (5, 7, 9)]
+    + [f"distance/exact-n{n}" for n in (3, 5)]
+    + [f"distance/lower-bound-n{n}" for n in (9, 11, 13)]
+    + [f"distance/witness-n{n}" for n in (7, 9, 11, 13)]
+    + ["local-sum/exhaustive-n4-r2"]
+    + [f"recursion/block-assembly-n{n}" for n in range(4, 12)]
+    + [f"recursion/image-parametrization-n{n}" for n in (5, 7)]
+    + [f"recursion/normal-form-n{n}" for n in (5, 7)]
+    + [f"recursion/reversal-involution-{s}" for s in (2, 8, 64, 1024)]
+)
+
+
+def test_verify_all_check_names_are_pinned(monkeypatch, tmp_path):
+    # Record each check without running it, so the guard stays fast.
+    monkeypatch.setattr(
+        verify, "_run", lambda name, fn: verify.CheckItem(name, True, 0.0)
+    )
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--suite", "all", "--n", "3..13",
+                     "--out", str(out)])
+    assert code == 0
+    names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+    assert len(ALL_CHECKS_3_TO_13) == 59
+    assert names == ALL_CHECKS_3_TO_13

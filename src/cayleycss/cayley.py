@@ -11,6 +11,7 @@ family hold literally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
@@ -249,121 +250,53 @@ class CyclicProductGroup:
 
     @property
     def order(self) -> int:
-        o = 1
-        for n in self.moduli:
-            o *= n
-        return o
+        return math.prod(self.moduli)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def binary(cls, m: int) -> "CyclicProductGroup":
+        # One instance per m, so its radix array is computed once.
         return cls((2,) * m)
 
-    def index(self, element: Sequence[int]) -> int:
-        idx = 0
-        stride = 1
-        for x, n in zip(element, self.moduli):
-            idx += (x % n) * stride
-            stride *= n
-        return idx
-
-    def element(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for n in self.moduli:
-            out.append(idx % n)
-            idx //= n
-        return tuple(out)
-
     @cached_property
-    def _is_binary(self) -> bool:
-        return all(n == 2 for n in self.moduli)
+    def _radix(self) -> np.ndarray:
+        return np.cumprod((1,) + self.moduli[:-1], dtype=np.int64)
 
-    def add(self, a: int, b: int) -> int:
-        if self._is_binary:
-            # Mixed-radix with all moduli 2 is plain XOR; the fast path
-            # keeps exhaustive generator-set sweeps cheap.
-            return a ^ b
-        return self.index(
-            tuple(x + y for x, y in zip(self.element(a), self.element(b)))
-        )
+    def index(self, coords) -> np.ndarray:
+        """Index of each coordinate row (last axis), reduced mod n_i."""
+        return (np.asarray(coords, dtype=np.int64) % self.moduli) @ self._radix
 
-    def neg(self, a: int) -> int:
-        return self.index(tuple(-x for x in self.element(a)))
-
-
-@dataclass(frozen=True)
-class GroupAlgebraElement:
-    """An element of F_2[G]: a set of group indices with XOR addition."""
-
-    group: CyclicProductGroup
-    support: frozenset[int]
-
-    @classmethod
-    def from_terms(
-        cls, group: CyclicProductGroup, terms: Iterable[int]
-    ) -> "GroupAlgebraElement":
-        sup: set[int] = set()
-        for t in terms:
-            sup.symmetric_difference_update({t})
-        return cls(group, frozenset(sup))
-
-    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        """Convolution over the group law, coefficients in F_2."""
-        counts: dict[int, int] = {}
-        for a in self.support:
-            for b in other.support:
-                g = self.group.add(a, b)
-                counts[g] = counts.get(g, 0) ^ 1
-        return GroupAlgebraElement(
-            self.group, frozenset(g for g, c in counts.items() if c)
-        )
-
-    def is_zero(self) -> bool:
-        return not self.support
-
-
-def generator_sum(
-    group: CyclicProductGroup, generators: Iterable[Sequence[int] | int]
-) -> GroupAlgebraElement:
-    """pi_S: the formal F_2 sum of the generators."""
-    idxs = [
-        g if isinstance(g, int) else group.index(g) for g in generators
-    ]
-    return GroupAlgebraElement.from_terms(group, idxs)
-
-
-def inverse_generator_sum(
-    group: CyclicProductGroup, generators: Iterable[Sequence[int] | int]
-) -> GroupAlgebraElement:
-    """pi_S-hat: the formal F_2 sum of the inverted generators."""
-    idxs = [
-        group.neg(g if isinstance(g, int) else group.index(g))
-        for g in generators
-    ]
-    return GroupAlgebraElement.from_terms(group, idxs)
+    def coords(self, idx) -> np.ndarray:
+        """The reduced coordinate row of each index; inverts ``index``."""
+        idx = np.asarray(idx, dtype=np.int64)[..., None]
+        return idx // self._radix % self.moduli
 
 
 def algebra_nilpotency_check(
-    group: CyclicProductGroup, generators: Sequence[Sequence[int] | int]
+    group: CyclicProductGroup, generators: Sequence[Sequence[int]]
 ) -> bool:
     """Self-orthogonality via the group algebra: pi_S . pi_S-hat = 0.
 
-    Agrees with the adjacency matrix condition M . M^T = 0 whenever the
-    matrix is materializable.
+    The generators are coordinate rows.  pi_S counts their indices mod
+    2, so a repeated term cancels; the product counts the differences
+    c_s - c_t over the terms of pi_S mod 2.  Agrees with the adjacency
+    matrix condition M . M^T = 0 whenever the matrix is materializable.
     """
     if group.order > MAX_GROUP_ORDER:
         raise SizeGuardError(
             f"group order {group.order} exceeds {MAX_GROUP_ORDER}"
         )
-    pi = generator_sum(group, generators)
-    pi_hat = inverse_generator_sum(group, generators)
-    return (pi * pi_hat).is_zero()
+    rows = np.reshape(generators, (-1, len(group.moduli)))
+    pi = np.bincount(group.index(rows), minlength=group.order) & 1
+    c = group.coords(pi.nonzero()[0])
+    diffs = group.index(c[:, None] - c).ravel()
+    return not np.count_nonzero(np.bincount(diffs, minlength=group.order) & 1)
 
 
 def algebra_nilpotency_check_f2(m: int, S: GeneratorSet) -> bool:
-    """The group-algebra test specialized to F_2^m generator sets."""
-    return algebra_nilpotency_check(
-        CyclicProductGroup.binary(m), list(S.elements)
-    )
+    """The group-algebra test on F_2^m, generators as bit coordinates."""
+    bits = np.array(S.elements, dtype=np.int64)[:, None] >> np.arange(m) & 1
+    return algebra_nilpotency_check(CyclicProductGroup.binary(m), bits)
 
 
 # -- bipartite structure ----------------------------------------------

@@ -180,12 +180,12 @@ def cover_code(args) -> ClassicalCode:
 
 
 def cmd_verify(args, started: float) -> int:
-    ns = parse_n_range(args.n_range) if args.n_range else list(range(3, 14))
+    ns = parse_n_range(args.n) if args.n else list(range(3, 14))
     if ns[0] < 3:
-        raise CliError(f"the tower starts at n = 3, got --n {args.n_range}")
+        raise CliError(f"the tower starts at n = 3, got --n {args.n}")
     if ns[-1] > MAX_MATERIALIZED_DIMENSION:
         raise SizeGuardError(
-            f"--n {args.n_range} exceeds the m <= "
+            f"--n {args.n} exceeds the m <= "
             f"{MAX_MATERIALIZED_DIMENSION} matrix guard"
         )
     if (args.m is None) != (not args.gens):
@@ -333,10 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", choices=SUITE_NAMES + ("all",), default="all"
     )
-    p_verify.add_argument(
-        "--n-range", dest="n_range", metavar="LO..HI",
-        help='size range, e.g. "3..13" (also accepted via --n)',
-    )
 
     p_cover = sub.add_parser("cover", help="certify a covering map")
     common(p_cover)
@@ -353,10 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def check_options(args) -> None:
     """Refuse malformed or out-of-range options before any work."""
-    if args.command == "verify":
-        if args.n_range is None and args.n is not None:
-            args.n_range = args.n
-    elif args.n is not None:
+    if args.n is not None and args.command != "verify":
         try:
             args.n = int(args.n)
         except ValueError:

@@ -129,11 +129,23 @@ def image_parametrization(t: int) -> tuple[bool, str]:
 
 
 def normal_forms(t: int, samples: int, seed: int) -> tuple[bool, str]:
-    """Image words reduce to (c, 0, 0, c); random kernel words and the
-    witness either reduce to that shape or come back unchanged."""
+    """Image words and the kernel words (s, 0, 0, s) and (0, s, s, 0),
+    s in the level-(t-2) kernel, reduce to (c, 0, 0, c); random kernel
+    words and the witness either reduce to that shape or come back
+    unchanged."""
     rng = random.Random(seed)
     n = t - 2
-    kernel = [v.to_int() for v in gf2.kernel_basis(repetition.matrix(t))]
+
+    def random_kernel_words(level):
+        basis = gf2.kernel_basis(repetition.matrix(level))
+        kernel = [v.to_int() for v in basis]
+        for _ in range(samples):
+            value = 0
+            for v in kernel:
+                if rng.random() < 0.5:
+                    value ^= v
+            yield BitVector.from_int(1 << level, value)
+
     words = [
         (repetition.image_element(n, *(
             BitVector.from_int(1 << n, rng.getrandbits(1 << n))
@@ -141,28 +153,27 @@ def normal_forms(t: int, samples: int, seed: int) -> tuple[bool, str]:
         )), True)
         for _ in range(samples)
     ]
-    for _ in range(samples):
-        value = 0
-        for v in kernel:
-            if rng.random() < 0.5:
-                value ^= v
-        words.append((BitVector.from_int(1 << t, value), False))
+    words += [(c, False) for c in random_kernel_words(t)]
     words.append((repetition.min_weight_witness(t), False))
+    zero = BitVector.zeros(1 << n)
+    for s in random_kernel_words(n):
+        words.append((repetition.QuadSplit((s, zero, zero, s)).join(), True))
+        words.append((repetition.QuadSplit((zero, s, s, zero)).join(), True))
     reduced = 0
-    for c, from_image in words:
+    for c, must_reduce in words:
         nf = repetition.representative_normal_form(t, c)
         c1, c2, c3, c4 = nf.quad.parts
         if nf.reduced:
             if not (c2.is_zero() and c3.is_zero() and c1 == c4):
                 return False, "a reduced word is not of the shape (c, 0, 0, c)"
             reduced += 1
-        elif from_image:
-            return False, "an image word was not reduced"
+        elif must_reduce:
+            return False, "an image or block word was not reduced"
         elif nf.quad.join() != c:
             return False, "an unreduced word came back changed"
     return True, (
         f"{samples} image words reduced to (c, 0, 0, c); "
-        f"{reduced - samples} of {samples + 1} kernel words reduced, "
+        f"{reduced - samples} of {3 * samples + 1} kernel words reduced, "
         "the rest unchanged"
     )
 
@@ -345,11 +356,15 @@ def torus_example_generators(n: int) -> tuple[CyclicProductGroup, list]:
 
 
 def torus_adjacency(n: int) -> BitMatrix:
-    """Adjacency matrix of the two-cyclic-torus example family."""
+    """Adjacency matrix of the two-cyclic-torus example family: p is
+    joined to p + s for each non-identity term s.  A term listed twice
+    sets its entries once, since ``from_nonzero`` sets repeats once."""
     group, terms = torus_example_generators(n)
-    idxs = {group.index(t) for t in terms} - {0}
-    entries = [(p, group.add(p, s)) for p in range(group.order) for s in idxs]
-    return BitMatrix.from_nonzero(group.order, group.order, *zip(*entries))
+    idxs = group.index(terms)
+    steps = group.coords(idxs[idxs != 0])
+    p = np.arange(group.order)[:, None]
+    cols = group.index(group.coords(p) + steps)
+    return BitMatrix.from_nonzero(group.order, group.order, p, cols)
 
 
 def suite_algebra(

@@ -34,12 +34,15 @@ def oracle_halved(m: int, S: GeneratorSet) -> BitMatrix:
 
 
 def oracle_torus(n: int) -> BitMatrix:
-    group, terms = torus_example_generators(n)
-    idxs = sorted({group.index(t) for t in terms} - {0})
-    dense = np.zeros((group.order, group.order), dtype=np.uint8)
-    for p in range(group.order):
-        for s in idxs:
-            dense[p, group.add(p, s)] ^= 1
+    # Vertex (x, y) of Z/q x Z/q sits at x + q y; steps are reduced
+    # tuples, deduplicated, without the identity.
+    q = 2 * n
+    _, terms = torus_example_generators(n)
+    steps = sorted({(a % q, b % q) for a, b in terms} - {(0, 0)})
+    dense = np.zeros((q * q, q * q), dtype=np.uint8)
+    for x, y in itertools.product(range(q), repeat=2):
+        for a, b in steps:
+            dense[x + q * y, (x + a) % q + q * ((y + b) % q)] ^= 1
     return BitMatrix.from_dense(dense)
 
 
@@ -88,7 +91,9 @@ def test_halved_matrix_refuses_non_bipartite_generators():
         halved_matrix(3, GeneratorSet(3, (1, 3)))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+# At n = 1 the terms (n +- 1, 0) and (0, n +- 1) are the identity, which
+# the builder drops; at n >= 2 no term is.
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_torus_adjacency_matches_dense_builder(n):
     assert cli.torus_adjacency(n) == oracle_torus(n)
 

@@ -3,13 +3,14 @@ self-orthogonality tests, bipartite halving, and group algebra."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayleycss import cayley, gf2
 from cayleycss.cayley import (
     BigWord,
     CyclicProductGroup,
     GeneratorSet,
-    GroupAlgebraElement,
     SizeGuardError,
     adjacency_matrix,
     algebra_nilpotency_check,
@@ -17,9 +18,7 @@ from cayleycss.cayley import (
     ball,
     check_self_orthogonal_combinatorial,
     format_small_word,
-    generator_sum,
     halved_matrix,
-    inverse_generator_sum,
     parse_small_word,
     sphere,
 )
@@ -119,6 +118,52 @@ def test_three_way_self_orthogonality_examples():
 
 
 # -- group algebra -------------------------------------------------------
+#
+# Reference: the dict convolution over mixed-radix tuple arithmetic that
+# the vectorized check replaced, kept here as the oracle.
+
+
+def reference_index(moduli, element):
+    idx, stride = 0, 1
+    for x, n in zip(element, moduli):
+        idx += (x % n) * stride
+        stride *= n
+    return idx
+
+
+def reference_element(moduli, idx):
+    out = []
+    for n in moduli:
+        out.append(idx % n)
+        idx //= n
+    return tuple(out)
+
+
+def reference_from_terms(terms):
+    support = set()
+    for t in terms:
+        support.symmetric_difference_update({t})
+    return support
+
+
+def reference_product(moduli, a, b):
+    counts = {}
+    for x in a:
+        for y in b:
+            g = reference_index(moduli, tuple(
+                u + v for u, v in zip(reference_element(moduli, x),
+                                      reference_element(moduli, y))
+            ))
+            counts[g] = counts.get(g, 0) ^ 1
+    return {g for g, c in counts.items() if c}
+
+
+def reference_nilpotent(moduli, terms):
+    pi = reference_from_terms(reference_index(moduli, t) for t in terms)
+    pi_hat = reference_from_terms(
+        reference_index(moduli, tuple(-x for x in t)) for t in terms
+    )
+    return not reference_product(moduli, pi, pi_hat)
 
 
 def test_cyclic_group_indexing():
@@ -126,30 +171,73 @@ def test_cyclic_group_indexing():
     assert g.order == 36
     assert g.index((1, 0)) == 1
     assert g.index((0, 1)) == 6
-    assert g.element(7) == (1, 1)
-    assert g.add(g.index((5, 0)), g.index((1, 0))) == 0
-    assert g.neg(g.index((1, 2))) == g.index((5, 4))
+    assert g.index((-1, 7)) == g.index((5, 1)) == 11
+    assert tuple(g.coords(7)) == (1, 1)
+    rows = [(1, 0), (0, 1), (5, 5), (-1, -2)]
+    assert g.index(rows).tolist() == [1, 6, 35, 29]
+    # Round trip over the whole group, in one call each way.
+    idx = np.arange(g.order)
+    assert np.array_equal(g.index(g.coords(idx)), idx)
+    assert [tuple(c) for c in g.coords(idx)] == [
+        reference_element(g.moduli, i) for i in range(g.order)
+    ]
 
 
 def test_binary_group_matches_xor():
+    # Mixed-radix addition on (2,)*m is the XOR of the small-word
+    # indexing the pair-count oracle uses; negation is the identity.
     g = CyclicProductGroup.binary(4)
-    assert g.add(0b1010, 0b0110) == 0b1100
-    assert g.neg(9) == 9
+    v = np.arange(16)
+    assert np.array_equal(g.index(v[:, None] >> np.arange(4) & 1), v)
+    a, b = np.meshgrid(v, v)
+    assert np.array_equal(g.index(g.coords(a) + g.coords(b)), a ^ b)
+    assert np.array_equal(g.index(-g.coords(v)), v)
 
 
 def test_group_algebra_convolution():
     g = CyclicProductGroup((4,))
-    a = GroupAlgebraElement.from_terms(g, [0, 1])
-    b = GroupAlgebraElement.from_terms(g, [0, 3])
-    # (1 + x)(1 + x^3) = 1 + x + x^3 + x^4 = x + x^3 over F_2 (x^4 = 1)
-    assert (a * b).support == frozenset({1, 3})
+    # pi_S . pi_S-hat for S = {1, x}: (1 + x)(1 + x^3) = x + x^3 over F_2
+    assert reference_product((4,), {0, 1}, {0, 3}) == {1, 3}
+    assert not algebra_nilpotency_check(g, [(0,), (1,)])
+    # ... while (1 + x^2)(1 + x^2) = 1 + x^4 = 0
+    assert algebra_nilpotency_check(g, [(0,), (2,)])
+    # The product is with pi_S-hat, not pi_S; random sets rarely tell
+    # them apart.  In Z/7, S = {0, 1, 3, 6} covers every difference
+    # twice, but pi_S^2 = 1 + x^2 + x^5 + x^6.
+    S = [(0,), (1,), (3,), (6,)]
+    assert reference_nilpotent((7,), S)
+    assert algebra_nilpotency_check(CyclicProductGroup((7,)), S)
+    # In Z/2 x Z/8, pi_S^2 = 0 but pi_S . pi_S-hat is not.
+    S = [(0, 0), (0, 1), (1, 1), (1, 4)]
+    assert not reference_nilpotent((2, 8), S)
+    assert not algebra_nilpotency_check(CyclicProductGroup((2, 8)), S)
 
 
 def test_duplicate_terms_cancel():
     g = CyclicProductGroup((4, 4))
     # (1,0) and (-3,0) are the same element, so the pair cancels mod 2
-    e = GroupAlgebraElement.from_terms(g, [g.index((1, 0)), g.index((-3, 0))])
-    assert e.is_zero()
+    assert g.index((1, 0)) == g.index((-3, 0))
+    assert algebra_nilpotency_check(g, [(1, 0), (-3, 0)])
+    odd = [(0, 0), (1, 0)]
+    assert not algebra_nilpotency_check(g, odd)
+    assert not algebra_nilpotency_check(g, odd + [(1, 0), (-3, 4)])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_algebra_check_matches_dict_convolution(data):
+    moduli = tuple(data.draw(st.lists(
+        st.integers(1, 8), min_size=1, max_size=3
+    )))
+    term = st.tuples(*(st.integers(-9, 9) for _ in moduli))
+    terms = data.draw(st.lists(term, max_size=10))
+    # Repeat some terms, so that cancellation in pi_S is exercised.
+    terms += data.draw(st.lists(st.sampled_from(terms), max_size=4)
+                       if terms else st.just([]))
+    g = CyclicProductGroup(moduli)
+    assert algebra_nilpotency_check(g, terms) == reference_nilpotent(
+        moduli, terms
+    )
 
 
 def test_torus_family_nilpotency():
@@ -159,16 +247,14 @@ def test_torus_family_nilpotency():
             (1, 0), (0, 1), (-1, 0), (0, -1),
             (n + 1, 0), (n - 1, 0), (0, n + 1), (0, n - 1),
         ]
-        pi = generator_sum(g, [g.index(t) for t in terms])
-        pi_hat = inverse_generator_sum(g, [g.index(t) for t in terms])
-        assert (pi * pi_hat).is_zero()
-        assert algebra_nilpotency_check(g, [g.index(t) for t in terms])
+        assert reference_nilpotent(g.moduli, terms)
+        assert algebra_nilpotency_check(g, terms)
 
 
 def test_algebra_order_guard():
     g = CyclicProductGroup((1 << 9, 1 << 9))
     with pytest.raises(SizeGuardError):
-        algebra_nilpotency_check(g, [g.index((1, 0))])
+        algebra_nilpotency_check(g, [(1, 0)])
 
 
 # -- bipartite halving ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Suite plumbing: every named suite runs and reports well-formed items."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,20 @@ def test_image_parametrization_catches_a_dropped_cross_term(monkeypatch):
     (item,) = [c for c in verify.run_suite("recursion", [5])
                if c.name == "recursion/image-parametrization-n5"]
     assert not item.ok
+
+
+def test_normal_form_check_reduces_kernel_words():
+    # The seeded (s, 0, 0, s) and (0, s, s, 0) words run the reduction of
+    # words outside the image; random kernel words rarely reach it.
+    items = [c for c in verify.run_suite("recursion", [5, 7])
+             if c.name.startswith("recursion/normal-form-")]
+    assert len(items) == 2
+    for item in items:
+        assert item.ok, f"{item.name}: {item.detail}"
+        reduced, total = map(int, re.search(
+            r"(\d+) of (\d+) kernel words reduced", item.detail
+        ).groups())
+        assert 0 < reduced <= total
 
 
 def test_lower_bound_check_fails_above_the_witness(monkeypatch):

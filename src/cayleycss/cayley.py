@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -180,14 +180,18 @@ def adjacency_matrix(m: int, S: GeneratorSet) -> BitMatrix:
     """
     if S.m != m:
         raise ValueError("generator set does not live in F_2^m")
+    _guard_dimension(m)
+    if m > MAX_CACHED_DIMENSION:
+        return _build_adjacency(m, S)
+    return _adjacency(m, S)
+
+
+def _guard_dimension(m: int) -> None:
     if m > MAX_MATERIALIZED_DIMENSION:
         raise SizeGuardError(
             f"2^{m} x 2^{m} matrix exceeds the m <= "
             f"{MAX_MATERIALIZED_DIMENSION} guard"
         )
-    if m > MAX_CACHED_DIMENSION:
-        return _build_adjacency(m, S)
-    return _adjacency(m, S)
 
 
 def _build_adjacency(m: int, S: GeneratorSet) -> BitMatrix:
@@ -199,34 +203,27 @@ def _build_adjacency(m: int, S: GeneratorSet) -> BitMatrix:
 _adjacency = lru_cache(maxsize=ADJACENCY_CACHE_SIZE)(_build_adjacency)
 
 
-@dataclass(frozen=True)
-class SelfOrthogonalityCertificate:
-    """Outcome of the combinatorial pair-count self-orthogonality test."""
+def check_self_orthogonal_combinatorial(m: int, sets) -> np.ndarray:
+    """Pair-count test on a batch of equal-size sets ``(..., k)`` of
+    elements of F_2^m: the adjacency matrix is self-orthogonal iff every
+    g has an even number of ordered representations g = s + t with
+    (s, t) in S x S.  One verdict per set; a single set is the batch of
+    shape ().
 
-    ok: bool
-    reason: str = ""
-    violating_element: Optional[int] = None
-
-
-def check_self_orthogonal_combinatorial(
-    m: int, S: GeneratorSet
-) -> SelfOrthogonalityCertificate:
-    """Pair-count test: every g must have an even number of ordered
-    representations g = s + t with (s, t) in S x S, and |S| must be even.
-    Equivalent to the adjacency matrix being self-orthogonal."""
-    if len(S.elements) % 2:
-        return SelfOrthogonalityCertificate(False, "odd size")
-    counts: dict[int, int] = {}
-    for s in S.elements:
-        for t in S.elements:
-            g = s ^ t
-            counts[g] = counts.get(g, 0) + 1
-    for g, c in counts.items():
-        if c % 2:
-            return SelfOrthogonalityCertificate(
-                False, "odd representation count", g
-            )
-    return SelfOrthogonalityCertificate(True)
+    Set b counts into bins b * 2^m + g, so one parity ``bincount``
+    serves the whole batch.  Holds B * 2^m counts, refused above
+    m = MAX_MATERIALIZED_DIMENSION.
+    """
+    _guard_dimension(m)
+    sets = np.asarray(sets, dtype=np.int64)
+    flat = sets.reshape(math.prod(sets.shape[:-1]), sets.shape[-1])
+    if flat.size and not (0 <= flat.min() and flat.max() < 1 << m):
+        raise ValueError(f"an element lies outside F_2^{m}")
+    pairs = (flat[:, :, None] ^ flat[:, None, :]).reshape(len(flat), -1)
+    bins = pairs + (np.arange(len(flat)) << m)[:, None]
+    odd = np.bincount(bins.ravel(), minlength=len(flat) << m) & 1
+    nonzero = odd.reshape(len(flat), 1 << m).any(axis=1)
+    return ~nonzero.reshape(sets.shape[:-1])[()]
 
 
 # -- group algebra over products of cyclic groups ----------------------
@@ -273,29 +270,44 @@ class CyclicProductGroup:
 
 
 def algebra_nilpotency_check(
-    group: CyclicProductGroup, generators: Sequence[Sequence[int]]
-) -> bool:
+    group: CyclicProductGroup, generators
+) -> np.ndarray:
     """Self-orthogonality via the group algebra: pi_S . pi_S-hat = 0.
 
-    The generators are coordinate rows.  pi_S counts their indices mod
-    2, so a repeated term cancels; the product counts the differences
-    c_s - c_t over the terms of pi_S mod 2.  Agrees with the adjacency
-    matrix condition M . M^T = 0 whenever the matrix is materializable.
+    ``generators`` holds coordinate rows, shape ``(..., k, r)`` for a
+    batch of k-term sets (a flat list of terms is one set); the result
+    has the batch shape.  pi_S is the sum of the terms reduced mod 2, so
+    a repeated term cancels.  Reduction mod 2 is a ring map from Z[G]
+    to F_2[G], and the product is bilinear, so (sum_s x^s)(sum_t x^-t)
+    in Z[G] reduces to pi_S . pi_S-hat: the parities of the k^2 raw
+    differences c_s - c_t, reduced mod n_i, are its coefficients, with
+    no cancellation step.  Set b counts into bins b * |G| + g, so one
+    ``index`` and one parity ``bincount`` serve the whole batch.
+    Agrees with the adjacency matrix condition M . M^T = 0 whenever the
+    matrix is materializable.
     """
     if group.order > MAX_GROUP_ORDER:
         raise SizeGuardError(
             f"group order {group.order} exceeds {MAX_GROUP_ORDER}"
         )
-    rows = np.reshape(generators, (-1, len(group.moduli)))
-    pi = np.bincount(group.index(rows), minlength=group.order) & 1
-    c = group.coords(pi.nonzero()[0])
-    diffs = group.index(c[:, None] - c).ravel()
-    return not np.count_nonzero(np.bincount(diffs, minlength=group.order) & 1)
+    rows = np.asarray(generators, dtype=np.int64)
+    if rows.ndim < 2:
+        rows = rows.reshape(-1, len(group.moduli))
+    batch = rows.shape[:-2]
+    rows = rows.reshape(math.prod(batch), *rows.shape[-2:])
+    diffs = group.index(rows[:, :, None] - rows[:, None, :])
+    bins = diffs.reshape(len(rows), -1) + (
+        np.arange(len(rows)) * group.order
+    )[:, None]
+    odd = np.bincount(bins.ravel(), minlength=len(rows) * group.order) & 1
+    nonzero = odd.reshape(len(rows), group.order).any(axis=1)
+    return ~nonzero.reshape(batch)[()]
 
 
-def algebra_nilpotency_check_f2(m: int, S: GeneratorSet) -> bool:
-    """The group-algebra test on F_2^m, generators as bit coordinates."""
-    bits = np.array(S.elements, dtype=np.int64)[:, None] >> np.arange(m) & 1
+def algebra_nilpotency_check_f2(m: int, sets) -> np.ndarray:
+    """The group-algebra test on F_2^m for a batch of sets ``(..., k)``
+    of small words, passed as bit coordinates in (Z/2)^m."""
+    bits = np.asarray(sets, dtype=np.int64)[..., None] >> np.arange(m) & 1
     return algebra_nilpotency_check(CyclicProductGroup.binary(m), bits)
 
 

@@ -112,6 +112,8 @@ def emit(report: dict, out: Optional[str]) -> None:
 
 
 def cmd_build(args, started: float) -> int:
+    if not args.out:
+        raise CliError("build needs --out")
     if args.family == "z2n-torus":
         if args.n is None:
             raise CliError("--family z2n-torus needs --n")
@@ -121,8 +123,6 @@ def cmd_build(args, started: float) -> int:
         m, S = resolve_generators(args)
         M = adjacency_matrix(m, S)
         inputs = {"m": m, "generators": S.as_strings()}
-    if not args.out:
-        raise CliError("build needs --out")
     formats.write_matrix(M, args.format, args.out)
     report = make_report(
         args, inputs,

@@ -12,7 +12,7 @@ assume it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .cayley import BigWord, GeneratorSet, ball, sphere
@@ -204,16 +204,27 @@ def decompose_as_sphere_sum(
         raise ValueError("the hypercube construction needs even dimension")
     if not r < m:
         raise ValueError("radius must be smaller than the dimension")
-    S = GeneratorSet.canonical(m)
-    outer = set(ball(m, S, center, r).vertices())
+    outer, candidates, basis = _sphere_system(m, center, r)
     outside = [v for v in c.vertices() if v not in outer]
     if outside:
         raise SupportEscapesBallError(
             f"support vertex {outside[0]} escapes the radius-{r} ball"
         )
-    candidates = sorted(ball(m, S, center, max(r - 1, 0)).vertices())
-    basis = int_echelon(sphere(m, S, t).bits.to_int() for t in candidates)
     residual, mask = int_reduce(basis, c.bits.to_int())
     if residual:
         return None
     return {t for i, t in enumerate(candidates) if mask >> i & 1}
+
+
+@lru_cache(maxsize=16)
+def _sphere_system(
+    m: int, center: int, r: int
+) -> tuple[frozenset[int], tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The radius-r ball around center, the centers of the spheres
+    inside it (the radius r-1 ball, sorted) and the echelon basis of
+    those spheres; shared by every word decomposed in that ball."""
+    S = GeneratorSet.canonical(m)
+    outer = frozenset(ball(m, S, center, r).vertices())
+    candidates = tuple(sorted(ball(m, S, center, max(r - 1, 0)).vertices()))
+    basis = int_echelon(sphere(m, S, t).bits.to_int() for t in candidates)
+    return outer, candidates, tuple(basis)

@@ -19,7 +19,6 @@ from . import gf2
 from .cayley import (
     BigWord,
     GeneratorSet,
-    SelfOrthogonalityCertificate,
     adjacency_matrix,
     ball,
     check_self_orthogonal_combinatorial,
@@ -30,12 +29,8 @@ from .gf2 import BitMatrix, BitVector
 class SelfOrthogonalityError(ValueError):
     """The generator set does not give a self-orthogonal matrix."""
 
-    def __init__(self, certificate: SelfOrthogonalityCertificate):
-        self.certificate = certificate
-        detail = certificate.reason
-        if certificate.violating_element is not None:
-            detail += f" (element {certificate.violating_element})"
-        super().__init__(f"matrix is not self-orthogonal: {detail}")
+    def __init__(self, reason: str):
+        super().__init__(f"matrix is not self-orthogonal: {reason}")
 
 
 class InapplicableBoundError(ValueError):
@@ -85,21 +80,20 @@ class CssCode:
 def build_css(m: int, S: GeneratorSet) -> CssCode:
     """CSS code of the Cayley graph of F_2^m with generators S.
 
-    Requires an even number of generators and the pair-count
-    self-orthogonality condition; the violating element is reported.
+    Requires the pair-count self-orthogonality condition.  With distinct
+    generators s + t and t + s pair up, so only g = 0, which counts the
+    |S| pairs (s, s), can have an odd count: the condition fails exactly
+    for an odd number of generators.
     """
-    cert = check_self_orthogonal_combinatorial(m, S)
-    if not cert.ok:
-        raise SelfOrthogonalityError(cert)
+    if not check_self_orthogonal_combinatorial(m, S.elements):
+        raise SelfOrthogonalityError("odd size")
     return CssCode(adjacency_matrix(m, S), m=m, generators=S)
 
 
 def css_from_matrix(H: BitMatrix) -> CssCode:
     """CSS code from an explicit self-orthogonal square matrix."""
     if not gf2.is_self_orthogonal(H):
-        raise SelfOrthogonalityError(
-            SelfOrthogonalityCertificate(False, "H . H^T != 0")
-        )
+        raise SelfOrthogonalityError("H . H^T != 0")
     return CssCode(H)
 
 

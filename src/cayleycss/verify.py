@@ -320,28 +320,50 @@ def suite_bipartite(ns: Iterable[int], **_) -> list[CheckItem]:
 
 # -- algebra (three-way self-orthogonality agreement) ------------------
 
+#: Most generator sets per oracle call in the exhaustive sweeps: the
+#: matrix oracle holds B * 4^m row-pair words, and larger batches raised
+#: peak RSS without running faster.
+ORACLE_CHUNK = 256
 
-def _rows_self_orthogonal(rows: list[int]) -> bool:
-    """Independent matrix oracle: all pairs of adjacency rows, given as
-    integer bitsets, share an even number of ones."""
-    return all(
-        (rows[i] & rows[j]).bit_count() % 2 == 0
-        for i in range(len(rows))
-        for j in range(i, len(rows))
+
+def _rows_self_orthogonal(rows) -> np.ndarray:
+    """Independent matrix oracle: all pairs of adjacency rows share an
+    even number of ones.  ``rows`` is ``(..., R, W)`` packed ``uint64``
+    words (bit c of word w is column 64 w + c), one verdict per matrix
+    of the batch; the AND of every row pair is XORed over its words,
+    whose popcount has the parity of the shared ones.  Holds R^2 W
+    words per matrix."""
+    rows = np.asarray(rows, dtype=np.uint64)
+    shared = np.bitwise_xor.reduce(
+        rows[..., :, None, :] & rows[..., None, :, :], axis=-1
     )
+    return ~(np.bitwise_count(shared) & 1).any(axis=(-2, -1))
 
 
-def three_way_agreement(m: int, S: GeneratorSet) -> bool:
-    combinatorial = check_self_orthogonal_combinatorial(m, S).ok
-    rows = []
-    for p in range(1 << m):
-        r = 0
-        for s in S.elements:
-            r ^= 1 << (p ^ s)
-        rows.append(r)
-    matrix_oracle = _rows_self_orthogonal(rows)
-    algebra = cayley.algebra_nilpotency_check_f2(m, S)
-    return combinatorial == matrix_oracle == algebra
+def _adjacency_rows(m: int, sets: np.ndarray) -> np.ndarray:
+    """Packed rows ``(B, 2^m, W)`` of each set's adjacency matrix: row
+    p is the XOR of the unit words at p + s, so a repeated generator
+    cancels."""
+    p = np.arange(1 << m)[:, None]
+    cols = (p ^ sets[:, None, :])[..., None]  # (B, 2^m, k, 1)
+    words = np.arange(((1 << m) + 63) // 64)
+    units = np.where(
+        cols >> 6 == words,
+        np.uint64(1) << (cols & 63).astype(np.uint64),
+        np.uint64(0),
+    )
+    return np.bitwise_xor.reduce(units, axis=-2)
+
+
+def three_way_agreement(m: int, sets) -> np.ndarray:
+    """Whether the pair count, the matrix oracle and the group algebra
+    agree on each of a ``(B, k)`` batch of equal-size subsets of
+    F_2^m; the three share no intermediate array."""
+    sets = np.asarray(sets, dtype=np.int64)
+    combinatorial = check_self_orthogonal_combinatorial(m, sets)
+    matrix_oracle = _rows_self_orthogonal(_adjacency_rows(m, sets))
+    algebra = cayley.algebra_nilpotency_check_f2(m, sets)
+    return (combinatorial == matrix_oracle) & (matrix_oracle == algebra)
 
 
 def torus_example_generators(n: int) -> tuple[CyclicProductGroup, list]:
@@ -360,6 +382,11 @@ def torus_adjacency(n: int) -> BitMatrix:
     joined to p + s for each non-identity term s.  A term listed twice
     sets its entries once, since ``from_nonzero`` sets repeats once."""
     group, terms = torus_example_generators(n)
+    if group.order > 1 << cayley.MAX_MATERIALIZED_DIMENSION:
+        raise cayley.SizeGuardError(
+            f"{group.order} x {group.order} torus matrix exceeds the "
+            f"2^{cayley.MAX_MATERIALIZED_DIMENSION} vertex guard"
+        )
     idxs = group.index(terms)
     steps = group.coords(idxs[idxs != 0])
     p = np.arange(group.order)[:, None]
@@ -373,23 +400,30 @@ def suite_algebra(
     items = []
 
     def exhaustive(m):
-        nonzero = list(range(1, 1 << m))
+        # Every size, odd ones too: an odd-size set is never
+        # self-orthogonal, so an oracle stuck at True disagrees there.
         bad = 0
-        for size in range(2, len(nonzero) + 1, 2):
-            for combo in itertools.combinations(nonzero, size):
-                if not three_way_agreement(m, GeneratorSet(m, combo)):
-                    bad += 1
+        for size in range(1, 1 << m):
+            combos = itertools.combinations(range(1, 1 << m), size)
+            while chunk := list(itertools.islice(combos, ORACLE_CHUNK)):
+                bad += int((~three_way_agreement(m, chunk)).sum())
         return bad == 0, f"{bad} disagreements"
 
     for m in (2, 3, 4):
         items.append(_run(f"algebra/exhaustive-m{m}", lambda m=m: exhaustive(m)))
 
     def sampled(m, rng):
+        draws = []
         for _ in range(samples):
             size = 2 * rng.randint(1, min(8, (1 << m) // 2))
-            combo = tuple(rng.sample(range(1, 1 << m), size))
-            if not three_way_agreement(m, GeneratorSet(m, combo)):
-                return False, f"disagreement at S = {combo}"
+            draws.append(tuple(rng.sample(range(1, 1 << m), size)))
+        bad = []
+        for size in sorted({len(c) for c in draws}):
+            order = [i for i, c in enumerate(draws) if len(c) == size]
+            agree = three_way_agreement(m, [draws[i] for i in order])
+            bad += [i for i, ok in zip(order, agree) if not ok]
+        if bad:
+            return False, f"disagreement at S = {draws[min(bad)]}"
         return True, f"{samples} random generator sets agree"
 
     rng = random.Random(seed)
@@ -401,10 +435,8 @@ def suite_algebra(
         if not algebra_nilpotency_check(group, terms):
             return False, "generator sum square is nonzero"
         # Cross-check against the materialized adjacency matrix.
-        M = torus_adjacency(n)
-        rows = [M.row(p).to_int() for p in range(M.rows)]
         return (
-            _rows_self_orthogonal(rows),
+            bool(_rows_self_orthogonal(torus_adjacency(n).words)),
             "group algebra and adjacency matrix agree",
         )
 

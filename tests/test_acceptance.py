@@ -159,16 +159,17 @@ def test_10_self_orthogonality_three_way_agreement():
     for m in (2, 3, 4):
         nonzero = range(1, 1 << m)
         for size in range(2, (1 << m), 2):
-            for combo in itertools.combinations(nonzero, size):
-                assert verify.three_way_agreement(
-                    m, GeneratorSet(m, combo)
-                ), f"disagreement at m={m}, S={combo}"
+            combos = list(itertools.combinations(nonzero, size))
+            agree = verify.three_way_agreement(m, combos)
+            assert agree.all(), (
+                f"disagreement at m={m}, S={combos[agree.argmin()]}"
+            )
     rng = random.Random(77)
     for m in (5, 6):
         for _ in range(100):
             size = 2 * rng.randint(1, 8)
             combo = tuple(rng.sample(range(1, 1 << m), size))
-            assert verify.three_way_agreement(m, GeneratorSet(m, combo))
+            assert verify.three_way_agreement(m, [combo]).all()
     for n in (2, 3, 4):
         group, terms = verify.torus_example_generators(n)
         from cayleycss.cayley import algebra_nilpotency_check

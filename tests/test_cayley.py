@@ -1,12 +1,15 @@
 """Cayley graphs over F_2^m: adjacency, metric neighborhoods,
 self-orthogonality tests, bipartite halving, and group algebra."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleycss import cayley, gf2
+from cayleycss import cayley, gf2, verify
 from cayleycss.cayley import (
     BigWord,
     CyclicProductGroup,
@@ -100,21 +103,166 @@ def test_sphere_and_ball():
     assert ball(4, S, 0, 4).weight == 16
 
 
+# -- pair count ------------------------------------------------------------
+#
+# Reference: the per-set dict count that the batched bincount replaced,
+# kept here as the oracle.
+
+
+def reference_pair_count(S):
+    """Every g has an even number of ordered representations s + t."""
+    counts = {}
+    for s in S:
+        for t in S:
+            counts[s ^ t] = counts.get(s ^ t, 0) + 1
+    return all(c % 2 == 0 for c in counts.values())
+
+
 def test_combinatorial_certificate():
-    assert check_self_orthogonal_combinatorial(
-        3, GeneratorSet.named("S3'")
-    ).ok
-    cert = check_self_orthogonal_combinatorial(3, GeneratorSet(3, (1, 2, 4)))
-    assert not cert.ok and cert.reason == "odd size"
+    assert check_self_orthogonal_combinatorial(3, (1, 2, 4, 7))
+    # An odd-size set fails at g = 0, which counts the pairs (s, s).
+    assert not check_self_orthogonal_combinatorial(3, (1, 2, 4))
+    batch = [[(1, 2), (1, 3)], [(2, 3), (1, 1)]]
+    assert check_self_orthogonal_combinatorial(2, batch).tolist() == [
+        [True, True], [True, True],
+    ]
+    assert check_self_orthogonal_combinatorial(2, [(1,), (3,)]).tolist() == [
+        False, False,
+    ]
+
+
+def test_pair_count_refuses_what_it_cannot_index():
+    with pytest.raises(SizeGuardError):
+        check_self_orthogonal_combinatorial(17, (1, 2))
+    with pytest.raises(ValueError):
+        check_self_orthogonal_combinatorial(3, (1, 8))
+    with pytest.raises(ValueError):
+        check_self_orthogonal_combinatorial(3, (-1, 2))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_pair_count_matches_dict_reference(data):
+    m = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(0, 9))
+    sets = data.draw(st.lists(
+        st.lists(st.integers(0, (1 << m) - 1), min_size=k, max_size=k),
+        min_size=1, max_size=6,
+    ))
+    got = check_self_orthogonal_combinatorial(
+        m, np.reshape(sets, (len(sets), k))
+    )
+    assert got.tolist() == [reference_pair_count(S) for S in sets]
+
+
+# -- matrix oracle ---------------------------------------------------------
+#
+# Reference: the pure-Python pair loop over integer row bitsets, and the
+# row builder, that the packed-word oracle replaced.
+
+
+def reference_rows_self_orthogonal(rows):
+    return all(
+        (rows[i] & rows[j]).bit_count() % 2 == 0
+        for i in range(len(rows))
+        for j in range(i, len(rows))
+    )
+
+
+def reference_adjacency_rows(m, S):
+    rows = []
+    for p in range(1 << m):
+        r = 0
+        for s in S:
+            r ^= 1 << (p ^ s)
+        rows.append(r)
+    return rows
+
+
+def pack(rows, width):
+    """Integer bitsets as packed uint64 words, bit c in word c // 64."""
+    n_words = (width + 63) // 64
+    return np.array(
+        [[r >> (64 * w) & (1 << 64) - 1 for w in range(n_words)]
+         for r in rows],
+        dtype=np.uint64,
+    ).reshape(len(rows), n_words)
+
+
+def random_rows(rng, n_rows, width):
+    """Half the time rows that set both columns of each pair (2j, 2j+1)
+    or neither, which are self-orthogonal, then maybe one bit flipped;
+    otherwise uniform rows."""
+    if rng.random() < 0.5:
+        return [rng.getrandbits(width) for _ in range(n_rows)]
+    rows = []
+    for _ in range(n_rows):
+        pairs = rng.getrandbits(width // 2)
+        rows.append(sum(3 << 2 * j for j in range(width // 2)
+                        if pairs >> j & 1))
+    if rng.random() < 0.5:
+        rows[rng.randrange(n_rows)] ^= 1 << rng.randrange(width)
+    return rows
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 128])
+def test_matrix_oracle_matches_pair_loop(width):
+    rng = random.Random(width)
+    for n_rows in (1, 2, 3, 5, 8):
+        batch = [random_rows(rng, n_rows, width) for _ in range(12)]
+        want = [reference_rows_self_orthogonal(rows) for rows in batch]
+        assert any(want) and not all(want)
+        packed = np.stack([pack(rows, width) for rows in batch])
+        assert verify._rows_self_orthogonal(packed).tolist() == want
+        assert [bool(verify._rows_self_orthogonal(p)) for p in packed] == want
+        # The same words at a stride of two: a non-contiguous view.
+        spread = np.zeros(packed.shape[:-1] + (2 * packed.shape[-1],),
+                          dtype=np.uint64)
+        spread[..., ::2] = packed
+        view = spread[..., ::2]
+        assert not view.flags.c_contiguous
+        assert verify._rows_self_orthogonal(view).tolist() == want
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_adjacency_rows_match_row_builder(m):
+    rng = random.Random(m)
+    for k in (1, 2, 3, 6):
+        # Repeats allowed: a generator listed twice cancels in both.
+        sets = [[rng.randrange(1 << m) for _ in range(k)] for _ in range(5)]
+        got = verify._adjacency_rows(m, np.array(sets))
+        for S, rows in zip(sets, got):
+            ref = reference_adjacency_rows(m, S)
+            assert np.array_equal(rows, pack(ref, 1 << m))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_batched_oracles_match_per_set_references(k):
+    # Every k-subset of F_2^3 minus 0; only the even sizes are
+    # self-orthogonal.
+    sets = list(itertools.combinations(range(1, 8), k))
+    want = [k % 2 == 0] * len(sets)
+    assert [reference_pair_count(S) for S in sets] == want
+    assert [reference_rows_self_orthogonal(reference_adjacency_rows(3, S))
+            for S in sets] == want
+    assert [reference_nilpotent((2,) * 3, [
+        tuple(s >> i & 1 for i in range(3)) for s in S
+    ]) for S in sets] == want
+    assert check_self_orthogonal_combinatorial(3, sets).tolist() == want
+    assert verify._rows_self_orthogonal(
+        verify._adjacency_rows(3, np.array(sets))
+    ).tolist() == want
+    assert algebra_nilpotency_check_f2(3, sets).tolist() == want
+    assert verify.three_way_agreement(3, sets).all()
 
 
 def test_three_way_self_orthogonality_examples():
     for name in ("S3'", "S4", "S5'", "S6"):
         S = GeneratorSet.named(name)
         M = adjacency_matrix(S.m, S)
-        assert check_self_orthogonal_combinatorial(S.m, S).ok
+        assert check_self_orthogonal_combinatorial(S.m, S.elements)
         assert gf2.is_self_orthogonal(M)
-        assert algebra_nilpotency_check_f2(S.m, S)
+        assert algebra_nilpotency_check_f2(S.m, S.elements)
 
 
 # -- group algebra -------------------------------------------------------
@@ -238,6 +386,28 @@ def test_algebra_check_matches_dict_convolution(data):
     assert algebra_nilpotency_check(g, terms) == reference_nilpotent(
         moduli, terms
     )
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_batched_algebra_check_matches_each_set(data):
+    moduli = tuple(data.draw(st.lists(
+        st.integers(1, 6), min_size=1, max_size=3
+    )))
+    k = data.draw(st.integers(0, 6))
+    term = st.tuples(*(st.integers(-7, 7) for _ in moduli))
+    sets = data.draw(st.lists(
+        st.lists(term, min_size=k, max_size=k), min_size=1, max_size=8
+    ))
+    # An even count of sets goes in as a two-axis batch.
+    shape = (2, len(sets) // 2) if len(sets) % 2 == 0 else (len(sets),)
+    batch = np.reshape(sets, shape + (k, len(moduli)))
+    got = algebra_nilpotency_check(CyclicProductGroup(moduli), batch)
+    assert got.shape == batch.shape[:-2]
+    assert got.ravel().tolist() == [
+        reference_nilpotent(moduli, [tuple(t) for t in terms])
+        for terms in batch.reshape(len(sets), k, len(moduli))
+    ]
 
 
 def test_torus_family_nilpotency():

@@ -8,6 +8,7 @@ import pytest
 
 from cayleycss import cli, formats, verify
 from cayleycss.cayley import GeneratorSet, adjacency_matrix
+from cayleycss.gf2 import BitMatrix
 
 try:
     from importlib.resources import files as resource_files
@@ -349,6 +350,36 @@ def test_build_torus(capsys, tmp_path):
     assert code == 0
     M = formats.read_matrix("mtx", path)
     assert M.rows == M.cols == 16
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "z2n-torus", "--n", "2"],
+    ["--family", "repetition", "--n", "5"],
+])
+def test_build_without_out_exits_before_building(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "torus_adjacency", refuse_work)
+    monkeypatch.setattr(cli, "adjacency_matrix", refuse_work)
+    code, out, err = run_cli(capsys, "build", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: build needs --out\n"
+
+
+def test_build_torus_size_guard_exits_4_before_allocating(
+    capsys, monkeypatch, tmp_path
+):
+    # (2 * 129)^2 vertices exceed 2^16; the guard must fire before the
+    # 258^2 x 258^2 matrix is allocated.
+    monkeypatch.setattr(BitMatrix, "from_nonzero", refuse_work)
+    path = tmp_path / "t.alist"
+    code, out, err = run_cli(
+        capsys, "build", "--family", "z2n-torus", "--n", "129",
+        "--out", str(path),
+    )
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "guard" in err
+    assert not path.exists()
 
 
 def test_threads_env_and_flag(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from cayleycss import verify
+from cayleycss import cover, verify
 from cayleycss.cayley import BigWord, GeneratorSet, ball, sphere
 from cayleycss.cover import (
     BallCollision,
@@ -190,3 +190,22 @@ def test_decompose_guards():
     far = BigWord.from_vertices(4, [0b1111])
     with pytest.raises(SupportEscapesBallError):
         decompose_as_sphere_sum(4, far, 0, 2)
+
+
+def test_decompositions_share_one_sphere_system_per_ball():
+    m = 4
+    S = GeneratorSet.canonical(m)
+    c = sphere(m, S, 1) ^ sphere(m, S, 2)
+    first = decompose_as_sphere_sum(m, c, 0, 2)
+    first.add(99)  # the caller owns its result
+    assert decompose_as_sphere_sum(m, c, 0, 2) == {1, 2}
+    system = cover._sphere_system(m, 0, 2)
+    assert system is cover._sphere_system(m, 0, 2)
+    outer, candidates, basis = system
+    assert isinstance(outer, frozenset) and outer == set(
+        ball(m, S, 0, 2).vertices()
+    )
+    assert candidates == tuple(sorted(ball(m, S, 0, 1).vertices()))
+    assert isinstance(basis, tuple)
+    # Another center is another system.
+    assert decompose_as_sphere_sum(m, sphere(m, S, 5), 5, 2) == {5}

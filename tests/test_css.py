@@ -28,7 +28,7 @@ def test_build_css_basic_parameters():
 
 
 def test_build_css_rejects_odd_generator_count():
-    with pytest.raises(SelfOrthogonalityError):
+    with pytest.raises(SelfOrthogonalityError, match="odd size"):
         build_css(3, GeneratorSet(3, (1, 2, 4)))
 
 

@@ -1,12 +1,13 @@
 """Suite plumbing: every named suite runs and reports well-formed items."""
 
 import json
+import random
 import re
 
 import numpy as np
 import pytest
 
-from cayleycss import cli, css, repetition, verify
+from cayleycss import cayley, cli, css, repetition, verify
 from cayleycss.gf2 import BitMatrix
 
 
@@ -41,10 +42,56 @@ def test_checks_report_failures_not_exceptions():
 
 
 def test_three_way_agreement_helper():
-    from cayleycss.cayley import GeneratorSet
+    agree = verify.three_way_agreement(3, [(1, 2, 4, 7), (1, 2, 4, 6)])
+    assert agree.tolist() == [True, True]
+    assert verify.three_way_agreement(3, [(3, 5)]).tolist() == [True]
+    assert verify.three_way_agreement(3, [(3, 5, 6)]).tolist() == [True]
 
-    assert verify.three_way_agreement(3, GeneratorSet(3, (1, 2, 4, 7)))
-    assert verify.three_way_agreement(3, GeneratorSet(3, (3, 5)))
+
+@pytest.mark.parametrize("owner, oracle, set_axes", [
+    (verify, "check_self_orthogonal_combinatorial", 1),
+    (verify, "_rows_self_orthogonal", 2),
+    (cayley, "algebra_nilpotency_check_f2", 1),
+], ids=["pair-count", "matrix", "group-algebra"])
+def test_exhaustive_check_fails_when_an_oracle_always_says_true(
+    monkeypatch, owner, oracle, set_axes
+):
+    # Each oracle gives one verdict per set of its batch (its last
+    # set_axes axes describe one set).  The odd-size sets are where an
+    # oracle stuck at True disagrees with the other two.
+    def stuck(*args):
+        return np.ones(np.shape(args[-1])[:-set_axes], dtype=bool)
+
+    monkeypatch.setattr(owner, oracle, stuck)
+    items = {c.name: c for c in verify.run_suite("algebra", [])}
+    item = items["algebra/exhaustive-m3"]
+    assert not item.ok
+    # 64 of the 127 nonempty subsets of F_2^3 minus 0 have odd size.
+    assert item.detail == "64 disagreements"
+
+
+def test_random_check_names_the_first_disagreement_in_draw_order(
+    monkeypatch
+):
+    # Sets are checked grouped by size; the report still names the first
+    # disagreeing set in the order the generator drew them.
+    honest = verify.three_way_agreement
+
+    def disagree_on_1(m, sets):
+        return honest(m, sets) & np.array([1 not in S for S in sets])
+
+    monkeypatch.setattr(verify, "three_way_agreement", disagree_on_1)
+    items = {c.name: c for c in verify.run_suite("algebra", [], seed=1)}
+    rng = random.Random(1)
+    draws = []
+    for _ in range(100):
+        size = 2 * rng.randint(1, 8)
+        draws.append(tuple(rng.sample(range(1, 32), size)))
+    first = next(S for S in draws if 1 in S)
+    assert len(first) > min(len(S) for S in draws if 1 in S)
+    assert items["algebra/random-m5"].detail == (
+        f"disagreement at S = {first}"
+    )
 
 
 def test_reversal_involution_checks_compute_the_product(monkeypatch):

@@ -259,9 +259,19 @@ class CyclicProductGroup:
     def _radix(self) -> np.ndarray:
         return np.cumprod((1,) + self.moduli[:-1], dtype=np.int64)
 
-    def index(self, coords) -> np.ndarray:
-        """Index of each coordinate row (last axis), reduced mod n_i."""
-        return (np.asarray(coords, dtype=np.int64) % self.moduli) @ self._radix
+    def index(self, coords, axis: int = -1) -> np.ndarray:
+        """Index of each coordinate row, reduced mod n_i; the coordinates
+        run along ``axis``, the last by default.  Each coordinate is
+        reduced with its own scalar modulus, so coordinate-major input
+        (``axis=0``) is read in contiguous slices."""
+        coords = np.moveaxis(np.asarray(coords, dtype=np.int64), axis, 0)
+        if coords.shape[0] != len(self.moduli):
+            raise ValueError(f"expected {len(self.moduli)} coordinates")
+        out = np.zeros(coords.shape[1:], dtype=np.int64)
+        for c, n, r in zip(coords, self.moduli, self._radix.tolist()):
+            # For n a power of two, c & (n - 1) is c mod n, negatives too.
+            out += (c & n - 1 if n & n - 1 == 0 else c % n) * r
+        return out[()]
 
     def coords(self, idx) -> np.ndarray:
         """The reduced coordinate row of each index; inverts ``index``."""
@@ -295,7 +305,8 @@ def algebra_nilpotency_check(
         rows = rows.reshape(-1, len(group.moduli))
     batch = rows.shape[:-2]
     rows = rows.reshape(math.prod(batch), *rows.shape[-2:])
-    diffs = group.index(rows[:, :, None] - rows[:, None, :])
+    major = np.moveaxis(rows, -1, 0)  # (r, B, k): one slice per coordinate
+    diffs = group.index(major[:, :, :, None] - major[:, :, None, :], axis=0)
     bins = diffs.reshape(len(rows), -1) + (
         np.arange(len(rows)) * group.order
     )[:, None]

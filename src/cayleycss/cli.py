@@ -203,11 +203,18 @@ def cmd_verify(args, started: float) -> int:
     # Threads change the wall time only; the report is the same.
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         mapper = pool.map if args.threads > 1 else map
-        items = [c for suite in mapper(run, names) for c in suite]
+        suites = list(mapper(run, names))
+    items = [c for suite in suites for c in suite]
     if not items:
         raise CliError(
             f"suite {args.suite} has no check for --n {ns[0]}..{ns[-1]}"
         )
+    for name, suite in zip(names, suites):
+        skipped = verify.skipped_sizes(suite, ns)
+        if skipped:
+            sizes = ", ".join(map(str, skipped))
+            print(f"note: suite {name} has no check at n = {sizes}",
+                  file=sys.stderr)
     failed = [c for c in items if not c.ok]
     report = make_report(
         args,

@@ -120,7 +120,9 @@ class DistanceReport:
 def distance_exact(
     code: CssCode, budget: int = gf2.DEFAULT_ENUMERATION_BUDGET
 ) -> DistanceReport:
-    """Exact distance by Gray-code enumeration of the kernel.
+    """Exact distance by enumeration of the kernel: a table of partial
+    combinations and a Gray code over the rest (see
+    ``gf2.min_weight_in_span_minus_subspace``).
 
     Reports the trivial outcome when kernel equals row space (the
     self-dual hypercube case); raises DimensionBudgetError when the

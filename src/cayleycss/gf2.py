@@ -16,14 +16,16 @@ import numpy as np
 
 WORD_BITS = 64
 
-#: Default cap on exhaustive 2^dim enumerations (~67M words).  Chosen so
-#: a dimension-20 search finishes in seconds while anything that would
-#: run for days fails loudly instead.
+#: Default cap on exhaustive 2^dim enumerations (~67M words).  The
+#: table-driven distance walk covers 2^26 words in 0.1 s at N <= 64 and
+#: 0.65 s at N = 256 (2-core Xeon), so a search at the cap ends in
+#: seconds while anything that would run for days fails loudly instead.
 DEFAULT_ENUMERATION_BUDGET = 26
 
-#: Largest budget the CLI accepts.  At the Gray engine's ~161 ns per
-#: word, 2^30 words take about 3 minutes; 2^31 would take 6, and each
-#: further step doubles it.
+#: Largest budget the CLI accepts.  The walk costs about 1.5 ns per word
+#: at N <= 64 and about 10 ns at N = 256, growing with the number of
+#: 64-bit words per vector: 2^30 words took 1.6 s at N = 64 and would
+#: take about 11 s at N = 256; each further step doubles it.
 MAX_ENUMERATION_BUDGET = 30
 
 
@@ -50,6 +52,22 @@ def _n_words(length: int) -> int:
     return (length + WORD_BITS - 1) // WORD_BITS
 
 
+#: _BIT[i] is the word with bit i set.
+_BIT = np.uint64(1) << np.arange(WORD_BITS, dtype=np.uint64)
+
+
+def _pack(bits: np.ndarray, length: int) -> np.ndarray:
+    """The packed words of a 0/1 array of ``length`` entries."""
+    buf = np.zeros(_n_words(length) * 8, dtype=np.uint8)
+    buf[: (length + 7) // 8] = np.packbits(bits, bitorder="little")
+    return buf.view(np.uint64)
+
+
+def _unpack(words: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` bits of packed words as a 0/1 array."""
+    return np.unpackbits(words.view(np.uint8), bitorder="little", count=count)
+
+
 def _pad_mask(length: int) -> np.uint64:
     """Mask selecting the valid bits of the last word."""
     rem = length % WORD_BITS
@@ -73,27 +91,46 @@ class BitVector:
         self.length = length
         self.words = words
 
+    @classmethod
+    def _wrap(cls, length: int, words: np.ndarray) -> "BitVector":
+        """A vector over ``words`` without a copy: the caller passes
+        words that nothing else writes to, with zero padding bits."""
+        v = object.__new__(cls)
+        words.setflags(write=False)
+        v.length = length
+        v.words = words
+        return v
+
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zeros(cls, length: int) -> "BitVector":
-        return cls(length, np.zeros(_n_words(length), dtype=np.uint64))
+        return cls._wrap(length, np.zeros(_n_words(length), dtype=np.uint64))
 
     @classmethod
     def from_support(cls, length: int, positions: Iterable[int]) -> "BitVector":
+        """The vector with ones at ``positions``; a position listed twice
+        cancels, and one outside [0, length) raises ValueError."""
+        if not isinstance(positions, np.ndarray):
+            positions = list(positions)
+        try:
+            pos = np.array(positions, dtype=np.int64)
+        except OverflowError:  # a Python int beyond int64
+            pos = np.array([-1])
+        if pos.size and (pos.min() < 0 or pos.max() >= length):
+            bad = next(p for p in np.ravel(positions).tolist()
+                       if not 0 <= p < length)
+            raise ValueError(f"position {bad} out of range [0, {length})")
         words = np.zeros(_n_words(length), dtype=np.uint64)
-        for p in positions:
-            if not 0 <= p < length:
-                raise ValueError(f"position {p} out of range [0, {length})")
-            words[p >> 6] ^= np.uint64(1 << (p & 63))
-        return cls(length, words)
+        np.bitwise_xor.at(words, pos >> 6, _BIT[pos & 63])
+        return cls._wrap(length, words)
 
     @classmethod
     def from_int(cls, length: int, value: int) -> "BitVector":
         if value < 0 or value >> length:
             raise ValueError("integer value does not fit the stated length")
         buf = value.to_bytes(_n_words(length) * 8, "little")
-        return cls(length, np.frombuffer(buf, dtype=np.uint64).copy())
+        return cls._wrap(length, np.frombuffer(buf, dtype=np.uint64))
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "BitVector":
@@ -101,12 +138,10 @@ class BitVector:
 
     @classmethod
     def concat(cls, parts: Sequence["BitVector"]) -> "BitVector":
-        value = 0
-        offset = 0
-        for p in parts:
-            value |= p.to_int() << offset
-            offset += p.length
-        return cls.from_int(offset, value)
+        length = sum(p.length for p in parts)
+        bits = [np.zeros(0, np.uint8)]
+        bits += [_unpack(p.words, p.length) for p in parts]
+        return cls._wrap(length, _pack(np.concatenate(bits), length))
 
     # -- queries -------------------------------------------------------
 
@@ -119,10 +154,7 @@ class BitVector:
         return int((self.words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1))
 
     def support(self) -> list[int]:
-        bits = np.unpackbits(
-            self.words.view(np.uint8), bitorder="little", count=self.length
-        )
-        return np.flatnonzero(bits).tolist()
+        return np.flatnonzero(_unpack(self.words, self.length)).tolist()
 
     @property
     def weight(self) -> int:
@@ -132,13 +164,17 @@ class BitVector:
         return not self.words.any()
 
     def slice(self, start: int, stop: int) -> "BitVector":
-        mask = (1 << (stop - start)) - 1
-        return BitVector.from_int(stop - start, (self.to_int() >> start) & mask)
+        if not 0 <= start <= stop <= self.length:
+            raise ValueError(
+                f"slice [{start}, {stop}) outside [0, {self.length})"
+            )
+        bits = _unpack(self.words, stop)[start:]
+        return BitVector._wrap(stop - start, _pack(bits, stop - start))
 
     def reversed(self) -> "BitVector":
         """Bit reversal: position p maps to length-1-p."""
-        n = self.length
-        return BitVector.from_support(n, [n - 1 - p for p in self.support()])
+        bits = _unpack(self.words, self.length)[::-1]
+        return BitVector._wrap(self.length, _pack(bits, self.length))
 
     def packed_bytes(self) -> bytes:
         """The first ceil(length/8) bytes of the little-endian payload."""
@@ -149,7 +185,7 @@ class BitVector:
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.length != other.length:
             raise ValueError("length mismatch in XOR")
-        return BitVector(self.length, self.words ^ other.words)
+        return BitVector._wrap(self.length, self.words ^ other.words)
 
     def dot(self, other: "BitVector") -> int:
         if self.length != other.length:
@@ -247,7 +283,8 @@ class BitMatrix:
     # -- queries -------------------------------------------------------
 
     def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.words[i])
+        # The matrix words are read-only, so the row can share them.
+        return BitVector._wrap(self.cols, self.words[i])
 
     def to_dense(self) -> np.ndarray:
         return np.unpackbits(
@@ -282,8 +319,10 @@ class BitMatrix:
             raise ValueError(
                 f"vector length {v.length} != column count {self.cols}"
             )
-        odd = np.bitwise_count(self.words & v.words).sum(axis=1) & 1
-        return BitVector.from_support(self.rows, np.flatnonzero(odd).tolist())
+        # The XOR of a row's AND words has the parity of its shared ones.
+        shared = np.bitwise_xor.reduce(self.words & v.words, axis=1)
+        odd = np.bitwise_count(shared) & 1
+        return BitVector._wrap(self.rows, _pack(odd, self.rows))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -307,19 +346,48 @@ class RowEchelonCache:
     row space of the original matrix.
     """
 
-    __slots__ = ("pivots", "basis", "rank")
+    __slots__ = ("pivots", "basis", "rank", "_blocks")
 
     def __init__(self, pivots: list[int], basis: np.ndarray):
         self.pivots = pivots
         self.basis = basis  # (rank, n_words), pivot-sorted echelon rows
         self.rank = len(pivots)
+        # One block per 64-column word holding pivots: the word index,
+        # the mask of its pivot bits, and (row, entry in that word) by
+        # pivot bit.  A row's lowest set bit is its pivot.
+        piv_words = np.array(pivots, dtype=np.int64) >> 6
+        starts = np.flatnonzero(np.diff(piv_words, prepend=-1)).tolist()
+        self._blocks = []
+        for first, stop in zip(starts, starts[1:] + [self.rank]):
+            wi = pivots[first] >> 6
+            mask = 0
+            by_bit = {}
+            for r, e in enumerate(basis[first:stop, wi].tolist(), first):
+                mask |= e & -e
+                by_bit[e & -e] = (r, e)
+            self._blocks.append((wi, mask, by_bit))
 
     def reduce(self, words: np.ndarray) -> np.ndarray:
-        """Residual of a packed vector after elimination against the basis."""
+        """Residual of a packed vector after elimination against the basis.
+
+        Works one pivot word at a time: the rows to apply are chosen on
+        the word as a Python int, lowest pivot first, then XORed in
+        together.  Rows of later words are zero in this one, so this
+        applies the same rows as one pass over the pivots in order.
+        """
         out = words.copy()
-        for r, c in enumerate(self.pivots):
-            if (out[c >> 6] >> np.uint64(c & 63)) & np.uint64(1):
-                out ^= self.basis[r]
+        for wi, mask, by_bit in self._blocks:
+            x = int(out[wi])
+            hit = x & mask
+            if not hit:
+                continue
+            rows = []
+            while hit:
+                r, e = by_bit[hit & -hit]
+                rows.append(r)
+                x ^= e
+                hit = x & mask
+            out[wi:] ^= np.bitwise_xor.reduce(self.basis[rows, wi:])
         return out
 
 
@@ -437,7 +505,7 @@ class _Solver:
         rest = np.ones(M.rows, dtype=bool)
         rest[rows] = False
         order = np.concatenate([rows, np.flatnonzero(rest)])
-        self.pivots = pivots
+        self.pivots = np.array(pivots, dtype=np.int64)
         self.rank = len(pivots)
         self.transform = work[order, nw_m:]
 
@@ -447,8 +515,7 @@ class _Solver:
         )
         if tb[self.rank:].any():
             return None
-        rows = np.flatnonzero(tb[: self.rank]).tolist()
-        return BitVector.from_support(cols, [self.pivots[r] for r in rows])
+        return BitVector.from_support(cols, self.pivots[tb[: self.rank] != 0])
 
 
 def solve_preimage(M: BitMatrix, b: BitVector) -> BitVector | None:
@@ -561,6 +628,12 @@ def gray_span(basis: Sequence[int]) -> Iterator[int]:
         yield v
 
 
+#: Byte cap on the distance engine's table of partial combinations
+#: together with one step's XOR of it, 2^T rows of ceil(N / 64) words
+#: each: T <= 16 for N <= 64, and one less per doubling of the words.
+MAX_TABLE_BYTES = 1 << 20
+
+
 def min_weight_in_span_minus_subspace(
     span_basis: Sequence[BitVector],
     sub_basis: Sequence[BitVector],
@@ -568,10 +641,16 @@ def min_weight_in_span_minus_subspace(
 ) -> tuple[int, BitVector]:
     """Minimum Hamming weight over span(K) \\ span(I), with a witness.
 
-    Enumerates coset by coset with a Gray code over the kernel
-    coefficients, so each step is a single XOR plus a popcount.  Ties on
-    weight break towards the numerically least witness, which makes the
-    result deterministic (and associative under parallel merging).
+    The words are the XOR combinations of a subspace basis followed by
+    a complement basis.  A table holds all 2^T combinations of the first
+    T of these vectors (T bounded by MAX_TABLE_BYTES), built by
+    doubling, so its rows [0, 2^s) for the s subspace vectors among them
+    are subspace words.  A Gray code over the other vectors XORs one
+    offset into the whole table per step and takes the popcount and
+    minimum in NumPy; while the offset has no complement part, the
+    subspace rows are left out.  Ties on weight break towards the
+    numerically least witness, which makes the result independent of
+    the enumeration order.
     """
     length = span_basis[0].length if span_basis else 0
     sub_ints = [b for b, _ in int_echelon(v.to_int() for v in sub_basis)]
@@ -588,21 +667,43 @@ def min_weight_in_span_minus_subspace(
     if not comp:
         raise EmptyDifferenceError("span and subspace coincide")
 
-    # The walk stays inline: driven by gray_span it took 338 instead of
-    # 230 ns/word (span dimension 18, 2-core Xeon), and this loop is the
-    # whole distance search.
+    nw = _n_words(length)
+    vectors = [
+        BitVector.from_int(length, v).words[:, None] for v in sub_ints + comp
+    ]
+    t = len(vectors)
+    while (16 * nw) << t > MAX_TABLE_BYTES:
+        t -= 1
+    # Word-major, so each word of the 2^t combinations is contiguous.
+    table = np.zeros((nw, 1), dtype=np.uint64)
+    for v in vectors[:t]:
+        table = np.hstack([table, table ^ v])
+    subspace_rows = 1 << min(s, t)
+    rest = vectors[t:]
+    # Offsets i < 2^q have no complement part: q subspace vectors remain.
+    q = max(s - t, 0)
     best_w = length + 1
     best_v = 0
-    outer = 0
-    for i in range(1, 1 << len(comp)):
-        outer ^= comp[(i & -i).bit_length() - 1]
-        v = outer
-        w = v.bit_count()
-        if w < best_w or (w == best_w and v < best_v):
-            best_w, best_v = w, v
-        for j in range(1, 1 << s):
-            v ^= sub_ints[(j & -j).bit_length() - 1]
-            w = v.bit_count()
-            if w < best_w or (w == best_w and v < best_v):
-                best_w, best_v = w, v
+    offset = np.zeros((nw, 1), dtype=np.uint64)
+    for i in range(1 << len(rest)):
+        if i:
+            offset ^= rest[(i & -i).bit_length() - 1]
+        in_subspace = i >> q == 0
+        if in_subspace and subspace_rows == table.shape[1]:
+            continue
+        x = table ^ offset
+        w = np.bitwise_count(x[0] if nw == 1 else x)
+        if nw > 1:
+            w = w.sum(axis=0, dtype=np.int32)
+        if in_subspace:
+            w[:subspace_rows] = np.iinfo(w.dtype).max
+        low = int(w.min())
+        if low > best_w:
+            continue
+        # The least value among the ties: the most significant word decides.
+        ties = x[:, w == low]
+        v = ties[:, np.lexsort(ties)[0]]
+        value = int.from_bytes(v.tobytes(), "little")
+        if low < best_w or value < best_v:
+            best_w, best_v = low, value
     return best_w, BitVector.from_int(length, best_v)

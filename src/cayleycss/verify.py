@@ -47,6 +47,7 @@ class CheckItem:
     ok: bool
     elapsed_s: float
     detail: str = ""
+    n: Optional[int] = None  # the tower size checked, if any; not reported
 
     def as_dict(self) -> dict:
         return {
@@ -66,6 +67,25 @@ def _run(name: str, fn: Callable[[], tuple[bool, str]]) -> CheckItem:
     return CheckItem(name, ok, time.perf_counter() - start, detail)
 
 
+def _sized(n: int, name: str, fn) -> CheckItem:
+    """``_run`` for a check of the size-n tower (see ``skipped_sizes``)."""
+    item = _run(name, fn)
+    item.n = n
+    return item
+
+
+def skipped_sizes(items: Iterable[CheckItem], ns: Iterable[int]) -> list[int]:
+    """The sizes of ``ns`` that a suite's checks skip: none when no check
+    is sized, and no even size when every sized check is at an odd n
+    (the tower's levels)."""
+    covered = {c.n for c in items if c.n is not None}
+    if not covered:
+        return []
+    odd_only = all(n % 2 for n in covered)
+    return [n for n in ns
+            if n not in covered and not (odd_only and n % 2 == 0)]
+
+
 def _odd(ns: Iterable[int]) -> list[int]:
     return [n for n in ns if n % 2 == 1]
 
@@ -79,8 +99,8 @@ def suite_recursion(
     items = []
     for n in ns:
         if 4 <= n <= repetition.MAX_RECURSIVE_DIMENSION:
-            items.append(_run(
-                f"recursion/block-assembly-n{n}",
+            items.append(_sized(
+                n, f"recursion/block-assembly-n{n}",
                 lambda n=n: (
                     repetition.build_recursive(n) == repetition.matrix(n),
                     "block assembly equals direct construction",
@@ -97,12 +117,12 @@ def suite_recursion(
         items.append(_run(f"recursion/reversal-involution-{s}", involution))
     for t in (5, 7):
         if t in ns:
-            items.append(_run(
-                f"recursion/image-parametrization-n{t}",
+            items.append(_sized(
+                t, f"recursion/image-parametrization-n{t}",
                 lambda t=t: image_parametrization(t),
             ))
-            items.append(_run(
-                f"recursion/normal-form-n{t}",
+            items.append(_sized(
+                t, f"recursion/normal-form-n{t}",
                 lambda t=t: normal_forms(t, 16, seed),
             ))
     return items
@@ -129,10 +149,11 @@ def image_parametrization(t: int) -> tuple[bool, str]:
 
 
 def normal_forms(t: int, samples: int, seed: int) -> tuple[bool, str]:
-    """Image words and the kernel words (s, 0, 0, s) and (0, s, s, 0),
-    s in the level-(t-2) kernel, reduce to (c, 0, 0, c); random kernel
-    words and the witness either reduce to that shape or come back
-    unchanged."""
+    """Image words, the kernel words (s, 0, 0, s) and (0, s, s, 0), s in
+    the level-(t-2) kernel, and lifted kernel words (c1, c2, c2, c1 + d1)
+    whose block difference d1 is a nonzero level-(t-2) row-space word
+    reduce to (c, 0, 0, c); random kernel words and the witness either
+    reduce to that shape or come back unchanged."""
     rng = random.Random(seed)
     n = t - 2
 
@@ -159,8 +180,22 @@ def normal_forms(t: int, samples: int, seed: int) -> tuple[bool, str]:
     for s in random_kernel_words(n):
         words.append((repetition.QuadSplit((s, zero, zero, s)).join(), True))
         words.append((repetition.QuadSplit((zero, s, s, zero)).join(), True))
+    # Lifted as kernel_basis_recursive lifts (d1, d2) with d2 = 0: the
+    # row-space word d1 sends representative_normal_form through a
+    # nonzero preimage.
+    M = repetition.matrix(n)
+    lifted = []
+    while len(lifted) < samples:
+        d1 = M.mul_vector(BitVector.from_int(1 << n, rng.getrandbits(1 << n)))
+        if d1.is_zero():
+            continue
+        c1 = gf2.solve_preimage(M, repetition.reversal(d1))
+        c2 = gf2.solve_preimage(M, d1)
+        lifted.append(
+            (repetition.QuadSplit((c1, c2, c2, c1 ^ d1)).join(), True)
+        )
     reduced = 0
-    for c, must_reduce in words:
+    for c, must_reduce in words + lifted:
         nf = repetition.representative_normal_form(t, c)
         c1, c2, c3, c4 = nf.quad.parts
         if nf.reduced:
@@ -168,13 +203,14 @@ def normal_forms(t: int, samples: int, seed: int) -> tuple[bool, str]:
                 return False, "a reduced word is not of the shape (c, 0, 0, c)"
             reduced += 1
         elif must_reduce:
-            return False, "an image or block word was not reduced"
+            return False, "an image, block or lifted word was not reduced"
         elif nf.quad.join() != c:
             return False, "an unreduced word came back changed"
     return True, (
         f"{samples} image words reduced to (c, 0, 0, c); "
-        f"{reduced - samples} of {3 * samples + 1} kernel words reduced, "
-        "the rest unchanged"
+        f"{samples} lifted words with d1 a nonzero row-space word reduced; "
+        f"{reduced - 2 * samples} of {3 * samples + 1} kernel words "
+        "reduced, the rest unchanged"
     )
 
 
@@ -192,7 +228,7 @@ def suite_dimension(
             N, K, _ = repetition.parameters(n)
             want = (N + K) // 2
             return dim == want, f"dim ker = {dim}, expected {want}"
-        items.append(_run(f"dimension/kernel-n{n}", check))
+        items.append(_sized(n, f"dimension/kernel-n{n}", check))
     for n in _odd(ns):
         if 5 <= n <= 9:
             def check(n=n):
@@ -203,11 +239,11 @@ def suite_dimension(
                     len(basis) == want,
                     f"recursive basis size {len(basis)}, expected {want}",
                 )
-            items.append(_run(f"dimension/recursive-basis-n{n}", check))
+            items.append(_sized(n, f"dimension/recursive-basis-n{n}", check))
     for t in (5, 7):
         if t in ns:
-            items.append(_run(
-                f"dimension/characterize-n{t}",
+            items.append(_sized(
+                t, f"dimension/characterize-n{t}",
                 lambda t=t: kernel_characterize_agreement(t, 200, seed),
             ))
     return items
@@ -229,7 +265,7 @@ def suite_distance(
                     report.value == claimed,
                     f"exact D = {report.value}, expected {claimed}",
                 )
-            items.append(_run(f"distance/exact-n{n}", check))
+            items.append(_sized(n, f"distance/exact-n{n}", check))
         elif n <= repetition.MAX_VERIFIED_DIMENSION:
             def check(n=n):
                 claimed = repetition.parameters(n)[2]
@@ -242,10 +278,10 @@ def suite_distance(
                     report.upper == claimed,
                     f"witness upper bound {report.upper}, claimed {claimed}",
                 )
-            items.append(_run(f"distance/witness-n{n}", check))
+            items.append(_sized(n, f"distance/witness-n{n}", check))
             if n >= 9:
-                items.append(_run(
-                    f"distance/lower-bound-n{n}",
+                items.append(_sized(
+                    n, f"distance/lower-bound-n{n}",
                     lambda n=n: lower_bound(n),
                 ))
     return items
@@ -280,8 +316,8 @@ def suite_conjugation(ns: Iterable[int], **_) -> list[CheckItem]:
     items = []
     for n in _odd(ns):
         if n <= 9:
-            items.append(_run(
-                f"conjugation/n{n}",
+            items.append(_sized(
+                n, f"conjugation/n{n}",
                 lambda n=n: (
                     repetition.conjugation_check(n),
                     "J M J = M with kernel and row space stable",
@@ -304,7 +340,7 @@ def suite_bipartite(ns: Iterable[int], **_) -> list[CheckItem]:
             if not gf2.is_self_orthogonal(U):
                 return False, "U . U^T != 0"
             return True, "bipartite split exists and U is self-orthogonal"
-        items.append(_run(f"bipartite/halved-block-n{n}", check))
+        items.append(_sized(n, f"bipartite/halved-block-n{n}", check))
     for n in _odd(ns):
         if n in (3, 5):
             def check(n=n):
@@ -314,7 +350,7 @@ def suite_bipartite(ns: Iterable[int], **_) -> list[CheckItem]:
                 report = css.distance_exact(code)
                 got = (code.N, code.K, report.value)
                 return got == want, f"halved parameters {got}, expected {want}"
-            items.append(_run(f"bipartite/halved-params-n{n}", check))
+            items.append(_sized(n, f"bipartite/halved-params-n{n}", check))
     return items
 
 

@@ -314,6 +314,28 @@ def reference_nilpotent(moduli, terms):
     return not reference_product(moduli, pi, pi_hat)
 
 
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(), (5,), (3, 4)]),
+)
+def test_index_matches_whole_array_reduction(moduli, seed, batch):
+    # The per-coordinate reduction, powers of two by mask, against the
+    # whole-array expression it replaced, on negative and out-of-range
+    # coordinates, in both layouts.
+    g = CyclicProductGroup(tuple(moduli))
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(-40, 40, batch + (len(moduli),))
+    want = (coords % g.moduli) @ g._radix
+    assert np.array_equal(g.index(coords), want)
+    assert np.array_equal(g.index(np.moveaxis(coords, -1, 0), axis=0), want)
+    strided = np.repeat(coords, 2, axis=-1)[..., ::2]
+    assert np.array_equal(g.index(strided), want)
+    with pytest.raises(ValueError):
+        g.index(coords[..., :0])
+
+
 def test_cyclic_group_indexing():
     g = CyclicProductGroup((6, 6))
     assert g.order == 36

@@ -1,11 +1,16 @@
 """CLI surface: reports, formats, exit codes, and schema validity."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import cayleycss
 from cayleycss import cli, formats, verify
 from cayleycss.cayley import GeneratorSet, adjacency_matrix
 from cayleycss.gf2 import BitMatrix
@@ -257,6 +262,52 @@ def test_verify_run_without_checks_exits_2(capsys, suite, n_range):
     assert out == ""
     assert err.count("\n") == 1
     assert f"suite {suite}" in err and n_range in err
+
+
+@pytest.mark.parametrize("suite, n_range, skipped", [
+    ("distance", "11..15", "15"),
+    ("recursion", "3..5", "3"),
+    ("conjugation", "8..11", "11"),
+])
+def test_verify_names_the_sizes_a_suite_skipped(capsys, suite, n_range,
+                                                skipped):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                             "--n", n_range)
+    assert code == 0
+    assert err == f"note: suite {suite} has no check at n = {skipped}\n"
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    assert report["outputs"]["failed"] == 0
+    assert not any(c["name"].endswith(f"-n{skipped}")
+                   for c in report["checks"])
+
+
+def test_verify_all_names_skipped_sizes_per_suite(capsys):
+    code, _, err = run_cli(capsys, "verify", "--suite", "all", "--n", "3..9")
+    assert code == 0
+    assert err.splitlines() == [
+        "note: suite recursion has no check at n = 3",
+    ]
+
+
+def test_runs_do_not_import_numpy_ma():
+    # numpy.ma loads lazily (np.unique, for one) and costs 15-20 ms in
+    # every fresh process; none of these runs needs it.
+    script = (
+        "import contextlib, io, sys\n"
+        "from cayleycss import cli\n"
+        "for argv in ('params --family repetition --n 9', 'witness --n 9',\n"
+        "             'verify --suite all --n 3..7'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv.split()) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(cayleycss.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_verify_above_size_guard_exits_4_before_any_suite(capsys,

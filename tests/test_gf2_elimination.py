@@ -182,3 +182,20 @@ def test_solver_matches_gauss_jordan(dense, seed):
         if x is not None:
             assert M.mul_vector(x) == b
     assert gf2.solve_preimage(M, reachable) is not None
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(matrices(), st.integers(0, 2**32 - 1))
+def test_blockwise_reduce_matches_per_pivot_loop(dense, seed):
+    # A cache built directly from pivots and rows, as the oracle builds
+    # it, reduces word by word exactly as the per-pivot loop does, on
+    # random words and on row-space words (residual zero).
+    M = BitMatrix.from_dense(dense)
+    ech = oracle_echelon(M)
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        for v in (vector(rng, M.cols),
+                  M.transpose().mul_vector(vector(rng, M.rows))):
+            want = oracle_reduce(ech, v.words)
+            assert np.array_equal(ech.reduce(v.words), want)
+        assert not ech.reduce(v.words).any()

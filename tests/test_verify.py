@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from cayleycss import cayley, cli, css, repetition, verify
+from cayleycss import cayley, cli, css, gf2, repetition, verify
 from cayleycss.gf2 import BitMatrix
 
 
@@ -160,18 +160,49 @@ def test_image_parametrization_catches_a_dropped_cross_term(monkeypatch):
     assert not item.ok
 
 
-def test_normal_form_check_reduces_kernel_words():
+def test_normal_form_check_reduces_kernel_words(monkeypatch):
     # The seeded (s, 0, 0, s) and (0, s, s, 0) words run the reduction of
-    # words outside the image; random kernel words rarely reach it.
+    # words outside the image; random kernel words rarely reach it.  The
+    # lifted words, d2 = 0 and d1 a nonzero row-space word, take it
+    # through a nonzero preimage of d1.
+    reduce_word, solve = (repetition.representative_normal_form,
+                          gf2.solve_preimage)
+    rhs = []
+    lifted = []
+
+    def traced_reduce(t, c):
+        c1, c2, c3, c4 = repetition.QuadSplit.split(c).parts
+        d1, d2 = c4 ^ c1, c3 ^ c2
+        rhs.clear()
+        nf = reduce_word(t, c)
+        if (d2.is_zero() and not d1.is_zero()
+                and gf2.in_row_space(repetition.matrix(t - 2), d1)):
+            lifted.append((nf.reduced, d1 in rhs))
+        return nf
+
+    def traced_solve(M, b):
+        rhs.append(b)
+        return solve(M, b)
+
+    monkeypatch.setattr(repetition, "representative_normal_form",
+                        traced_reduce)
+    monkeypatch.setattr(gf2, "solve_preimage", traced_solve)
     items = [c for c in verify.run_suite("recursion", [5, 7])
              if c.name.startswith("recursion/normal-form-")]
     assert len(items) == 2
     for item in items:
         assert item.ok, f"{item.name}: {item.detail}"
+        count = int(re.search(
+            r"(\d+) lifted words with d1 a nonzero row-space word reduced",
+            item.detail,
+        ).group(1))
+        assert count == 16
         reduced, total = map(int, re.search(
             r"(\d+) of (\d+) kernel words reduced", item.detail
         ).groups())
         assert 0 < reduced <= total
+    assert len(lifted) >= 2 * 16
+    assert all(reduced and solved for reduced, solved in lifted)
 
 
 def test_lower_bound_check_fails_above_the_witness(monkeypatch):

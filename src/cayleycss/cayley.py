@@ -24,16 +24,19 @@ from .gf2 import BitMatrix, BitVector, int_echelon
 #: (m = 16 means a 512 MB bit matrix).
 MAX_MATERIALIZED_DIMENSION = 16
 
-#: Adjacency matrices kept per process, least recently used dropped
-#: first.  Holds every tower level of a ``verify --suite all`` run, so
-#: each matrix, with its echelon and solver caches, is built once.
-#: An entry at m = 13 holds up to about 20 MB (8 MB matrix, 4 MB
-#: echelon, 8 MB solver), so a full cache stays near 0.3 GB.
+#: Adjacency matrices, and separately halved blocks, kept per process,
+#: least recently used dropped first.  Holds every tower level of a
+#: ``verify --suite all`` run, so each matrix, with its echelon and
+#: solver caches, is built once.  An adjacency entry at m = 13 holds up
+#: to about 20 MB (8 MB matrix, 4 MB echelon, 8 MB solver) and a halved
+#: one a quarter of that (2 MB block, 1 MB echelon, 2 MB solver), so
+#: the two full caches stay near 0.3 and 0.08 GB.
 ADJACENCY_CACHE_SIZE = 16
 
-#: Largest m whose adjacency matrices are cached.  Larger ones (32 MB
-#: at m = 14, 512 MB at m = 16, before their echelon and solver) are
-#: built afresh per call and freed with their last user.
+#: Largest m whose adjacency matrices and halved blocks are cached.
+#: Larger ones (32 and 8 MB at m = 14, 512 and 128 MB at m = 16, before
+#: their echelon and solver) are built afresh per call and freed with
+#: their last user.
 MAX_CACHED_DIMENSION = 13
 
 
@@ -325,18 +328,49 @@ def algebra_nilpotency_check_f2(m: int, sets) -> np.ndarray:
 # -- bipartite structure ----------------------------------------------
 
 
+def is_bipartite(S: GeneratorSet) -> bool:
+    """Whether every generator has odd weight, so that each edge joins
+    an even-weight vertex to an odd-weight one."""
+    return all(s.bit_count() % 2 for s in S.elements)
+
+
+def class_vertices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even-weight and the odd-weight vertices of F_2^m, each in
+    increasing order.  2k and 2k + 1 differ in weight parity, so entry k
+    of either lies in {2k, 2k + 1}: v >> 1 indexes v in its class."""
+    v = np.arange(1 << m)
+    odd = np.bitwise_count(v) % 2 == 1
+    return v[~odd], v[odd]
+
+
+def split_classes(v: BitVector) -> tuple[BitVector, BitVector]:
+    """The even-class and odd-class parts of a 2^m-bit word, each
+    indexed by v >> 1 as the halved block is."""
+    evens, odds = class_vertices(v.length.bit_length() - 1)
+    return v.take(evens), v.take(odds)
+
+
 def halved_matrix(m: int, S: GeneratorSet) -> BitMatrix:
     """The biadjacency block U of a bipartite Cayley graph.
 
     Rows are indexed by even-weight vertices, columns by odd-weight
-    vertices, both in increasing integer order.
+    vertices, both in increasing integer order.  Row i is the even
+    vertex e_i and column i the odd vertex e_i + 1, so U is symmetric:
+    e_i + (e_j + 1) = e_j + (e_i + 1).  Shared per (m, S) up to
+    MAX_CACHED_DIMENSION, as ``adjacency_matrix`` is.
     """
-    if any(s.bit_count() % 2 == 0 for s in S.elements):
+    if not is_bipartite(S):
         raise ValueError("graph is not bipartite by weight parity")
-    v = np.arange(1 << m)
-    evens = v[np.bitwise_count(v) % 2 == 0][:, None]
+    if m > MAX_CACHED_DIMENSION:
+        return _build_halved(m, S)
+    return _halved(m, S)
+
+
+def _build_halved(m: int, S: GeneratorSet) -> BitMatrix:
+    evens = class_vertices(m)[0][:, None]
     s = np.array(S.elements, dtype=np.int64)
-    # 2k and 2k + 1 differ in weight parity: v >> 1 indexes v in its class.
     half = 1 << (m - 1)
     return BitMatrix.from_nonzero(half, half, evens >> 1, (evens ^ s) >> 1)
 
+
+_halved = lru_cache(maxsize=ADJACENCY_CACHE_SIZE)(_build_halved)

@@ -151,7 +151,7 @@ def cmd_params(args, started: float) -> int:
                 "witness_support": report.witness.support(),
             }
         elif args.family == "repetition" and m % 2 == 1:
-            witness = repetition.min_weight_witness(m)
+            witness = repetition.min_weight_witness(m, code)
             upper = css.distance_witness_upper(code, witness)
             if upper.rejected_reason:
                 raise CliError(upper.rejected_reason, EXIT_VERIFICATION)
@@ -210,7 +210,7 @@ def cmd_verify(args, started: float) -> int:
             f"suite {args.suite} has no check for --n {ns[0]}..{ns[-1]}"
         )
     for name, suite in zip(names, suites):
-        skipped = verify.skipped_sizes(suite, ns)
+        skipped = verify.skipped_sizes(name, suite, ns)
         if skipped:
             sizes = ", ".join(map(str, skipped))
             print(f"note: suite {name} has no check at n = {sizes}",

@@ -22,6 +22,9 @@ from .cayley import (
     adjacency_matrix,
     ball,
     check_self_orthogonal_combinatorial,
+    halved_matrix,
+    is_bipartite,
+    split_classes,
 )
 from .gf2 import BitMatrix, BitVector
 
@@ -49,6 +52,14 @@ class CssCode:
 
     The stabilizer matrix satisfies H . H^T = 0, so its row space sits
     inside its kernel and K = N - 2 rank.
+
+    When every generator has odd weight the Cayley graph is bipartite,
+    and up to a permutation of coordinates H is [[0, U], [U, 0]] with U
+    the symmetric block ``halved``, a quarter of H's size.  Then
+    rank H = 2 rank U, and a word lies in ker H or in the row space of
+    H exactly when its even-class and odd-class parts both do for U;
+    ``rank`` and ``classify_word`` eliminate U instead of H.  The
+    kernel basis and the exact distance stay on H.
     """
 
     matrix: BitMatrix
@@ -59,9 +70,20 @@ class CssCode:
     def N(self) -> int:
         return self.matrix.cols
 
+    @cached_property
+    def halved(self) -> Optional[BitMatrix]:
+        """The block U of a bipartite code, held with its echelon for
+        the code's lifetime; None when some generator has even weight or
+        the code has no generator set."""
+        if self.generators is None or not is_bipartite(self.generators):
+            return None
+        return halved_matrix(self.m, self.generators)
+
     @property
     def rank(self) -> int:
-        return gf2.rank(self.matrix)
+        if self.halved is None:
+            return gf2.rank(self.matrix)
+        return 2 * gf2.rank(self.halved)
 
     @property
     def K(self) -> int:
@@ -171,13 +193,18 @@ def distance_lower_bound_theorem(n: int, d: int) -> int:
 
 
 def classify_word(code: CssCode, w: BigWord | BitVector) -> WordClass:
-    """Three-way classification by the two membership tests."""
+    """Three-way classification by the two membership tests, on both
+    class parts against U for a bipartite code (see CssCode)."""
     vec = w.bits if isinstance(w, BigWord) else w
     if vec.length != code.N:
         raise ValueError(f"word length {vec.length} != code length {code.N}")
-    if not code.matrix.mul_vector(vec).is_zero():
+    if code.halved is None:
+        H, parts = code.matrix, (vec,)
+    else:
+        H, parts = code.halved, split_classes(vec)
+    if any(not H.mul_vector(p).is_zero() for p in parts):
         return WordClass.NOT_IN_DUAL
-    if gf2.in_row_space(code.matrix, vec):
+    if all(gf2.in_row_space(H, p) for p in parts):
         return WordClass.STABILIZER
     return WordClass.LOGICAL
 

@@ -163,6 +163,11 @@ class BitVector:
     def is_zero(self) -> bool:
         return not self.words.any()
 
+    def take(self, positions: np.ndarray) -> "BitVector":
+        """The vector whose bit k is bit ``positions[k]`` of this one."""
+        bits = _unpack(self.words, self.length)[positions]
+        return BitVector._wrap(bits.size, _pack(bits, bits.size))
+
     def slice(self, start: int, stop: int) -> "BitVector":
         if not 0 <= start <= stop <= self.length:
             raise ValueError(
@@ -231,6 +236,19 @@ class BitMatrix:
         self._ech = None
         self._solver = None
 
+    @classmethod
+    def _wrap(cls, rows: int, cols: int, words: np.ndarray) -> "BitMatrix":
+        """A matrix over ``words`` without a copy: the caller passes
+        words that nothing else writes to, with zero padding bits."""
+        M = object.__new__(cls)
+        words.setflags(write=False)
+        M.rows = rows
+        M.cols = cols
+        M.words = words
+        M._ech = None
+        M._solver = None
+        return M
+
     # -- constructors --------------------------------------------------
 
     @classmethod
@@ -257,7 +275,8 @@ class BitMatrix:
         flat = rr * words.shape[1] + cc // WORD_BITS
         bits = np.uint64(1) << (cc % WORD_BITS).astype(np.uint64)
         np.bitwise_or.at(words.reshape(-1), flat, bits)
-        return cls(rows, cols, words)
+        # Every column is below cols, so the padding bits stay clear.
+        return cls._wrap(rows, cols, words)
 
     @classmethod
     def from_rows(cls, rows: Sequence[BitVector]) -> "BitMatrix":

@@ -293,13 +293,15 @@ def representative_normal_form(n_total: int, c: BitVector) -> NormalForm:
 BASE_WITNESS_VERTICES = (2, 4)
 
 
-def min_weight_witness(n: int) -> BitVector:
+def min_weight_witness(n: int, code: CssCode | None = None) -> BitVector:
     """A logical word of weight 2^((n-1)/2), built recursively.
 
     The base is the fixed weight-2 word at vertex positions 2 and 4;
     each step places (0, 0, J w, w) so the block kernel conditions hold
     with d1 = w and d2 = J w.  Kernel and non-image membership are
-    verified up to n = 13.
+    verified up to n = 13, at level n against ``code`` when given (so a
+    caller's code and its eliminated block serve the check) and
+    against ``build_code`` otherwise.
     """
     if n % 2 == 0:
         raise ValueError("witnesses exist for odd n only")
@@ -316,10 +318,12 @@ def min_weight_witness(n: int) -> BitVector:
         zero = BitVector.zeros(prev.length)
         w = QuadSplit((zero, zero, reversal(prev), prev)).join()
     if n <= MAX_VERIFIED_DIMENSION:
-        M = matrix(n)
-        if not M.mul_vector(w).is_zero():
+        if code is None:
+            code = build_code(n)
+        cls = css_mod.classify_word(code, w)
+        if cls is css_mod.WordClass.NOT_IN_DUAL:
             raise AssertionError("witness escaped the kernel")
-        if gf2.in_row_space(M, w):
+        if cls is css_mod.WordClass.STABILIZER:
             raise AssertionError("witness degenerated into the row space")
     expected = parameters(n)[2]
     if w.weight != expected:

@@ -74,16 +74,29 @@ def _sized(n: int, name: str, fn) -> CheckItem:
     return item
 
 
-def skipped_sizes(items: Iterable[CheckItem], ns: Iterable[int]) -> list[int]:
-    """The sizes of ``ns`` that a suite's checks skip: none when no check
-    is sized, and no even size when every sized check is at an odd n
-    (the tower's levels)."""
-    covered = {c.n for c in items if c.n is not None}
-    if not covered:
+#: The suites with checks of one tower size, each mapped to whether
+#: some of those checks are at even sizes; the other suites' checks are
+#: all size-free.
+SIZED_SUITES = {
+    "recursion": True,
+    "dimension": False,
+    "distance": False,
+    "conjugation": False,
+    "bipartite": False,
+}
+
+
+def skipped_sizes(
+    name: str, items: Iterable[CheckItem], ns: Iterable[int]
+) -> list[int]:
+    """The sizes of ``ns`` at which suite ``name`` ran no check: none for
+    a suite of size-free checks, and no even size for a suite that
+    checks the tower's odd levels only."""
+    if name not in SIZED_SUITES:
         return []
-    odd_only = all(n % 2 for n in covered)
+    covered = {c.n for c in items}
     return [n for n in ns
-            if n not in covered and not (odd_only and n % 2 == 0)]
+            if n not in covered and (n % 2 or SIZED_SUITES[name])]
 
 
 def _odd(ns: Iterable[int]) -> list[int]:
@@ -223,8 +236,8 @@ def suite_dimension(
     items = []
     for n in _odd(ns):
         def check(n=n):
-            M = repetition.matrix(n)
-            dim = M.cols - gf2.rank(M)
+            code = repetition.build_code(n)
+            dim = code.N - code.rank
             N, K, _ = repetition.parameters(n)
             want = (N + K) // 2
             return dim == want, f"dim ker = {dim}, expected {want}"
@@ -332,15 +345,9 @@ def suite_conjugation(ns: Iterable[int], **_) -> list[CheckItem]:
 def suite_bipartite(ns: Iterable[int], **_) -> list[CheckItem]:
     items = []
     for n in _odd(ns):
-        if n > 9:
-            continue
-
-        def check(n=n):
-            U = cayley.halved_matrix(n, repetition.generators(n))
-            if not gf2.is_self_orthogonal(U):
-                return False, "U . U^T != 0"
-            return True, "bipartite split exists and U is self-orthogonal"
-        items.append(_sized(n, f"bipartite/halved-block-n{n}", check))
+        items.append(_sized(
+            n, f"bipartite/halved-block-n{n}", lambda n=n: halved_block(n)
+        ))
     for n in _odd(ns):
         if n in (3, 5):
             def check(n=n):
@@ -352,6 +359,51 @@ def suite_bipartite(ns: Iterable[int], **_) -> list[CheckItem]:
                 return got == want, f"halved parameters {got}, expected {want}"
             items.append(_sized(n, f"bipartite/halved-params-n{n}", check))
     return items
+
+
+#: Rows of U whose coordinates the lift check lists at once; keeps its
+#: transients near 1 MB where all of U's coordinates at n = 13 took
+#: about 5 MB and M's about 9 MB.
+LIFT_CHECK_ROWS = 512
+
+
+def _all_set(A: BitMatrix, rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether every entry (rows[k], cols[k]) of A is 1."""
+    words = A.words[rows, cols >> 6] >> (cols & 63).astype(np.uint64)
+    return bool((words & np.uint64(1)).all())
+
+
+def halved_block(n: int) -> tuple[bool, str]:
+    """Coordinate by coordinate, the tower matrix M is U from the even
+    to the odd class and U^T back, and U = U^T: M is a coordinate
+    permutation of [[0, U], [U, 0]], which the halved route of
+    ``css.CssCode`` rests on.  Each coordinate (i, j) of U is looked up
+    at (e_i, o_j) and (o_j, e_i) in M and at (j, i) in U; with M holding
+    twice U's ones, the lookups find all of M and all of U.
+    U . U^T = 0 is tested up to n = 9."""
+    M = repetition.matrix(n)
+    U = cayley.halved_matrix(n, repetition.generators(n))
+    evens, odds = cayley.class_vertices(n)
+    lifted = symmetric = True
+    for a in range(0, U.rows, LIFT_CHECK_ROWS):
+        block = U.words[a:a + LIFT_CHECK_ROWS]
+        r, c = BitMatrix(len(block), U.cols, block).nonzero()
+        r += a
+        lifted &= (_all_set(M, evens[r], odds[c])
+                   and _all_set(M, odds[c], evens[r]))
+        symmetric &= _all_set(U, c, r)
+    ones = int(np.bitwise_count(U.words).sum())
+    if not lifted or int(np.bitwise_count(M.words).sum()) != 2 * ones:
+        return False, "M is not the lift of U"
+    if not symmetric:
+        return False, "U != U^T"
+    if n > 9:
+        return True, (
+            "bipartite split exists; U . U^T = 0 checked at n <= 9 only"
+        )
+    if not gf2.is_self_orthogonal(U):
+        return False, "U . U^T != 0"
+    return True, "bipartite split exists and U is self-orthogonal"
 
 
 # -- algebra (three-way self-orthogonality agreement) ------------------

@@ -268,6 +268,8 @@ def test_verify_run_without_checks_exits_2(capsys, suite, n_range):
     ("distance", "11..15", "15"),
     ("recursion", "3..5", "3"),
     ("conjugation", "8..11", "11"),
+    # Only the four size-free reversal checks run here.
+    ("recursion", "12..13", "12, 13"),
 ])
 def test_verify_names_the_sizes_a_suite_skipped(capsys, suite, n_range,
                                                 skipped):
@@ -278,8 +280,9 @@ def test_verify_names_the_sizes_a_suite_skipped(capsys, suite, n_range,
     report = json.loads(out)
     jsonschema.validate(report, SCHEMA)
     assert report["outputs"]["failed"] == 0
-    assert not any(c["name"].endswith(f"-n{skipped}")
-                   for c in report["checks"])
+    for n in skipped.split(", "):
+        assert not any(c["name"].endswith(f"-n{n}")
+                       for c in report["checks"])
 
 
 def test_verify_all_names_skipped_sizes_per_suite(capsys):

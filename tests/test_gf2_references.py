@@ -130,6 +130,24 @@ def test_concat_matches_int_definition(widths, data):
 
 
 @settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 70), WIDTHS, st.integers(0, 2**32 - 1))
+def test_from_nonzero_matches_dense_reference(rows, cols, seed):
+    # from_nonzero wraps the words it builds without a copy.
+    rng = np.random.default_rng(seed)
+    nnz = int(rng.integers(0, 3 * cols))
+    rr = rng.integers(0, max(rows, 1), nnz) if rows else np.zeros(0, int)
+    cc = rng.integers(0, cols, rr.size)
+    dense = np.zeros((rows, cols), dtype=np.uint8)
+    dense[rr, cc] = 1
+    M = BitMatrix.from_nonzero(rows, cols, rr, cc)
+    assert M == BitMatrix.from_dense(dense)
+    assert M.words.shape == (rows, gf2._n_words(cols))
+    assert not M.words.flags.writeable
+    assert not (M.words[:, -1] & ~gf2._pad_mask(cols)).any()
+    assert np.array_equal(M.to_dense(), dense)
+
+
+@settings(max_examples=60, deadline=None, database=None)
 @given(WIDTHS, WIDTHS, st.integers(0, 2**32 - 1))
 def test_mul_vector_matches_dense_product(rows, cols, seed):
     rng = np.random.default_rng(seed)

@@ -221,7 +221,7 @@ ALL_CHECKS_3_TO_13 = sorted(
     [f"algebra/exhaustive-m{m}" for m in (2, 3, 4)]
     + [f"algebra/random-m{m}" for m in (5, 6)]
     + [f"algebra/torus-n{n}" for n in (2, 3, 4)]
-    + [f"bipartite/halved-block-n{n}" for n in (3, 5, 7, 9)]
+    + [f"bipartite/halved-block-n{n}" for n in (3, 5, 7, 9, 11, 13)]
     + [f"bipartite/halved-params-n{n}" for n in (3, 5)]
     + [f"conjugation/n{n}" for n in (3, 5, 7, 9)]
     + ["cover/ball-isomorphism", "cover/collision-beyond-radius",
@@ -250,5 +250,42 @@ def test_verify_all_check_names_are_pinned(monkeypatch, tmp_path):
                      "--out", str(out)])
     assert code == 0
     names = [c["name"] for c in json.loads(out.read_text())["checks"]]
-    assert len(ALL_CHECKS_3_TO_13) == 59
+    assert len(ALL_CHECKS_3_TO_13) == 61
     assert names == ALL_CHECKS_3_TO_13
+
+
+def test_sized_suites_table_matches_the_suites(monkeypatch):
+    # Record each check without running it, over every size verify takes.
+    monkeypatch.setattr(
+        verify, "_run", lambda name, fn: verify.CheckItem(name, True, 0.0)
+    )
+    sized = {}
+    for name in verify.SUITE_NAMES:
+        covered = {c.n for c in verify.run_suite(name, range(3, 17))}
+        covered.discard(None)
+        if covered:
+            sized[name] = any(n % 2 == 0 for n in covered)
+    assert sized == verify.SIZED_SUITES
+
+
+def test_size_free_suites_name_no_skipped_size():
+    items = verify.run_suite("local-sum", [12, 13])
+    assert verify.skipped_sizes("local-sum", items, [12, 13]) == []
+    items = verify.run_suite("recursion", [12, 13])
+    assert verify.skipped_sizes("recursion", items, [12, 13]) == [12, 13]
+
+
+@pytest.mark.parametrize("n", [5, 11])
+def test_halved_block_check_catches_a_broken_block(monkeypatch, n):
+    honest = cayley.halved_matrix
+
+    def flipped(m, S):
+        # One entry moved off U's symmetric pattern.
+        U = honest(m, S)
+        words = U.words.copy()
+        words[0, 0] ^= np.uint64(2)
+        return BitMatrix(U.rows, U.cols, words)
+    monkeypatch.setattr(cayley, "halved_matrix", flipped)
+    ok, detail = verify.halved_block(n)
+    assert not ok and detail == "M is not the lift of U"
+

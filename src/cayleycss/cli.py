@@ -151,7 +151,7 @@ def cmd_params(args, started: float) -> int:
                 "witness_support": report.witness.support(),
             }
         elif args.family == "repetition" and m % 2 == 1:
-            witness = repetition.min_weight_witness(m, code)
+            witness = repetition.min_weight_witness(m)
             upper = css.distance_witness_upper(code, witness)
             if upper.rejected_reason:
                 raise CliError(upper.rejected_reason, EXIT_VERIFICATION)

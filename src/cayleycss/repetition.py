@@ -29,7 +29,9 @@ from .gf2 import BitMatrix, BitVector
 MAX_RECURSIVE_DIMENSION = 11
 
 #: Witness membership checks run up to this n; rank work beyond is not
-#: desk-scale.
+#: desk-scale.  Kept <= cayley.MAX_CACHED_DIMENSION, so the check's
+#: ``build_code(n)`` shares the halved block (and its echelon) that the
+#: caller's code of the same level already eliminated.
 MAX_VERIFIED_DIMENSION = 13
 
 #: Largest n for which a witness (a 2^n-bit word) is built.  On a
@@ -293,15 +295,14 @@ def representative_normal_form(n_total: int, c: BitVector) -> NormalForm:
 BASE_WITNESS_VERTICES = (2, 4)
 
 
-def min_weight_witness(n: int, code: CssCode | None = None) -> BitVector:
+def min_weight_witness(n: int) -> BitVector:
     """A logical word of weight 2^((n-1)/2), built recursively.
 
     The base is the fixed weight-2 word at vertex positions 2 and 4;
     each step places (0, 0, J w, w) so the block kernel conditions hold
     with d1 = w and d2 = J w.  Kernel and non-image membership are
-    verified up to n = 13, at level n against ``code`` when given (so a
-    caller's code and its eliminated block serve the check) and
-    against ``build_code`` otherwise.
+    verified up to n = MAX_VERIFIED_DIMENSION against ``build_code(n)``,
+    whose halved block is shared through the cayley cache there.
     """
     if n % 2 == 0:
         raise ValueError("witnesses exist for odd n only")
@@ -318,9 +319,7 @@ def min_weight_witness(n: int, code: CssCode | None = None) -> BitVector:
         zero = BitVector.zeros(prev.length)
         w = QuadSplit((zero, zero, reversal(prev), prev)).join()
     if n <= MAX_VERIFIED_DIMENSION:
-        if code is None:
-            code = build_code(n)
-        cls = css_mod.classify_word(code, w)
+        cls = css_mod.classify_word(build_code(n), w)
         if cls is css_mod.WordClass.NOT_IN_DUAL:
             raise AssertionError("witness escaped the kernel")
         if cls is css_mod.WordClass.STABILIZER:

@@ -190,18 +190,17 @@ def test_codes_from_a_matrix_never_build_the_halved_block(halved_calls):
     code = css.css_from_matrix(repetition.matrix(7))
     assert code.halved is None
     assert code.K == repetition.parameters(7)[1]
-    w = repetition.min_weight_witness(7, repetition.build_code(7))
+    w = repetition.min_weight_witness(7)
     halved_calls.clear()
     assert css.classify_word(code, w) is WordClass.LOGICAL
     assert halved_calls == []
 
 
-def test_params_above_the_cache_eliminates_the_halved_block_once(
-    monkeypatch, capsys
-):
-    # Above MAX_CACHED_DIMENSION every halved block is built afresh, so
-    # only the code holding U keeps its echelon between rank calls.
-    monkeypatch.setattr(cayley, "MAX_CACHED_DIMENSION", 7)
+def test_params_eliminates_the_halved_block_once(monkeypatch):
+    # The CLI's code and the witness check's build_code(9) share one
+    # cached U, so its echelon is computed once and M's never.
+    cayley._adjacency.cache_clear()
+    cayley._halved.cache_clear()
     shapes = []
     real = gf2._eliminate
 
@@ -212,6 +211,10 @@ def test_params_above_the_cache_eliminates_the_halved_block_once(
     assert cli.main(["params", "--family", "repetition", "--n", "9"]) == 0
     assert shapes.count((256, 4)) == 1  # U at n = 9
     assert not any(rows == 512 for rows, _ in shapes)  # M at n = 9
+
+
+def test_witness_checks_stay_within_the_cached_sizes():
+    assert repetition.MAX_VERIFIED_DIMENSION <= cayley.MAX_CACHED_DIMENSION
 
 
 def test_split_classes_indexes_each_class_by_v_shift_1():

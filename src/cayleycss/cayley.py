@@ -18,19 +18,25 @@ from typing import Iterable
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVector, int_echelon
+from .gf2 import BitMatrix, BitVector
 
 #: Largest group dimension for which we materialize 2^m x 2^m matrices
 #: (m = 16 means a 512 MB bit matrix).
 MAX_MATERIALIZED_DIMENSION = 16
 
 #: Adjacency matrices, and separately halved blocks, kept per process,
-#: least recently used dropped first.  Holds every tower level of a
-#: ``verify --suite all`` run, so each matrix, with its echelon and
-#: solver caches, is built once.  An adjacency entry at m = 13 holds up
-#: to about 20 MB (8 MB matrix, 4 MB echelon, 8 MB solver) and a halved
-#: one a quarter of that (2 MB block, 1 MB echelon, 2 MB solver), so
-#: the two full caches stay near 0.3 and 0.08 GB.
+#: least recently used dropped first.  The halved blocks carry every
+#: bipartite ``css.build_css`` code, so ``params`` and ``witness`` of
+#: the tower share one U with its echelon and never build M.  The
+#: adjacency entries serve the ``verify`` suites that read the tower
+#: matrix M itself (recursion, conjugation, normal forms, the
+#: recursive kernel basis and the M <-> U interleaving), codes with an
+#: even-weight generator, and ``build``: every level of a
+#: ``verify --suite all`` run is built once.  An adjacency entry at
+#: m = 13 holds up to about 20 MB (8 MB matrix, 4 MB echelon, 8 MB
+#: solver) and a halved one a quarter of that (2 MB block, 1 MB
+#: echelon, 2 MB solver), so the two full caches stay near 0.3 and
+#: 0.08 GB.
 ADJACENCY_CACHE_SIZE = 16
 
 #: Largest m whose adjacency matrices and halved blocks are cached.
@@ -99,10 +105,6 @@ class GeneratorSet:
         if name.endswith("'"):
             return cls.canonical_with_all_ones(n)
         return cls.canonical(n)
-
-    def spans(self) -> bool:
-        """Whether the generators span F_2^m (graph connectivity)."""
-        return len(int_echelon(self.elements)) == self.m
 
     def as_strings(self) -> list[str]:
         return [format_small_word(s, self.m) for s in self.elements]
@@ -343,13 +345,6 @@ def class_vertices(m: int) -> tuple[np.ndarray, np.ndarray]:
     return v[~odd], v[odd]
 
 
-def split_classes(v: BitVector) -> tuple[BitVector, BitVector]:
-    """The even-class and odd-class parts of a 2^m-bit word, each
-    indexed by v >> 1 as the halved block is."""
-    evens, odds = class_vertices(v.length.bit_length() - 1)
-    return v.take(evens), v.take(odds)
-
-
 def halved_matrix(m: int, S: GeneratorSet) -> BitMatrix:
     """The biadjacency block U of a bipartite Cayley graph.
 
@@ -359,6 +354,8 @@ def halved_matrix(m: int, S: GeneratorSet) -> BitMatrix:
     e_i + (e_j + 1) = e_j + (e_i + 1).  Shared per (m, S) up to
     MAX_CACHED_DIMENSION, as ``adjacency_matrix`` is.
     """
+    if S.m != m:
+        raise ValueError("generator set does not live in F_2^m")
     if not is_bipartite(S):
         raise ValueError("graph is not bipartite by weight parity")
     if m > MAX_CACHED_DIMENSION:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+import numpy as np
+
 from . import gf2
 from .cayley import (
     BigWord,
@@ -22,9 +24,9 @@ from .cayley import (
     adjacency_matrix,
     ball,
     check_self_orthogonal_combinatorial,
+    class_vertices,
     halved_matrix,
     is_bipartite,
-    split_classes,
 )
 from .gf2 import BitMatrix, BitVector
 
@@ -46,52 +48,60 @@ class WordClass(enum.Enum):
     LOGICAL = "logical"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CssCode:
-    """A CSS code with cached rank and kernel basis.
+    """A CSS code of length N held as a direct sum of blocks.
 
-    The stabilizer matrix satisfies H . H^T = 0, so its row space sits
-    inside its kernel and K = N - 2 rank.
+    Block (B, pos) is the CSS code of the check matrix B, with
+    B . B^T = 0, placed on the coordinates ``pos`` of the code (None:
+    all N of them); the positions of the blocks partition the
+    coordinates.  So rank and kernel are the sums of the blocks', and a
+    word lies in the kernel or the row space exactly when each block's
+    part does.  Elimination caches live on the block matrices.
 
-    When every generator has odd weight the Cayley graph is bipartite,
-    and up to a permutation of coordinates H is [[0, U], [U, 0]] with U
-    the symmetric block ``halved``, a quarter of H's size.  Then
-    rank H = 2 rank U, and a word lies in ker H or in the row space of
-    H exactly when its even-class and odd-class parts both do for U;
-    ``rank`` and ``classify_word`` eliminate U instead of H.  The
-    kernel basis and the exact distance stay on H.
+    ``build_css`` gives a bipartite Cayley code, every generator of odd
+    weight, the blocks (U, evens) and (U, odds), with U the halved block
+    and evens, odds the weight-parity classes.  Up to a permutation of
+    coordinates its adjacency matrix M is [[0, U], [U^T, 0]]: the rows
+    of odd vertices read U^T on the even class, and that is U because
+    U = U^T (see ``cayley.halved_matrix``).  M itself is never built.
+    Every other code is the single block (H, None).
     """
 
-    matrix: BitMatrix
+    N: int
+    blocks: tuple[tuple[BitMatrix, Optional[np.ndarray]], ...]
     m: Optional[int] = None
     generators: Optional[GeneratorSet] = None
 
     @property
-    def N(self) -> int:
-        return self.matrix.cols
-
-    @cached_property
-    def halved(self) -> Optional[BitMatrix]:
-        """The block U of a bipartite code, held with its echelon for
-        the code's lifetime; None when some generator has even weight or
-        the code has no generator set."""
-        if self.generators is None or not is_bipartite(self.generators):
-            return None
-        return halved_matrix(self.m, self.generators)
-
-    @property
     def rank(self) -> int:
-        if self.halved is None:
-            return gf2.rank(self.matrix)
-        return 2 * gf2.rank(self.halved)
+        return sum(gf2.rank(B) for B, _ in self.blocks)
 
     @property
     def K(self) -> int:
         return self.N - 2 * self.rank
 
+    def _lift(self, v: BitVector, pos: Optional[np.ndarray]) -> BitVector:
+        """A word of a block, placed on the code's coordinates."""
+        return v if pos is None else BitVector.from_support(
+            self.N, pos[v.support()]
+        )
+
+    @property
+    def rows(self) -> list[BitVector]:
+        """The rows of every block, placed on the code's coordinates:
+        the rows of the code's check matrix, in some order."""
+        return [
+            self._lift(B.row(i), pos)
+            for B, pos in self.blocks for i in range(B.rows)
+        ]
+
     @cached_property
     def kernel(self) -> tuple[BitVector, ...]:
-        return tuple(gf2.kernel_basis(self.matrix))
+        return tuple(
+            self._lift(v, pos)
+            for B, pos in self.blocks for v in gf2.kernel_basis(B)
+        )
 
     @property
     def is_trivial(self) -> bool:
@@ -109,14 +119,19 @@ def build_css(m: int, S: GeneratorSet) -> CssCode:
     """
     if not check_self_orthogonal_combinatorial(m, S.elements):
         raise SelfOrthogonalityError("odd size")
-    return CssCode(adjacency_matrix(m, S), m=m, generators=S)
+    if is_bipartite(S):
+        U = halved_matrix(m, S)
+        blocks = tuple((U, pos) for pos in class_vertices(m))
+    else:
+        blocks = ((adjacency_matrix(m, S), None),)
+    return CssCode(1 << m, blocks, m=m, generators=S)
 
 
 def css_from_matrix(H: BitMatrix) -> CssCode:
     """CSS code from an explicit self-orthogonal square matrix."""
     if not gf2.is_self_orthogonal(H):
         raise SelfOrthogonalityError("H . H^T != 0")
-    return CssCode(H)
+    return CssCode(H.cols, ((H, None),))
 
 
 @dataclass(frozen=True)
@@ -133,10 +148,6 @@ class DistanceReport:
     witness: Optional[BitVector] = None
     trivial: bool = False
     rejected_reason: Optional[str] = None
-
-    @property
-    def accepted(self) -> bool:
-        return self.rejected_reason is None and not self.trivial
 
 
 def distance_exact(
@@ -156,9 +167,8 @@ def distance_exact(
     dim = code.N - code.rank
     if dim > budget:
         raise gf2.DimensionBudgetError(dim, budget)
-    rows = [code.matrix.row(i) for i in range(code.matrix.rows)]
     weight, witness = gf2.min_weight_in_span_minus_subspace(
-        list(code.kernel), rows, budget
+        list(code.kernel), code.rows, budget
     )
     return DistanceReport(method="exact", value=weight, witness=witness)
 
@@ -193,18 +203,16 @@ def distance_lower_bound_theorem(n: int, d: int) -> int:
 
 
 def classify_word(code: CssCode, w: BigWord | BitVector) -> WordClass:
-    """Three-way classification by the two membership tests, on both
-    class parts against U for a bipartite code (see CssCode)."""
+    """Three-way classification by the two membership tests, run on
+    each block's part of the word (see CssCode)."""
     vec = w.bits if isinstance(w, BigWord) else w
     if vec.length != code.N:
         raise ValueError(f"word length {vec.length} != code length {code.N}")
-    if code.halved is None:
-        H, parts = code.matrix, (vec,)
-    else:
-        H, parts = code.halved, split_classes(vec)
-    if any(not H.mul_vector(p).is_zero() for p in parts):
+    parts = [(B, vec if pos is None else vec.take(pos))
+             for B, pos in code.blocks]
+    if any(not B.mul_vector(p).is_zero() for B, p in parts):
         return WordClass.NOT_IN_DUAL
-    if all(gf2.in_row_space(H, p) for p in parts):
+    if all(gf2.in_row_space(B, p) for B, p in parts):
         return WordClass.STABILIZER
     return WordClass.LOGICAL
 

@@ -133,10 +133,6 @@ class BitVector:
         return cls._wrap(length, np.frombuffer(buf, dtype=np.uint64))
 
     @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BitVector":
-        return cls.from_support(len(bits), [i for i, b in enumerate(bits) if b])
-
-    @classmethod
     def concat(cls, parts: Sequence["BitVector"]) -> "BitVector":
         length = sum(p.length for p in parts)
         bits = [np.zeros(0, np.uint8)]
@@ -180,10 +176,6 @@ class BitVector:
         """Bit reversal: position p maps to length-1-p."""
         bits = _unpack(self.words, self.length)[::-1]
         return BitVector._wrap(self.length, _pack(bits, self.length))
-
-    def packed_bytes(self) -> bytes:
-        """The first ceil(length/8) bytes of the little-endian payload."""
-        return self.words.tobytes()[: (self.length + 7) // 8]
 
     # -- algebra -------------------------------------------------------
 

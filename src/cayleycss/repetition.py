@@ -21,7 +21,7 @@ import numpy as np
 
 from . import css as css_mod
 from . import gf2
-from .cayley import GeneratorSet, SizeGuardError, adjacency_matrix, halved_matrix
+from .cayley import GeneratorSet, SizeGuardError, adjacency_matrix
 from .css import CssCode
 from .gf2 import BitMatrix, BitVector
 
@@ -336,17 +336,4 @@ def build_code(n: int) -> CssCode:
     """The CSS code of the level-n tower matrix (n odd)."""
     if n % 2 == 0:
         raise ValueError("the generator count n + 1 must be even")
-    return CssCode(matrix(n), m=n, generators=generators(n))
-
-
-def halved_repetition_code(n: int) -> CssCode:
-    """The even-vertex half of the bipartite tower graph.
-
-    Both generators classes have odd weight for odd n, so the graph
-    splits; the biadjacency block is itself self-orthogonal and gives a
-    code of half the length with the same rate and distance.
-    """
-    if n % 2 == 0:
-        raise ValueError("the split needs odd-weight generators (odd n)")
-    U = halved_matrix(n, generators(n))
-    return css_mod.css_from_matrix(U)
+    return css_mod.build_css(n, generators(n))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, BitVector, DimensionBudgetError, gray_span
+from .gf2 import BitMatrix, DimensionBudgetError, gray_span
 from .cayley import format_small_word
 
 #: Exhaustive minimum-distance searches refuse dimensions above this.
@@ -37,18 +37,9 @@ class ClassicalCode:
     def length(self) -> int:
         return self.parity_check.cols
 
-    def syndrome(self, x: int) -> int:
-        """M(W) . x^T for a word x of F_2^(m+w), as a small-word int."""
-        v = BitVector.from_int(self.length, x)
-        return self.parity_check.mul_vector(v).to_int()
-
     def codeword_basis(self) -> list[int]:
         """Basis of the codeword space as integers, one per W element."""
         return [w | (1 << (self.m + j)) for j, w in enumerate(self.W)]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.codeword_basis())
 
 
 def build_parity_check(m: int, W: tuple[int, ...] | list[int]) -> ClassicalCode:

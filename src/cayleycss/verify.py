@@ -351,7 +351,9 @@ def suite_bipartite(ns: Iterable[int], **_) -> list[CheckItem]:
     for n in _odd(ns):
         if n in (3, 5):
             def check(n=n):
-                code = repetition.halved_repetition_code(n)
+                code = css.css_from_matrix(
+                    cayley.halved_matrix(n, repetition.generators(n))
+                )
                 N, K, D = repetition.parameters(n)
                 want = (N // 2, K // 2, D)
                 report = css.distance_exact(code)
@@ -376,10 +378,11 @@ def _all_set(A: BitMatrix, rows: np.ndarray, cols: np.ndarray) -> bool:
 def halved_block(n: int) -> tuple[bool, str]:
     """Coordinate by coordinate, the tower matrix M is U from the even
     to the odd class and U^T back, and U = U^T: M is a coordinate
-    permutation of [[0, U], [U, 0]], which the halved route of
-    ``css.CssCode`` rests on.  Each coordinate (i, j) of U is looked up
-    at (e_i, o_j) and (o_j, e_i) in M and at (j, i) in U; with M holding
-    twice U's ones, the lookups find all of M and all of U.
+    permutation of [[0, U], [U, 0]], which the two blocks of a
+    bipartite ``css.CssCode`` rest on.  Each coordinate (i, j) of U is
+    looked up at (e_i, o_j) and (o_j, e_i) in M and at (j, i) in U;
+    with M holding twice U's ones, the lookups find all of M and all of
+    U.
     U . U^T = 0 is tested up to n = 9."""
     M = repetition.matrix(n)
     U = cayley.halved_matrix(n, repetition.generators(n))

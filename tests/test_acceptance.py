@@ -93,7 +93,7 @@ def test_05_verified_witnesses_where_exact_search_is_out_of_reach():
         assert w.weight == 1 << ((n - 1) // 2)
         code = repetition.build_code(n)
         report = css.distance_witness_upper(code, BigWord(n, w))
-        assert report.accepted and report.upper == w.weight
+        assert report.rejected_reason is None and report.upper == w.weight
 
 
 def test_06_block_recursion_and_reversal_identities():
@@ -179,7 +179,9 @@ def test_10_self_orthogonality_three_way_agreement():
 
 def test_11_halved_codes():
     for n, params in ((3, (4, 2, 2)), (5, (16, 4, 4))):
-        code = repetition.halved_repetition_code(n)
+        code = css.css_from_matrix(
+            cayley.halved_matrix(n, repetition.generators(n))
+        )
         report = css.distance_exact(code)
         assert (code.N, code.K, report.value) == params
         assert code.N == 1 << (n - 1)

@@ -32,6 +32,13 @@ def test_build_css_rejects_odd_generator_count():
         build_css(3, GeneratorSet(3, (1, 2, 4)))
 
 
+@pytest.mark.parametrize("elements", [(1, 2), (1, 3)])
+def test_build_css_rejects_a_set_of_another_group(elements):
+    # (1, 2) is bipartite and takes the halved block, (1, 3) is not.
+    with pytest.raises(ValueError, match="does not live in F_2"):
+        build_css(3, GeneratorSet(2, elements))
+
+
 def test_css_from_matrix_rejects_non_orthogonal():
     M = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     with pytest.raises(SelfOrthogonalityError):
@@ -62,7 +69,8 @@ def test_distance_exact_budget():
 
 def test_classify_word_three_ways():
     code = build_css(3, GeneratorSet.named("S3'"))
-    assert classify_word(code, code.matrix.row(0)) is WordClass.STABILIZER
+    M = adjacency_matrix(3, GeneratorSet.named("S3'"))
+    assert classify_word(code, M.row(0)) is WordClass.STABILIZER
     assert (
         classify_word(code, BitVector.from_support(8, [0]))
         is WordClass.NOT_IN_DUAL
@@ -76,14 +84,15 @@ def test_classify_word_three_ways():
 def test_witness_upper_report():
     code = build_css(3, GeneratorSet.named("S3'"))
     good = distance_witness_upper(code, BitVector.from_support(8, [2, 4]))
-    assert good.accepted and good.upper == 2
+    assert good.rejected_reason is None and good.upper == 2
 
-    stab = distance_witness_upper(code, code.matrix.row(0))
-    assert not stab.accepted
+    M = adjacency_matrix(3, GeneratorSet.named("S3'"))
+    stab = distance_witness_upper(code, M.row(0))
+    assert stab.upper is None
     assert "row space" in stab.rejected_reason
 
     junk = distance_witness_upper(code, BitVector.from_support(8, [0]))
-    assert not junk.accepted
+    assert junk.upper is None
     assert "kernel" in junk.rejected_reason
 
 

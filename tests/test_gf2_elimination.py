@@ -141,7 +141,9 @@ def matrices(draw):
 
 
 def vector(rng, length) -> BitVector:
-    return BitVector.from_bits(rng.integers(0, 2, length).tolist())
+    return BitVector.from_support(
+        length, np.flatnonzero(rng.integers(0, 2, length))
+    )
 
 
 # -- properties ------------------------------------------------------------

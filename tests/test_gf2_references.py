@@ -154,7 +154,7 @@ def test_mul_vector_matches_dense_product(rows, cols, seed):
     dense = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
     x = rng.integers(0, 2, cols)
     M = BitMatrix.from_dense(np.asfortranarray(dense))
-    got = M.mul_vector(BitVector.from_bits(x.tolist()))
+    got = M.mul_vector(BitVector.from_support(cols, np.flatnonzero(x)))
     assert got.to_int() == sum(
         1 << i for i, b in enumerate(dense.astype(np.int64) @ x % 2) if b
     )

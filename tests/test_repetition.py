@@ -116,14 +116,19 @@ def test_kernel_dimension_formula():
 
 
 def test_tower_matrix_is_shared_and_eliminated_once():
-    cayley._adjacency.cache_clear()
+    # The tower code's check matrix is the halved block U, one cached
+    # object for both blocks and for every code of the same level.
+    cayley._halved.cache_clear()
     n = 7
     code = css.build_css(n, repetition.generators(n))
-    assert code.matrix is matrix(n)
-    assert matrix(n)._ech is None
-    gf2.rank(code.matrix)
-    assert matrix(n)._ech is not None
-    assert gf2._echelon(matrix(n)) is gf2._echelon(code.matrix)
+    U = cayley.halved_matrix(n, repetition.generators(n))
+    assert [B is U for B, _ in code.blocks] == [True, True]
+    assert U._ech is None
+    assert code.rank == 2 * gf2.rank(U)
+    echelon = U._ech
+    assert echelon is not None
+    assert repetition.build_code(n).rank == code.rank
+    assert U._ech is echelon
 
 
 # -- image parametrization and normal forms --------------------------------
@@ -225,6 +230,8 @@ def test_theorem_report_bounded_regime():
 
 @pytest.mark.parametrize("n,params", [(3, (4, 2, 2)), (5, (16, 4, 4))])
 def test_halved_code_parameters(n, params):
-    code = repetition.halved_repetition_code(n)
+    code = css.css_from_matrix(
+        cayley.halved_matrix(n, repetition.generators(n))
+    )
     d = css.distance_exact(code)
     assert (code.N, code.K, d.value) == params

@@ -61,7 +61,10 @@ def oracle_bin(M: BitMatrix) -> bytes:
     header = formats._BIN_HEADER.pack(
         formats.BIN_MAGIC, formats.BIN_VERSION, 0, M.rows, M.cols
     )
-    return header + b"".join(M.row(i).packed_bytes() for i in range(M.rows))
+    size = (M.cols + 7) // 8
+    return header + b"".join(
+        M.row(i).words.tobytes()[:size] for i in range(M.rows)
+    )
 
 
 def oracle_json(M: BitMatrix) -> str:

@@ -10,7 +10,6 @@ the repetition-code tower family.
 __version__ = "0.1.0"
 
 from .cayley import (  # noqa: F401
-    BigWord,
     CyclicProductGroup,
     GeneratorSet,
     SizeGuardError,

@@ -2,8 +2,9 @@
 
 Vertices of F_2^m are encoded as unsigned integers with coordinate x_i
 at bit position i-1 (so e_i corresponds to 2^(i-1)).  A subset of the
-vertex set ("big word") is a BitVector of length 2^m whose position p
-stands for the vertex with integer value p.  Under this indexing the
+vertex set is a plain BitVector of length 2^m whose position p stands
+for the vertex with integer value p; "big word" names this convention,
+and ``sphere`` and ``ball`` return such vectors.  Under this indexing the
 coordinate added when passing from F_2^n to F_2^(n+1) is the most
 significant bit, which makes the block recursion of the repetition
 family hold literally.
@@ -29,10 +30,10 @@ MAX_MATERIALIZED_DIMENSION = 16
 #: bipartite ``css.build_css`` code, so ``params`` and ``witness`` of
 #: the tower share one U with its echelon and never build M.  The
 #: adjacency entries serve the ``verify`` suites that read the tower
-#: matrix M itself (recursion, conjugation, normal forms, the
-#: recursive kernel basis and the M <-> U interleaving), codes with an
-#: even-weight generator, and ``build``: every level of a
-#: ``verify --suite all`` run is built once.  An adjacency entry at
+#: matrix M itself (recursion, conjugation, normal forms and the
+#: recursive kernel basis, all at n <= 11), codes with an even-weight
+#: generator, and ``build``: every level of a ``verify --suite all``
+#: run is built once.  An adjacency entry at
 #: m = 13 holds up to about 20 MB (8 MB matrix, 4 MB echelon, 8 MB
 #: solver) and a halved one a quarter of that (2 MB block, 1 MB
 #: echelon, 2 MB solver), so the two full caches stay near 0.3 and
@@ -110,53 +111,16 @@ class GeneratorSet:
         return [format_small_word(s, self.m) for s in self.elements]
 
 
-@dataclass(frozen=True)
-class BigWord:
-    """A subset of the vertex set of F_2^m, one bit per vertex."""
-
-    m: int
-    bits: BitVector
-
-    def __post_init__(self):
-        if self.bits.length != 1 << self.m:
-            raise ValueError(
-                f"big word over F_2^{self.m} must have length {1 << self.m}"
-            )
-
-    @classmethod
-    def from_vertices(cls, m: int, vertices: Iterable[int]) -> "BigWord":
-        return cls(m, BitVector.from_support(1 << m, vertices))
-
-    @classmethod
-    def empty(cls, m: int) -> "BigWord":
-        return cls(m, BitVector.zeros(1 << m))
-
-    def vertices(self) -> list[int]:
-        return self.bits.support()
-
-    @property
-    def weight(self) -> int:
-        return self.bits.weight
-
-    def __contains__(self, vertex: int) -> bool:
-        return bool(self.bits.bit(vertex))
-
-    def __xor__(self, other: "BigWord") -> "BigWord":
-        if self.m != other.m:
-            raise ValueError("big words over different groups")
-        return BigWord(self.m, self.bits ^ other.bits)
-
-
-def sphere(m: int, S: GeneratorSet, x: int) -> BigWord:
+def sphere(m: int, S: GeneratorSet, x: int) -> BitVector:
     """The radius-1 sphere around x: the set {x + s : s in S}."""
     if S.m != m:
         raise ValueError("generator set does not live in F_2^m")
     if not 0 <= x < (1 << m):
         raise ValueError(f"vertex {x} outside F_2^{m}")
-    return BigWord.from_vertices(m, (x ^ s for s in S.elements))
+    return BitVector.from_support(1 << m, [x ^ s for s in S.elements])
 
 
-def ball(m: int, S: GeneratorSet, x: int, r: int) -> BigWord:
+def ball(m: int, S: GeneratorSet, x: int, r: int) -> BitVector:
     """BFS closure of {x} to graph distance <= r."""
     if not 0 <= x < (1 << m):
         raise ValueError(f"vertex {x} outside F_2^{m}")
@@ -173,7 +137,7 @@ def ball(m: int, S: GeneratorSet, x: int, r: int) -> BigWord:
         frontier = nxt
         if not frontier:
             break
-    return BigWord.from_vertices(m, seen)
+    return BitVector.from_support(1 << m, seen)
 
 
 def adjacency_matrix(m: int, S: GeneratorSet) -> BitMatrix:

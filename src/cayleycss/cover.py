@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .cayley import BigWord, GeneratorSet, ball, sphere
-from .gf2 import int_echelon, int_reduce
+from .cayley import GeneratorSet, ball, sphere
+from .gf2 import BitVector, int_echelon, int_reduce
 from .smallcode import ClassicalCode, enumerate_codewords, min_distance
 
 
@@ -60,6 +60,8 @@ class CoverMap:
         self.m = code.m
         self.n = code.length
         self.columns = tuple(1 << i for i in range(code.m)) + code.W
+        self._domain = GeneratorSet.canonical(self.n)
+        self._target = GeneratorSet(self.m, self.columns)
 
     @cached_property
     def codewords(self) -> tuple[int, ...]:
@@ -79,10 +81,10 @@ class CoverMap:
         return (self.classical_distance - 2) // 2
 
     def domain_generators(self) -> GeneratorSet:
-        return GeneratorSet.canonical(self.n)
+        return self._domain
 
     def target_generators(self) -> GeneratorSet:
-        return GeneratorSet(self.m, self.columns)
+        return self._target
 
     def project(self, x: int) -> int:
         """Group homomorphism F_2^(m+w) -> F_2^m via the columns."""
@@ -114,7 +116,7 @@ def certify_ball_isomorphism(
     Returns the lexicographically first collision pair on failure.
     """
     dom = cm.domain_generators()
-    domain_ball = sorted(ball(cm.n, dom, center, r).vertices())
+    domain_ball = ball(cm.n, dom, center, r).support()
     images: dict[int, int] = {}
     for v in domain_ball:
         img = cm.project(v)
@@ -124,7 +126,7 @@ def certify_ball_isomorphism(
             )
         images[img] = v
     target_ball = set(
-        ball(cm.m, cm.target_generators(), cm.project(center), r).vertices()
+        ball(cm.m, cm.target_generators(), cm.project(center), r).support()
     )
     if set(images) != target_ball:
         # Surjectivity cannot fail for a covering map with injective
@@ -150,11 +152,11 @@ def certify_ball_isomorphism(
 
 
 def lift_ball_word(
-    cm: CoverMap, c: BigWord, center: int, r: int
-) -> BigWord:
+    cm: CoverMap, c: BitVector, center: int, r: int
+) -> BitVector:
     """The unique preimage of a ball-supported word under the ball
     isomorphism; projecting it back gives c pointwise."""
-    if c.m != cm.m:
+    if c.length != 1 << cm.m:
         raise ValueError("word does not live in the cover target")
     if r > cm.safe_radius:
         raise RadiusTooLargeError(
@@ -163,9 +165,9 @@ def lift_ball_word(
     # center is a target vertex; it is its own canonical fiber point
     # because the identity columns come first.
     target_ball = set(
-        ball(cm.m, cm.target_generators(), center, r).vertices()
+        ball(cm.m, cm.target_generators(), center, r).support()
     )
-    outside = [v for v in c.vertices() if v not in target_ball]
+    outside = [v for v in c.support() if v not in target_ball]
     if outside:
         raise SupportEscapesBallError(
             f"support vertex {outside[0]} escapes the radius-{r} ball"
@@ -177,21 +179,23 @@ def lift_ball_word(
         )
     dom = cm.domain_generators()
     inverse = {
-        cm.project(v): v for v in ball(cm.n, dom, center, r).vertices()
+        cm.project(v): v for v in ball(cm.n, dom, center, r).support()
     }
-    return BigWord.from_vertices(cm.n, (inverse[v] for v in c.vertices()))
+    return BitVector.from_support(
+        1 << cm.n, [inverse[v] for v in c.support()]
+    )
 
 
 def sphere_orthogonality_profile(
-    m: int, S: GeneratorSet, c: BigWord
+    m: int, S: GeneratorSet, c: BitVector
 ) -> list[int]:
     """All centers x whose radius-1 sphere meets c an odd number of
     times; empty iff c is orthogonal to every adjacency row."""
-    return [x for x in range(1 << m) if c.bits.dot(sphere(m, S, x).bits)]
+    return [x for x in range(1 << m) if c.dot(sphere(m, S, x))]
 
 
 def decompose_as_sphere_sum(
-    m: int, c: BigWord, center: int, r: int
+    m: int, c: BitVector, center: int, r: int
 ) -> Optional[set[int]]:
     """Decompose a hypercube codeword supported in a ball as a XOR of
     radius-1 spheres contained in that ball.
@@ -202,15 +206,17 @@ def decompose_as_sphere_sum(
     """
     if m % 2:
         raise ValueError("the hypercube construction needs even dimension")
+    if c.length != 1 << m:
+        raise ValueError(f"word does not live in F_2^{m}")
     if not r < m:
         raise ValueError("radius must be smaller than the dimension")
     outer, candidates, basis = _sphere_system(m, center, r)
-    outside = [v for v in c.vertices() if v not in outer]
+    outside = [v for v in c.support() if v not in outer]
     if outside:
         raise SupportEscapesBallError(
             f"support vertex {outside[0]} escapes the radius-{r} ball"
         )
-    residual, mask = int_reduce(basis, c.bits.to_int())
+    residual, mask = int_reduce(basis, c.to_int())
     if residual:
         return None
     return {t for i, t in enumerate(candidates) if mask >> i & 1}
@@ -224,7 +230,7 @@ def _sphere_system(
     inside it (the radius r-1 ball, sorted) and the echelon basis of
     those spheres; shared by every word decomposed in that ball."""
     S = GeneratorSet.canonical(m)
-    outer = frozenset(ball(m, S, center, r).vertices())
-    candidates = tuple(sorted(ball(m, S, center, max(r - 1, 0)).vertices()))
-    basis = int_echelon(sphere(m, S, t).bits.to_int() for t in candidates)
+    outer = frozenset(ball(m, S, center, r).support())
+    candidates = tuple(ball(m, S, center, max(r - 1, 0)).support())
+    basis = int_echelon(sphere(m, S, t).to_int() for t in candidates)
     return outer, candidates, tuple(basis)

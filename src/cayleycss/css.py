@@ -19,7 +19,6 @@ import numpy as np
 
 from . import gf2
 from .cayley import (
-    BigWord,
     GeneratorSet,
     adjacency_matrix,
     ball,
@@ -173,10 +172,9 @@ def distance_exact(
     return DistanceReport(method="exact", value=weight, witness=witness)
 
 
-def distance_witness_upper(code: CssCode, w: BigWord | BitVector) -> DistanceReport:
+def distance_witness_upper(code: CssCode, w: BitVector) -> DistanceReport:
     """Validate an externally supplied logical word as an upper bound."""
-    vec = w.bits if isinstance(w, BigWord) else w
-    cls = classify_word(code, vec)
+    cls = classify_word(code, w)
     if cls is WordClass.NOT_IN_DUAL:
         return DistanceReport(
             method="witness-upper",
@@ -187,9 +185,7 @@ def distance_witness_upper(code: CssCode, w: BigWord | BitVector) -> DistanceRep
             method="witness-upper",
             rejected_reason="witness lies in the row space",
         )
-    return DistanceReport(
-        method="witness-upper", upper=vec.weight, witness=vec
-    )
+    return DistanceReport(method="witness-upper", upper=w.weight, witness=w)
 
 
 def distance_lower_bound_theorem(n: int, d: int) -> int:
@@ -202,13 +198,12 @@ def distance_lower_bound_theorem(n: int, d: int) -> int:
     return math.ceil(d * n * n / 640)
 
 
-def classify_word(code: CssCode, w: BigWord | BitVector) -> WordClass:
+def classify_word(code: CssCode, w: BitVector) -> WordClass:
     """Three-way classification by the two membership tests, run on
     each block's part of the word (see CssCode)."""
-    vec = w.bits if isinstance(w, BigWord) else w
-    if vec.length != code.N:
-        raise ValueError(f"word length {vec.length} != code length {code.N}")
-    parts = [(B, vec if pos is None else vec.take(pos))
+    if w.length != code.N:
+        raise ValueError(f"word length {w.length} != code length {code.N}")
+    parts = [(B, w if pos is None else w.take(pos))
              for B, pos in code.blocks]
     if any(not B.mul_vector(p).is_zero() for B, p in parts):
         return WordClass.NOT_IN_DUAL
@@ -236,7 +231,7 @@ class BallWeightReport:
 
 
 def ball_weight_check(
-    code: CssCode, w: BigWord, n_classical: int
+    code: CssCode, w: BitVector, n_classical: int
 ) -> BallWeightReport:
     """Check |w intersect B(x, 4)| >= ceil(n^2/32) at every x in the
     support of w, using the code's own Cayley graph.
@@ -247,8 +242,8 @@ def ball_weight_check(
     if code.m is None or code.generators is None:
         raise ValueError("ball weights need a graph-backed CSS code")
     threshold = math.ceil(n_classical * n_classical / 32)
-    near = set(ball(code.m, code.generators, 0, 4).vertices())
-    support = w.vertices()
+    near = set(ball(code.m, code.generators, 0, 4).support())
+    support = w.support()
     margins = {
         x: sum(x ^ v in near for v in support) - threshold for x in support
     }

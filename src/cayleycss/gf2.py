@@ -244,10 +244,6 @@ class BitMatrix:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, np.zeros((rows, _n_words(cols)), dtype=np.uint64))
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         i = np.arange(n)
         return cls.from_nonzero(n, n, i, i)

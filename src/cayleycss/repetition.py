@@ -21,7 +21,12 @@ import numpy as np
 
 from . import css as css_mod
 from . import gf2
-from .cayley import GeneratorSet, SizeGuardError, adjacency_matrix
+from .cayley import (
+    GeneratorSet,
+    SizeGuardError,
+    adjacency_matrix,
+    halved_matrix,
+)
 from .css import CssCode
 from .gf2 import BitMatrix, BitVector
 
@@ -58,6 +63,12 @@ def matrix(n: int) -> BitMatrix:
     """The adjacency matrix for basis-plus-all-ones generators, shared
     with every other caller asking for the same (n, S)."""
     return adjacency_matrix(n, generators(n))
+
+
+def halved(n: int) -> BitMatrix:
+    """The halved block U of the level-n tower (every generator has odd
+    weight), shared as ``matrix`` is."""
+    return halved_matrix(n, generators(n))
 
 
 def reversal(v: BitVector) -> BitVector:

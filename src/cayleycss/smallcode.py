@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, DimensionBudgetError, gray_span
+from .gf2 import DimensionBudgetError, gray_span
 from .cayley import format_small_word
 
 #: Exhaustive minimum-distance searches refuse dimensions above this.
@@ -23,19 +23,15 @@ class InvalidGeneratorError(ValueError):
 
 @dataclass(frozen=True)
 class ClassicalCode:
-    """A code defined by its parity-check matrix.
-
-    When built via build_parity_check the matrix is [I_m | P(W)] and the
-    code has length m + len(W) and dimension len(W).
-    """
+    """The code with parity-check matrix [I_m | P(W)]: length m + len(W)
+    and dimension len(W)."""
 
     m: int
     W: tuple[int, ...]
-    parity_check: BitMatrix
 
     @property
     def length(self) -> int:
-        return self.parity_check.cols
+        return self.m + len(self.W)
 
     def codeword_basis(self) -> list[int]:
         """Basis of the codeword space as integers, one per W element."""
@@ -68,11 +64,7 @@ def build_parity_check(m: int, W: tuple[int, ...] | list[int]) -> ClassicalCode:
                 f"duplicate generator {format_small_word(w, m)}"
             )
         seen.add(w)
-    entries = [(i, i) for i in range(m)] + [
-        (i, m + j) for j, w in enumerate(W) for i in range(m) if w >> i & 1
-    ]
-    H = BitMatrix.from_nonzero(m, m + len(W), *zip(*entries))
-    return ClassicalCode(m, W, H)
+    return ClassicalCode(m, W)
 
 
 def enumerate_codewords(code: ClassicalCode) -> list[int]:

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import cayley, cover, css, gf2, repetition
 from .cayley import (
-    BigWord,
     CyclicProductGroup,
     GeneratorSet,
     adjacency_matrix,
@@ -62,6 +61,8 @@ def _run(name: str, fn: Callable[[], tuple[bool, str]]) -> CheckItem:
     start = time.perf_counter()
     try:
         ok, detail = fn()
+    except gf2.DimensionBudgetError:
+        raise  # a budget overrun ends the run (exit 4), not a failed claim
     except Exception as exc:  # a crash is a failed check, not a crash run
         return CheckItem(name, False, time.perf_counter() - start, repr(exc))
     return CheckItem(name, ok, time.perf_counter() - start, detail)
@@ -284,9 +285,7 @@ def suite_distance(
                 claimed = repetition.parameters(n)[2]
                 w = repetition.min_weight_witness(n)
                 code = repetition.build_code(n)
-                report = css.distance_witness_upper(
-                    code, BigWord(n, w)
-                )
+                report = css.distance_witness_upper(code, w)
                 return (
                     report.upper == claimed,
                     f"witness upper bound {report.upper}, claimed {claimed}",
@@ -312,9 +311,7 @@ def lower_bound(n: int) -> tuple[bool, str]:
     lower = css.distance_lower_bound_theorem(length, d)
     claimed = repetition.parameters(n)[2]
     w = repetition.min_weight_witness(n)
-    balls = css.ball_weight_check(
-        repetition.build_code(n), BigWord(n, w), length
-    )
+    balls = css.ball_weight_check(repetition.build_code(n), w, length)
     return lower <= claimed <= w.weight and balls.ok, (
         f"lower bound {lower}, claimed {claimed}, witness weight "
         f"{w.weight}; least ball-weight margin "
@@ -342,7 +339,9 @@ def suite_conjugation(ns: Iterable[int], **_) -> list[CheckItem]:
 # -- bipartite ---------------------------------------------------------
 
 
-def suite_bipartite(ns: Iterable[int], **_) -> list[CheckItem]:
+def suite_bipartite(
+    ns: Iterable[int], budget: int = gf2.DEFAULT_ENUMERATION_BUDGET, **_
+) -> list[CheckItem]:
     items = []
     for n in _odd(ns):
         items.append(_sized(
@@ -351,54 +350,35 @@ def suite_bipartite(ns: Iterable[int], **_) -> list[CheckItem]:
     for n in _odd(ns):
         if n in (3, 5):
             def check(n=n):
-                code = css.css_from_matrix(
-                    cayley.halved_matrix(n, repetition.generators(n))
-                )
+                code = css.css_from_matrix(repetition.halved(n))
                 N, K, D = repetition.parameters(n)
                 want = (N // 2, K // 2, D)
-                report = css.distance_exact(code)
+                report = css.distance_exact(code, budget)
                 got = (code.N, code.K, report.value)
                 return got == want, f"halved parameters {got}, expected {want}"
             items.append(_sized(n, f"bipartite/halved-params-n{n}", check))
     return items
 
 
-#: Rows of U whose coordinates the lift check lists at once; keeps its
-#: transients near 1 MB where all of U's coordinates at n = 13 took
-#: about 5 MB and M's about 9 MB.
-LIFT_CHECK_ROWS = 512
-
-
-def _all_set(A: BitMatrix, rows: np.ndarray, cols: np.ndarray) -> bool:
-    """Whether every entry (rows[k], cols[k]) of A is 1."""
-    words = A.words[rows, cols >> 6] >> (cols & 63).astype(np.uint64)
-    return bool((words & np.uint64(1)).all())
-
-
 def halved_block(n: int) -> tuple[bool, str]:
-    """Coordinate by coordinate, the tower matrix M is U from the even
-    to the odd class and U^T back, and U = U^T: M is a coordinate
-    permutation of [[0, U], [U, 0]], which the two blocks of a
-    bipartite ``css.CssCode`` rest on.  Each coordinate (i, j) of U is
-    looked up at (e_i, o_j) and (o_j, e_i) in M and at (j, i) in U;
-    with M holding twice U's ones, the lookups find all of M and all of
-    U.
-    U . U^T = 0 is tested up to n = 9."""
-    M = repetition.matrix(n)
-    U = cayley.halved_matrix(n, repetition.generators(n))
+    """The tower matrix M, with M[p, q] = 1 iff p + q is a generator, is
+    U from the even to the odd class and U^T back, and U = U^T: M is a
+    coordinate permutation of [[0, U], [U, 0]], which the two blocks of
+    a bipartite ``css.CssCode`` rest on.  Every one of U, at (i, j),
+    must join e_i and o_j by a generator, and U must hold 2^(n-1) |S|
+    ones, one per edge of the graph, so that it is all of M's
+    even-to-odd part; then U = U^T is compared directly.  M itself is
+    not built.  U . U^T = 0 is tested up to n = 9."""
+    S = repetition.generators(n)
+    U = repetition.halved(n)
     evens, odds = cayley.class_vertices(n)
-    lifted = symmetric = True
-    for a in range(0, U.rows, LIFT_CHECK_ROWS):
-        block = U.words[a:a + LIFT_CHECK_ROWS]
-        r, c = BitMatrix(len(block), U.cols, block).nonzero()
-        r += a
-        lifted &= (_all_set(M, evens[r], odds[c])
-                   and _all_set(M, odds[c], evens[r]))
-        symmetric &= _all_set(U, c, r)
-    ones = int(np.bitwise_count(U.words).sum())
-    if not lifted or int(np.bitwise_count(M.words).sum()) != 2 * ones:
+    r, c = U.nonzero()
+    is_generator = np.zeros(1 << n, dtype=bool)
+    is_generator[list(S.elements)] = True
+    edges = len(odds) * len(S.elements)
+    if len(r) != edges or not is_generator[evens[r] ^ odds[c]].all():
         return False, "M is not the lift of U"
-    if not symmetric:
+    if BitMatrix.from_nonzero(U.cols, U.rows, c, r) != U:
         return False, "U != U^T"
     if n > 9:
         return True, (
@@ -596,14 +576,14 @@ def non_lift_example() -> tuple[bool, str]:
     code = build_parity_check(m, ((1 << m) - 1,))
     cm = cover.CoverMap(code)
     target_gens = cm.target_generators()
-    c = BigWord.from_vertices(
-        m, [v for v in range(1 << m) if v.bit_count() == 2]
+    c = BitVector.from_support(
+        1 << m, [v for v in range(1 << m) if v.bit_count() == 2]
     )
     if cover.sphere_orthogonality_profile(m, target_gens, c):
         return False, "weight-2 shell is not in the dual code"
     lifted = cover.lift_ball_word(cm, c, 0, 2)
     probe = cayley.sphere(cm.n, cm.domain_generators(), 0b000111)
-    overlap = sum(1 for v in lifted.vertices() if v in probe)
+    overlap = sum(probe.bit(v) for v in lifted.support())
     return (
         overlap == 3,
         f"lift meets the weight-3-centred sphere {overlap} times",
@@ -623,7 +603,7 @@ def local_sum_exhaustive() -> tuple[bool, str]:
     m = 4
     S = GeneratorSet.canonical(m)
     M = adjacency_matrix(m, S)
-    ball_vertices = sorted(cayley.ball(m, S, 0, 2).vertices())
+    ball_vertices = cayley.ball(m, S, 0, 2).support()
     in_ball = set(ball_vertices)
 
     codewords_checked = 0
@@ -632,14 +612,14 @@ def local_sum_exhaustive() -> tuple[bool, str]:
     assert len(span) == 256
 
     for value in span:
-        word = BigWord(m, BitVector.from_int(1 << m, value))
-        if any(v not in in_ball for v in word.vertices()):
+        word = BitVector.from_int(1 << m, value)
+        if any(v not in in_ball for v in word.support()):
             continue
         codewords_checked += 1
         t = cover.decompose_as_sphere_sum(m, word, 0, 2)
         if t is None:
             return False, f"codeword {value:#x} failed to decompose"
-        acc = BigWord.empty(m)
+        acc = BitVector.zeros(1 << m)
         for center in t:
             acc = acc ^ cayley.sphere(m, S, center)
         if acc != word:
@@ -648,7 +628,7 @@ def local_sum_exhaustive() -> tuple[bool, str]:
     span_set = set(span)
     non_codewords_rejected = 0
     for value in gf2.gray_span([1 << v for v in ball_vertices]):
-        word = BigWord(m, BitVector.from_int(1 << m, value))
+        word = BitVector.from_int(1 << m, value)
         t = cover.decompose_as_sphere_sum(m, word, 0, 2)
         if (t is not None) != (value in span_set):
             return False, f"decomposability mismatch at {value:#x}"

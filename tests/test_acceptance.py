@@ -15,11 +15,7 @@ import numpy as np
 import pytest
 
 from cayleycss import cayley, css, formats, gf2, repetition, verify
-from cayleycss.cayley import (
-    BigWord,
-    GeneratorSet,
-    adjacency_matrix,
-)
+from cayleycss.cayley import GeneratorSet, adjacency_matrix
 from cayleycss.cover import CoverMap, BallCollision, certify_ball_isomorphism
 from cayleycss.gf2 import BitMatrix
 from cayleycss.smallcode import build_parity_check
@@ -92,7 +88,7 @@ def test_05_verified_witnesses_where_exact_search_is_out_of_reach():
         w = repetition.min_weight_witness(n)
         assert w.weight == 1 << ((n - 1) // 2)
         code = repetition.build_code(n)
-        report = css.distance_witness_upper(code, BigWord(n, w))
+        report = css.distance_witness_upper(code, w)
         assert report.rejected_reason is None and report.upper == w.weight
 
 
@@ -180,7 +176,7 @@ def test_10_self_orthogonality_three_way_agreement():
 def test_11_halved_codes():
     for n, params in ((3, (4, 2, 2)), (5, (16, 4, 4))):
         code = css.css_from_matrix(
-            cayley.halved_matrix(n, repetition.generators(n))
+            repetition.halved(n)
         )
         report = css.distance_exact(code)
         assert (code.N, code.K, report.value) == params
@@ -195,7 +191,7 @@ def test_12_lower_bound_arithmetic_and_ball_weight_spot_check():
         css.distance_lower_bound_theorem(100, 8)
     w = repetition.min_weight_witness(9)
     code = repetition.build_code(9)
-    report = css.ball_weight_check(code, BigWord(9, w), n_classical=10)
+    report = css.ball_weight_check(code, w, n_classical=10)
     assert report.threshold == 4
     assert report.ok, "a support vertex saw fewer than 4 ones in its ball"
 

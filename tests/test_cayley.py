@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from cayleycss import cayley, gf2, verify
 from cayleycss.cayley import (
-    BigWord,
     CyclicProductGroup,
     GeneratorSet,
     SizeGuardError,
@@ -75,7 +74,7 @@ def test_adjacency_rows_are_spheres():
     S = GeneratorSet.named("S5'")
     M = adjacency_matrix(5, S)
     for p in (0, 7, 31):
-        assert M.row(p) == sphere(5, S, p).bits
+        assert M.row(p) == sphere(5, S, p)
 
 
 def test_adjacency_shared_only_up_to_cache_limit(monkeypatch):
@@ -94,10 +93,10 @@ def test_adjacency_size_guard():
 
 def test_sphere_and_ball():
     S = GeneratorSet.canonical(4)
-    assert sorted(sphere(4, S, 0).vertices()) == [1, 2, 4, 8]
+    assert sorted(sphere(4, S, 0).support()) == [1, 2, 4, 8]
     b2 = ball(4, S, 0, 2)
     assert b2.weight == 1 + 4 + 6
-    assert all(v.bit_count() <= 2 for v in b2.vertices())
+    assert all(v.bit_count() <= 2 for v in b2.support())
     assert ball(4, S, 0, 4).weight == 16
 
 
@@ -465,14 +464,4 @@ def test_halved_matrix_row_weights():
     dense = U.to_dense()
     assert (dense.sum(axis=1) == len(S.elements)).all()
     assert gf2.is_self_orthogonal(U)
-
-
-# -- big words --------------------------------------------------------------
-
-
-def test_big_word_basics():
-    w = BigWord.from_vertices(3, [2, 4])
-    assert w.weight == 2
-    assert 2 in w and 3 not in w
-    assert (w ^ BigWord.from_vertices(3, [4, 5])).vertices() == [2, 5]
 

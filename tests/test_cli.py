@@ -323,6 +323,21 @@ def test_verify_above_size_guard_exits_4_before_any_suite(capsys,
     assert err.count("\n") == 1 and "guard" in err
 
 
+# Kernel dimensions: 20 for the n = 5 tower, 10 for its halved block.
+@pytest.mark.parametrize("suite, budget, dim, threads", [
+    ("distance", "10", 20, "1"), ("bipartite", "9", 10, "1"),
+    ("all", "9", 20, "2"),
+])
+def test_verify_budget_overrun_exits_4(capsys, suite, budget, dim, threads):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                             "--n", "3..5", "--exact-budget", budget,
+                             "--threads", threads)
+    assert code == 4
+    assert out == ""
+    assert err == (f"error: enumeration dimension {dim} exceeds budget "
+                   f"{budget}\n")
+
+
 @pytest.mark.parametrize("flag", [["--m", "4"], ["--gens", "1111"]])
 def test_verify_m_and_gens_go_together(capsys, monkeypatch, flag):
     monkeypatch.setattr(verify, "run_suite", refuse_work)

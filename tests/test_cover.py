@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from cayleycss import cover, verify
-from cayleycss.cayley import BigWord, GeneratorSet, ball, sphere
+from cayleycss.cayley import GeneratorSet, ball, sphere
 from cayleycss.cover import (
     BallCollision,
     BallIsomorphismCertificate,
@@ -18,6 +18,7 @@ from cayleycss.cover import (
     lift_ball_word,
     sphere_orthogonality_profile,
 )
+from cayleycss.gf2 import BitVector
 from cayleycss.smallcode import build_parity_check
 
 
@@ -112,29 +113,32 @@ def test_certificate_verdict_follows_radius_formula_for_every_small_W():
 def test_lift_at_safe_radius_for_odd_distance():
     cm = CoverMap(build_parity_check(4, (0b1111,)))
     assert (cm.classical_distance, cm.safe_radius) == (5, 1)
-    c = BigWord.from_vertices(4, [1, 2])
+    c = BitVector.from_support(1 << 4, [1, 2])
     lifted = lift_ball_word(cm, c, 0, 1)
-    assert sorted(cm.project(v) for v in lifted.vertices()) == [1, 2]
+    assert sorted(cm.project(v) for v in lifted.support()) == [1, 2]
     with pytest.raises(RadiusTooLargeError, match=r"floor\(\(d-2\)/2\) = 1"):
         lift_ball_word(cm, c, 0, 2)
 
 
 def test_lift_round_trip(repetition_cover):
     cm = repetition_cover
-    c = BigWord.from_vertices(5, [1, 3, 6])
+    c = BitVector.from_support(1 << 5, [1, 3, 6])
     lifted = lift_ball_word(cm, c, 0, 2)
     assert lifted.weight == c.weight
-    assert sorted(cm.project(v) for v in lifted.vertices()) == c.vertices()
+    assert sorted(cm.project(v) for v in lifted.support()) == c.support()
 
 
 def test_lift_guards(repetition_cover):
     cm = repetition_cover
     with pytest.raises(RadiusTooLargeError):
-        lift_ball_word(cm, BigWord.from_vertices(5, [1]), 0, 3)
+        lift_ball_word(cm, BitVector.from_support(1 << 5, [1]), 0, 3)
     # weight 3 is distance 3 from 0 (also through the all-ones step)
-    far = BigWord.from_vertices(5, [0b00111])
+    far = BitVector.from_support(1 << 5, [0b00111])
     with pytest.raises(SupportEscapesBallError):
         lift_ball_word(cm, far, 0, 2)
+    # a word over the 6-hypercube is not a word of the target F_2^5
+    with pytest.raises(ValueError, match="does not live in the cover target"):
+        lift_ball_word(cm, BitVector.from_support(1 << 6, [1]), 0, 2)
 
 
 def test_non_liftable_word_example():
@@ -148,14 +152,14 @@ def test_sphere_orthogonality_profile():
     m = 5
     cm = CoverMap(build_parity_check(m, (0b11111,)))
     S = cm.target_generators()
-    shell2 = BigWord.from_vertices(
-        m, [v for v in range(32) if v.bit_count() == 2]
+    shell2 = BitVector.from_support(
+        1 << m, [v for v in range(32) if v.bit_count() == 2]
     )
     assert sphere_orthogonality_profile(m, S, shell2) == []
-    single = BigWord.from_vertices(m, [0])
+    single = BitVector.from_support(1 << m, [0])
     profile = sphere_orthogonality_profile(m, S, single)
     # exactly the neighbors of 0 see it an odd number of times
-    assert sorted(profile) == sorted(sphere(m, S, 0).vertices())
+    assert sorted(profile) == sorted(sphere(m, S, 0).support())
 
 
 def test_decompose_single_sphere():
@@ -172,7 +176,7 @@ def test_decompose_sum_of_spheres():
     c = sphere(m, S, 1) ^ sphere(m, S, 2)
     centers = decompose_as_sphere_sum(m, c, 0, 2)
     assert centers is not None
-    acc = BigWord.empty(m)
+    acc = BitVector.zeros(1 << m)
     for t in centers:
         acc = acc ^ sphere(m, S, t)
     assert acc == c
@@ -180,16 +184,18 @@ def test_decompose_sum_of_spheres():
 
 def test_decompose_rejects_non_codeword():
     m = 4
-    c = BigWord.from_vertices(m, [0])
+    c = BitVector.from_support(1 << m, [0])
     assert decompose_as_sphere_sum(m, c, 0, 2) is None
 
 
 def test_decompose_guards():
     with pytest.raises(ValueError):
-        decompose_as_sphere_sum(3, BigWord.empty(3), 0, 1)  # odd m
-    far = BigWord.from_vertices(4, [0b1111])
+        decompose_as_sphere_sum(3, BitVector.zeros(1 << 3), 0, 1)  # odd m
+    far = BitVector.from_support(1 << 4, [0b1111])
     with pytest.raises(SupportEscapesBallError):
         decompose_as_sphere_sum(4, far, 0, 2)
+    with pytest.raises(ValueError, match="does not live in F_2"):
+        decompose_as_sphere_sum(4, BitVector.from_support(8, [1]), 0, 2)
 
 
 def test_decompositions_share_one_sphere_system_per_ball():
@@ -203,9 +209,9 @@ def test_decompositions_share_one_sphere_system_per_ball():
     assert system is cover._sphere_system(m, 0, 2)
     outer, candidates, basis = system
     assert isinstance(outer, frozenset) and outer == set(
-        ball(m, S, 0, 2).vertices()
+        ball(m, S, 0, 2).support()
     )
-    assert candidates == tuple(sorted(ball(m, S, 0, 1).vertices()))
+    assert candidates == tuple(ball(m, S, 0, 1).support())
     assert isinstance(basis, tuple)
     # Another center is another system.
     assert decompose_as_sphere_sum(m, sphere(m, S, 5), 5, 2) == {5}

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cayleycss import css, gf2, repetition
-from cayleycss.cayley import BigWord, GeneratorSet, adjacency_matrix, ball
+from cayleycss.cayley import GeneratorSet, adjacency_matrix, ball
 from cayleycss.css import (
     InapplicableBoundError,
     SelfOrthogonalityError,
@@ -108,12 +108,12 @@ def test_ball_weight_check_requires_graph():
     M = adjacency_matrix(3, GeneratorSet.named("S3'"))
     bare = css_from_matrix(M)
     with pytest.raises(ValueError):
-        css.ball_weight_check(bare, BigWord.from_vertices(3, [2, 4]), 10)
+        css.ball_weight_check(bare, BitVector.from_support(8, [2, 4]), 10)
 
 
 def test_ball_weight_margins():
     code = build_css(3, GeneratorSet.named("S3'"))
-    w = BigWord.from_vertices(3, [2, 4])
+    w = BitVector.from_support(8, [2, 4])
     report = css.ball_weight_check(code, w, n_classical=4)
     assert report.threshold == 1  # ceil(16/32) = 1
     # radius-4 balls cover the whole graph, so both ones are inside
@@ -126,9 +126,9 @@ def per_vertex_ball_margins(code, w, n_classical):
     translation."""
     threshold = math.ceil(n_classical * n_classical / 32)
     margins = {}
-    for x in w.vertices():
+    for x in w.support():
         b = ball(code.m, code.generators, x, 4)
-        inside = sum(1 for v in w.vertices() if v in b)
+        inside = sum(b.bit(v) for v in w.support())
         margins[x] = inside - threshold
     return margins
 
@@ -136,7 +136,7 @@ def per_vertex_ball_margins(code, w, n_classical):
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
 def test_ball_weight_margins_match_per_vertex_balls_on_witnesses(n):
     code = repetition.build_code(n)
-    w = BigWord(n, repetition.min_weight_witness(n))
+    w = repetition.min_weight_witness(n)
     report = css.ball_weight_check(code, w, n_classical=n + 1)
     assert report.margins == per_vertex_ball_margins(code, w, n + 1)
 
@@ -148,8 +148,8 @@ def test_ball_weight_margins_match_per_vertex_balls_on_random_words(n):
     rng = random.Random(n)
     code = repetition.build_code(n)
     for _ in range(5):
-        w = BigWord.from_vertices(
-            n, rng.sample(range(1 << n), rng.randint(1, 32))
+        w = BitVector.from_support(
+            1 << n, rng.sample(range(1 << n), rng.randint(1, 32))
         )
         report = css.ball_weight_check(code, w, n_classical=n + 1)
         assert report.margins == per_vertex_ball_margins(code, w, n + 1)

@@ -110,7 +110,8 @@ def test_transpose_and_from_dense_at_word_boundaries(rows):
     M = BitMatrix.from_dense(dense)
     assert np.array_equal(M.transpose().to_dense(), dense.T)
     assert M.transpose().transpose() == M
-    assert BitMatrix.zeros(rows, 10).transpose() == BitMatrix.zeros(10, rows)
+    zeros = BitMatrix.from_dense(np.zeros((rows, 10), dtype=np.uint8))
+    assert zeros.transpose() == BitMatrix.from_dense(zeros.to_dense().T)
     # Non-C-contiguous inputs: a transposed view and a strided slice.
     wide = (rng.random((2 * rows, 3 * rows)) < 0.5).astype(np.uint8)
     for view in (wide[:rows, :rows].T, wide[::2, ::3], np.asfortranarray(wide)):

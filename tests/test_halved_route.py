@@ -346,7 +346,7 @@ def test_class_vertices_index_each_class_by_v_shift_1():
 
 def test_halved_block_is_symmetric_and_lifts_to_the_tower():
     n = 5
-    U = cayley.halved_matrix(n, repetition.generators(n))
+    U = repetition.halved(n)
     assert U.transpose() == U
     evens, odds = cayley.class_vertices(n)
     dense = np.zeros((32, 32), dtype=np.uint8)

@@ -121,7 +121,7 @@ def test_tower_matrix_is_shared_and_eliminated_once():
     cayley._halved.cache_clear()
     n = 7
     code = css.build_css(n, repetition.generators(n))
-    U = cayley.halved_matrix(n, repetition.generators(n))
+    U = repetition.halved(n)
     assert [B is U for B, _ in code.blocks] == [True, True]
     assert U._ech is None
     assert code.rank == 2 * gf2.rank(U)
@@ -231,7 +231,7 @@ def test_theorem_report_bounded_regime():
 @pytest.mark.parametrize("n,params", [(3, (4, 2, 2)), (5, (16, 4, 4))])
 def test_halved_code_parameters(n, params):
     code = css.css_from_matrix(
-        cayley.halved_matrix(n, repetition.generators(n))
+        repetition.halved(n)
     )
     d = css.distance_exact(code)
     assert (code.N, code.K, d.value) == params

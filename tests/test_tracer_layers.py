@@ -28,3 +28,17 @@ def test_traced_layer_resolves(span, module, path):
     for attr in path.split("."):
         obj = getattr(obj, attr)
     assert callable(obj), f"{span}: cayleycss.{module}.{path}"
+
+
+# The tracer replaces a function in every module namespace that holds
+# it; the benchmark's self-test reads these ``from ... import`` bindings
+# by name, so each must stay the cayley function itself.
+@pytest.mark.parametrize("module, name", [
+    ("css", "adjacency_matrix"), ("cli", "adjacency_matrix"),
+    ("verify", "adjacency_matrix"), ("repetition", "adjacency_matrix"),
+    ("repetition", "halved_matrix"), ("cover", "ball"),
+])
+def test_traced_function_is_bound_where_it_is_imported(module, name):
+    cayley = importlib.import_module("cayleycss.cayley")
+    obj = importlib.import_module(f"cayleycss.{module}")
+    assert getattr(obj, name, None) is getattr(cayley, name)

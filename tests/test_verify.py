@@ -277,15 +277,63 @@ def test_size_free_suites_name_no_skipped_size():
 
 @pytest.mark.parametrize("n", [5, 11])
 def test_halved_block_check_catches_a_broken_block(monkeypatch, n):
-    honest = cayley.halved_matrix
+    honest = repetition.halved
 
-    def flipped(m, S):
+    def flipped(n):
         # One entry moved off U's symmetric pattern.
-        U = honest(m, S)
+        U = honest(n)
         words = U.words.copy()
         words[0, 0] ^= np.uint64(2)
         return BitMatrix(U.rows, U.cols, words)
-    monkeypatch.setattr(cayley, "halved_matrix", flipped)
+    monkeypatch.setattr(repetition, "halved", flipped)
     ok, detail = verify.halved_block(n)
     assert not ok and detail == "M is not the lift of U"
 
+
+def _toggled(U, *entries):
+    dense = U.to_dense()
+    for i, j in entries:
+        dense[i, j] ^= 1
+    return BitMatrix.from_dense(dense)
+
+
+# U[0, 0] is an edge (e_0 + o_0 = 1); U[0, 3] is not (e_0 + o_3 = 7 has
+# weight 3, every generator weight 1 or n).  Dropping the diagonal edge
+# keeps U symmetric, so only the edge count sees it.
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("change, entries", [
+    ("edge dropped", [(0, 0)]),
+    ("symmetric pair added", [(0, 3), (3, 0)]),
+    ("made asymmetric by an added edge", [(0, 3)]),
+])
+def test_halved_block_check_refuses_a_changed_block(monkeypatch, n, change,
+                                                   entries):
+    broken = _toggled(repetition.halved(n), *entries)
+    assert broken != repetition.halved(n)
+    monkeypatch.setattr(repetition, "halved", lambda n: broken)
+    ok, detail = verify.halved_block(n)
+    assert not ok and detail == "M is not the lift of U", change
+
+
+def test_halved_block_check_refuses_an_asymmetric_lift(monkeypatch):
+    # The first two odd vertices swapped: U built on that order is still
+    # every edge of the graph, but no longer equal to its transpose.
+    n = 5
+    evens, odds = cayley.class_vertices(n)
+    odds = odds[[1, 0, *range(2, len(odds))]]
+    S = np.array(repetition.generators(n).elements)
+    rr, cc = np.nonzero(np.isin(evens[:, None] ^ odds[None, :], S))
+    U = BitMatrix.from_nonzero(len(evens), len(odds), rr, cc)
+    monkeypatch.setattr(cayley, "class_vertices", lambda m: (evens, odds))
+    monkeypatch.setattr(repetition, "halved", lambda n: U)
+    assert verify.halved_block(n) == (False, "U != U^T")
+
+
+@pytest.mark.parametrize("n", [5, 13])
+def test_halved_block_check_never_builds_the_tower_matrix(monkeypatch, n):
+    def refuse(*args):
+        raise AssertionError("adjacency matrix built")
+    monkeypatch.setattr(repetition, "adjacency_matrix", refuse)
+    monkeypatch.setattr(cayley, "adjacency_matrix", refuse)
+    ok, detail = verify.halved_block(n)
+    assert ok, detail

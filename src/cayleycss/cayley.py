@@ -122,6 +122,11 @@ def sphere(m: int, S: GeneratorSet, x: int) -> BitVector:
 
 def ball(m: int, S: GeneratorSet, x: int, r: int) -> BitVector:
     """BFS closure of {x} to graph distance <= r."""
+    return BitVector.from_support(1 << m, ball_vertices(m, S, x, r))
+
+
+def ball_vertices(m: int, S: GeneratorSet, x: int, r: int) -> set[int]:
+    """The vertices of ``ball`` as a set."""
     if not 0 <= x < (1 << m):
         raise ValueError(f"vertex {x} outside F_2^{m}")
     seen = {x}
@@ -137,7 +142,7 @@ def ball(m: int, S: GeneratorSet, x: int, r: int) -> BitVector:
         frontier = nxt
         if not frontier:
             break
-    return BitVector.from_support(1 << m, seen)
+    return seen
 
 
 def adjacency_matrix(m: int, S: GeneratorSet) -> BitMatrix:

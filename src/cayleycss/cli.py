@@ -190,9 +190,15 @@ def cmd_verify(args, started: float) -> int:
         )
     if (args.m is None) != (not args.gens):
         raise CliError("--m and --gens go together (cover suite)")
-    # Checked here, so that bad generators are refused before any suite.
-    W = cover_code(args).W if args.gens else None
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+    # Checked here, so that bad generators and an over-size cover sweep
+    # are refused before any suite.
+    W = None
+    if args.gens:
+        code = cover_code(args)
+        W = code.W
+        if "cover" in names:
+            cover.check_sweep_size(cover.CoverMap(code), every_radius=True)
 
     def run(name):
         return verify.run_suite(
@@ -231,20 +237,17 @@ def cmd_cover(args, started: float) -> int:
     if args.m is None or not args.gens:
         raise CliError("cover needs --m and --gens")
     cm = cover.CoverMap(cover_code(args))
+    cover.check_sweep_size(cm, args.radius)
     radius = args.radius if args.radius is not None else cm.safe_radius
-    centers_checked = 0
+    centers_checked, cert = cover.certify_all_centers(cm, radius)
     counterexample = None
-    for center in range(1 << cm.n):
-        cert = cover.certify_ball_isomorphism(cm, center, radius)
-        centers_checked += 1
-        if isinstance(cert, cover.BallCollision):
-            counterexample = {
-                "center": cert.center,
-                "first": cert.first,
-                "second": cert.second,
-                "kind": cert.kind,
-            }
-            break
+    if cert is not None:
+        counterexample = {
+            "center": cert.center,
+            "first": cert.first,
+            "second": cert.second,
+            "kind": cert.kind,
+        }
     outputs = {
         "certificate": {
             "radius": radius,

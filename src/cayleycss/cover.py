@@ -7,17 +7,58 @@ The map is injective on balls of radius r with 2r < d, and a graph
 isomorphism on them, induced edges included, when 2r + 1 < d, that is
 up to floor((d-2)/2); we certify this computationally rather than
 assume it.
+
+``certify_all_centers`` makes that certificate at every one of the 2^n
+centers in one sweep.  It reads the projection from a 2^n table built
+from the columns, takes each center's ball as {x : |x xor c| <= r}, and
+checks per center that the projection is injective on it, that the
+image is the target ball around the center's image (found by BFS in the
+target graph), and that every target edge inside that ball lifts to a
+hypercube edge.  The first centers run through a plain-Python pass and,
+once a sweep outgrows SWEEP_PYTHON_SLOTS, the rest through bounded NumPy
+batches.  The first failing center is handed to
+``certify_ball_isomorphism``, the per-center check, which names the
+counterexample.  ``check_sweep_size`` refuses a sweep over
+MAX_SWEEP_LENGTH or MAX_SWEEP_SIZE with a ``SizeGuardError`` before any
+of it runs; the CLI reports that as exit 4.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
+from math import comb
+from operator import xor
 from typing import Optional
 
-from .cayley import GeneratorSet, ball, sphere
+import numpy as np
+
+from .cayley import GeneratorSet, SizeGuardError, ball, ball_vertices, sphere
 from .gf2 import BitVector, int_echelon, int_reduce
 from .smallcode import ClassicalCode, enumerate_codewords, min_distance
+
+
+#: Largest hypercube dimension n = m + |W| a sweep accepts; its
+#: projection table holds 2^n entries (8 MB at n = 20).
+MAX_SWEEP_LENGTH = 20
+
+#: Largest sweep size, 2^n times the hypercube ball volume summed over
+#: the radii swept, that a sweep accepts.
+MAX_SWEEP_SIZE = 1 << 27
+
+#: Slot visits (centers times ball and edge slots) a sweep spends in its
+#: plain-Python pass before it hands the remaining centers to NumPy
+#: batches, 40 to 100 ms of Python on a 2-core Xeon.  A process that
+#: runs NumPy's ufuncs faults in about 1.7 MB of their code, which a
+#: small sweep does without; a large one runs 15 to 25 times faster
+#: batched.
+SWEEP_PYTHON_SLOTS = 1 << 19
+
+#: Elements per array of one NumPy batch (centers times ball or edge
+#: slots): 128 KB per array whatever the code or radius.
+SWEEP_BATCH_WORDS = 1 << 14
 
 
 class SupportEscapesBallError(ValueError):
@@ -99,6 +140,14 @@ class CoverMap:
             i += 1
         return out
 
+    @cached_property
+    def projection_table(self) -> array:
+        """project(x) for every x, from P[x | 2^i] = P[x] ^ column i."""
+        table = array("q", [0])
+        for col in self.columns:
+            table.extend(map(col.__xor__, table[:]))
+        return table
+
     def fiber(self, c: int) -> set[int]:
         """Preimage of a target vertex: the coset c + C(W), size 2^w."""
         if not 0 <= c < (1 << self.m):
@@ -116,7 +165,7 @@ def certify_ball_isomorphism(
     Returns the lexicographically first collision pair on failure.
     """
     dom = cm.domain_generators()
-    domain_ball = ball(cm.n, dom, center, r).support()
+    domain_ball = sorted(ball_vertices(cm.n, dom, center, r))
     images: dict[int, int] = {}
     for v in domain_ball:
         img = cm.project(v)
@@ -125,8 +174,8 @@ def certify_ball_isomorphism(
                 center, r, images[img], v, "vertex-collision"
             )
         images[img] = v
-    target_ball = set(
-        ball(cm.m, cm.target_generators(), cm.project(center), r).support()
+    target_ball = ball_vertices(
+        cm.m, cm.target_generators(), cm.project(center), r
     )
     if set(images) != target_ball:
         # Surjectivity cannot fail for a covering map with injective
@@ -149,6 +198,160 @@ def certify_ball_isomorphism(
                     )
                 edges += 1
     return BallIsomorphismCertificate(center, r, len(domain_ball), edges)
+
+
+def ball_volume(n: int, r: int) -> int:
+    """|B_n(r)|: hypercube vertices within Hamming distance r of one."""
+    return sum(comb(n, k) for k in range(min(r, n) + 1))
+
+
+def check_sweep_size(
+    cm: CoverMap, radius: Optional[int] = None, every_radius: bool = False
+) -> None:
+    """Refuse a sweep of certify_all_centers at radius (default r*), or
+    with every_radius at each radius up to it, as verify does, when n or
+    the swept size 2^n * sum |B_n(r)| is over its bound.  n is checked
+    first, so an over-long code is refused before its distance is
+    computed."""
+    if cm.n > MAX_SWEEP_LENGTH:
+        raise SizeGuardError(
+            f"cover sweep over the {cm.n}-cube exceeds the n <= "
+            f"{MAX_SWEEP_LENGTH} guard"
+        )
+    top = cm.safe_radius if radius is None else radius
+    radii = range(top + 1) if every_radius else (top,)
+    size = (1 << cm.n) * sum(ball_volume(cm.n, r) for r in radii)
+    if size > MAX_SWEEP_SIZE:
+        raise SizeGuardError(
+            f"cover sweep of 2^{cm.n} centers at radius {top} visits "
+            f"{size} ball vertices, over the {MAX_SWEEP_SIZE} guard"
+        )
+
+
+def certify_all_centers(
+    cm: CoverMap, r: int
+) -> tuple[int, Optional[BallCollision]]:
+    """certify_ball_isomorphism at centers 0, 1, ..., 2^n - 1 until one
+    fails: (centers checked, its collision), or (2^n, None).
+
+    Every center's verdict comes from the projection table on its own
+    ball.  Only the first failing center runs the per-center check,
+    which names the same counterexample the center-by-center loop does.
+    """
+    check_sweep_size(cm, r)
+    n = cm.n
+    # The target ball around t is t ^ target, by BFS in the target graph.
+    target = list(ball_vertices(cm.m, cm.target_generators(), 0, r))
+    if ball_volume(n, r) != len(target):
+        # No hypercube ball maps onto its target ball, the one at 0
+        # included.
+        return _first_failure(cm, 0, r)
+    sweep = _Sweep(cm, r, target)
+    head = min(1 << n, SWEEP_PYTHON_SLOTS // sweep.cost)
+    center = sweep.python_pass(range(head))
+    if center is None and head < 1 << n:
+        center = sweep.numpy_pass(head)
+    if center is None:
+        return 1 << n, None
+    return _first_failure(cm, center, r)
+
+
+class _Sweep:
+    """What every center's check shares: the ball offsets, the target
+    ball's slots and its edges as pairs of slots."""
+
+    def __init__(self, cm: CoverMap, r: int, target: list[int]):
+        self.cm = cm
+        self.target = target
+        # The ball at c is c ^ offsets: every y with |y| <= r.
+        self.offsets = [
+            sum(1 << i for i in bits)
+            for w in range(min(r, cm.n) + 1)
+            for bits in combinations(range(cm.n), w)
+        ]
+        # place[v ^ t] is the slot of v in the target ball around t.
+        self.place = {v: j for j, v in enumerate(target)}
+        # Each edge {u, u ^ s} of the target ball once, as two slots.
+        edges = [
+            (j, i) for j, u in enumerate(target) for s in cm.columns
+            if (i := self.place.get(u ^ s, -1)) > j
+        ]
+        self.edge_a = [a for a, _ in edges]
+        self.edge_b = [b for _, b in edges]
+        # Python's cost of one center, in slot visits; the fixed part
+        # (about 2 us) counts as 32.
+        self.cost = 32 + len(target) + len(edges)
+
+    def python_pass(self, centers: range) -> Optional[int]:
+        """The first failing center in centers, one at a time."""
+        table = self.cm.projection_table
+        project = table.__getitem__
+        k = len(self.target)
+        units = frozenset(1 << i for i in range(self.cm.n))
+        for c in centers:
+            images = map(project, map(c.__xor__, self.offsets))
+            slots = map(self.place.get, map(table[c].__xor__, images))
+            # The offset y of each slot that c ^ y projects to; as many
+            # offsets as slots, so all k slots are filled exactly when
+            # the projection is injective and onto the target ball.
+            inverse = dict(zip(slots, self.offsets))
+            if len(inverse) != k or None in inverse:
+                return c
+            lifts = map(xor, map(inverse.__getitem__, self.edge_a),
+                        map(inverse.__getitem__, self.edge_b))
+            if not units.issuperset(lifts):
+                return c
+        return None
+
+    def numpy_pass(self, start: int) -> Optional[int]:
+        """The first failing center from start on, in NumPy batches."""
+        cm = self.cm
+        table = np.frombuffer(cm.projection_table, dtype=np.int64)
+        offsets = np.array(self.offsets)
+        k = len(self.target)
+        # slot[v ^ t] is the slot of v in the target ball around t, or k.
+        slot = np.full(1 << cm.m, k)
+        slot[self.target] = np.arange(k)
+        edge_a = np.array(self.edge_a, dtype=np.int64)
+        edge_b = np.array(self.edge_b, dtype=np.int64)
+        step = max(1, SWEEP_BATCH_WORDS // max(k + 1, len(edge_a)))
+        for lo in range(start, 1 << cm.n, step):
+            centers = np.arange(lo, min(lo + step, 1 << cm.n))
+            image = table[centers[:, None] ^ offsets]
+            image ^= table[centers][:, None]
+            # inverse[c, j] is the offset y whose c ^ y projects to slot
+            # j, as in the Python pass; every slot is filled exactly when
+            # the projection is injective and onto the target ball.
+            inverse = np.full((len(centers), k + 1), -1)
+            inverse[np.arange(len(centers))[:, None], slot[image]] = offsets
+            # Filled slots hold distinct offsets, so a lift differs in
+            # one bit exactly when the XOR is a power of two.
+            lift = inverse[:, edge_a]
+            lift ^= inverse[:, edge_b]
+            lift &= lift - 1
+            # The rows of the first empty slot and the first broken edge.
+            failed = []
+            empty = np.flatnonzero(inverse[:, :k] < 0)
+            if empty.size:
+                failed.append(int(empty[0]) // k)
+            broken = np.flatnonzero(lift)
+            if broken.size:
+                failed.append(int(broken[0]) // len(edge_a))
+            if failed:
+                return lo + min(failed)
+        return None
+
+
+def _first_failure(
+    cm: CoverMap, center: int, r: int
+) -> tuple[int, BallCollision]:
+    cert = certify_ball_isomorphism(cm, center, r)
+    if not isinstance(cert, BallCollision):
+        raise AssertionError(
+            f"the sweep fails center {center} at radius {r}, "
+            "the per-center check passes it"
+        )
+    return center + 1, cert
 
 
 def lift_ball_word(

@@ -550,10 +550,9 @@ def suite_cover(
 
     def ball_iso():
         for r in range(cm.safe_radius + 1):
-            for center in range(1 << cm.n):
-                cert = cover.certify_ball_isomorphism(cm, center, r)
-                if isinstance(cert, cover.BallCollision):
-                    return False, f"collision at center {center}, r={r}"
+            _, cert = cover.certify_all_centers(cm, r)
+            if cert is not None:
+                return False, f"collision at center {cert.center}, r={r}"
         return True, f"all centers isomorphic up to r = {cm.safe_radius}"
     items.append(_run("cover/ball-isomorphism", ball_iso))
 

@@ -299,10 +299,13 @@ def test_runs_do_not_import_numpy_ma():
     script = (
         "import contextlib, io, sys\n"
         "from cayleycss import cli\n"
-        "for argv in ('params --family repetition --n 9', 'witness --n 9',\n"
-        "             'verify --suite all --n 3..7'):\n"
+        "for argv, code in (('params --family repetition --n 9', 0),\n"
+        "                   ('witness --n 9', 0),\n"
+        "                   ('verify --suite all --n 3..7', 0),\n"
+        "                   ('cover --m 5 --gens 11111', 0),\n"
+        "                   ('cover --m 5 --gens 11111 --radius 3', 3)):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert cli.main(argv.split()) == 0, argv\n"
+        "        assert cli.main(argv.split()) == code, argv\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     src = Path(cayleycss.__file__).resolve().parent.parent
@@ -311,6 +314,33 @@ def test_runs_do_not_import_numpy_ma():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+# n = 17 at the default radius 7, over the sweep size guard; n = 21,
+# over the length guard, refused before its distance is computed.
+@pytest.mark.parametrize("m", [16, 20])
+def test_cover_above_sweep_guard_exits_4_before_the_sweep(capsys,
+                                                          monkeypatch, m):
+    monkeypatch.setattr(cli.cover, "certify_all_centers", refuse_work)
+    monkeypatch.setattr(cli.cover, "certify_ball_isomorphism", refuse_work)
+    if m == 20:
+        monkeypatch.setattr(cli.cover, "min_distance", refuse_work)
+    code, out, err = run_cli(capsys, "cover", "--m", str(m),
+                             "--gens", "1" * m)
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "guard" in err
+
+
+def test_verify_cover_above_sweep_guard_exits_4_before_any_suite(
+    capsys, monkeypatch
+):
+    monkeypatch.setattr(verify, "run_suite", refuse_work)
+    code, out, err = run_cli(capsys, "verify", "--suite", "cover",
+                             "--m", "16", "--gens", "1" * 16)
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "guard" in err
 
 
 def test_verify_above_size_guard_exits_4_before_any_suite(capsys,

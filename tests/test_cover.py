@@ -2,18 +2,22 @@
 sphere-sum decompositions."""
 
 import itertools
+import random
+from array import array
 
 import pytest
 
 from cayleycss import cover, verify
-from cayleycss.cayley import GeneratorSet, ball, sphere
+from cayleycss.cayley import GeneratorSet, SizeGuardError, ball, sphere
 from cayleycss.cover import (
     BallCollision,
     BallIsomorphismCertificate,
     CoverMap,
     RadiusTooLargeError,
     SupportEscapesBallError,
+    certify_all_centers,
     certify_ball_isomorphism,
+    check_sweep_size,
     decompose_as_sphere_sum,
     lift_ball_word,
     sphere_orthogonality_profile,
@@ -108,6 +112,128 @@ def test_certificate_verdict_follows_radius_formula_for_every_small_W():
                     want = "edge-mismatch" if edge else "vertex-collision"
                     assert c.kind == want, (cm.m, cm.code.W, r)
     assert parities == {0, 1}
+
+
+def loop_sweep(cm, r):
+    """The center-by-center loop that certify_all_centers replaces."""
+    for center in range(1 << cm.n):
+        cert = certify_ball_isomorphism(cm, center, r)
+        if isinstance(cert, BallCollision):
+            return center + 1, cert
+    return 1 << cm.n, None
+
+
+#: (Python slot budget, NumPy batch words): every center in the Python
+#: pass, every center in NumPy batches, and a few centers in Python with
+#: the rest in batches of one or a few centers.
+SWEEP_PATHS = {
+    "python": (1 << 40, cover.SWEEP_BATCH_WORDS),
+    "numpy": (0, cover.SWEEP_BATCH_WORDS),
+    "mixed": (300, 64),
+}
+
+
+def use_sweep_path(monkeypatch, path):
+    python_slots, batch_words = SWEEP_PATHS[path]
+    monkeypatch.setattr(cover, "SWEEP_PYTHON_SLOTS", python_slots)
+    monkeypatch.setattr(cover, "SWEEP_BATCH_WORDS", batch_words)
+
+
+def random_covers(rng, count):
+    """count random codes [I_m | W] with m <= 8 and n = m + |W| <= 9."""
+    covers = []
+    while len(covers) < count:
+        m = rng.randint(2, 8)
+        basis = {1 << i for i in range(m)}
+        extra = [v for v in range(1, 1 << m) if v not in basis]
+        w = rng.randint(1, min(len(extra), 9 - m))
+        covers.append(CoverMap(build_parity_check(m, rng.sample(extra, w))))
+    return covers
+
+
+def test_sweep_matches_the_center_by_center_loop(monkeypatch):
+    rng = random.Random(1)
+    kinds, parities = set(), set()
+    for cm in random_covers(rng, 80):
+        d = cm.classical_distance
+        parities.add(d % 2)
+        radii = {cm.safe_radius - 1, cm.safe_radius, cm.safe_radius + 1}
+        for r in sorted(radii - {-1}):
+            want = loop_sweep(cm, r)
+            kinds.add(want[1].kind if want[1] else "isomorphism")
+            for path in SWEEP_PATHS:
+                use_sweep_path(monkeypatch, path)
+                assert certify_all_centers(cm, r) == want, (
+                    cm.m, cm.code.W, r, path
+                )
+    assert kinds == {"isomorphism", "vertex-collision", "edge-mismatch"}
+    assert parities == {0, 1}
+
+
+def corrupt_projection(monkeypatch, cm, v, u):
+    """Make v project where u does, in the table the sweep reads and in
+    the projection the per-center check reads."""
+    table = array("q", cm.projection_table)
+    table[v] = table[u]
+    cm.projection_table = table
+    monkeypatch.setattr(cm, "project", table.__getitem__)
+
+
+# n = 7, d = 7, r* = 2.  Each v is more than 2 from 0, its first center
+# (v with its two highest ones cleared) is odd for one and even for the
+# other, and u = v minus its highest one lies in that center's ball.
+@pytest.mark.parametrize("path", SWEEP_PATHS)
+@pytest.mark.parametrize("v", [0b1110101, 0b1011010])
+def test_sweep_fails_the_first_center_whose_ball_holds_a_corrupted_vertex(
+    monkeypatch, path, v
+):
+    use_sweep_path(monkeypatch, path)
+    cm = CoverMap(build_parity_check(6, (0b111111,)))
+    r = cm.safe_radius
+    assert certify_all_centers(cm, r) == (1 << cm.n, None)
+    first = min(c for c in range(1 << cm.n) if (c ^ v).bit_count() <= r)
+    assert first > 0
+    u = v ^ (1 << (v.bit_length() - 1))
+    corrupt_projection(monkeypatch, cm, v, u)
+    assert certify_all_centers(cm, r) == (
+        first + 1, BallCollision(first, r, u, v, "vertex-collision")
+    )
+    assert certify_all_centers(cm, r) == loop_sweep(cm, r)
+
+
+def test_sweep_refuses_to_disagree_with_the_per_center_check():
+    # Only the table is corrupted: the sweep fails a center the
+    # per-center check, which projects bit by bit, passes.
+    cm = CoverMap(build_parity_check(6, (0b111111,)))
+    table = array("q", cm.projection_table)
+    table[0b1110101] = table[0b0110101]
+    cm.projection_table = table
+    with pytest.raises(AssertionError, match="per-center check passes"):
+        certify_all_centers(cm, cm.safe_radius)
+
+
+def refuse_distance(*_):
+    raise AssertionError("the distance was computed")
+
+
+def test_sweep_size_guard(monkeypatch):
+    # The largest sweep of the cover benchmark (n = 11, r = 5) and the
+    # CLI test inputs are accepted.
+    for m, W, r in [(10, (0b1111111011,), 5), (5, (0b11111,), None),
+                    (6, (0b111111,), 3)]:
+        check_sweep_size(CoverMap(build_parity_check(m, W)), r)
+    # n = 17 at r* = 7: 2^17 centers times 41226 ball vertices.
+    big = CoverMap(build_parity_check(16, ((1 << 16) - 1,)))
+    with pytest.raises(SizeGuardError, match="ball vertices"):
+        check_sweep_size(big)
+    check_sweep_size(big, 0)
+    # n = 21 is refused before the distance is computed.
+    monkeypatch.setattr(cover, "min_distance", refuse_distance)
+    long = CoverMap(build_parity_check(20, ((1 << 20) - 1,)))
+    with pytest.raises(SizeGuardError, match="n <= 20"):
+        check_sweep_size(long, 0)
+    with pytest.raises(SizeGuardError):
+        certify_all_centers(long, 0)
 
 
 def test_lift_at_safe_radius_for_odd_distance():

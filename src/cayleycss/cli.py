@@ -198,7 +198,9 @@ def cmd_verify(args, started: float) -> int:
         code = cover_code(args)
         W = code.W
         if "cover" in names:
-            cover.check_sweep_size(cover.CoverMap(code), every_radius=True)
+            cm = cover.CoverMap(code)
+            cover.check_sweep_length(cm)
+            cover.check_sweep_size(cm, range(cm.safe_radius + 1))
 
     def run(name):
         return verify.run_suite(
@@ -237,8 +239,9 @@ def cmd_cover(args, started: float) -> int:
     if args.m is None or not args.gens:
         raise CliError("cover needs --m and --gens")
     cm = cover.CoverMap(cover_code(args))
-    cover.check_sweep_size(cm, args.radius)
+    cover.check_sweep_length(cm)
     radius = args.radius if args.radius is not None else cm.safe_radius
+    cover.check_sweep_size(cm, (radius,))
     centers_checked, cert = cover.certify_all_centers(cm, radius)
     counterexample = None
     if cert is not None:

@@ -14,13 +14,12 @@ from the columns, takes each center's ball as {x : |x xor c| <= r}, and
 checks per center that the projection is injective on it, that the
 image is the target ball around the center's image (found by BFS in the
 target graph), and that every target edge inside that ball lifts to a
-hypercube edge.  The first centers run through a plain-Python pass and,
-once a sweep outgrows SWEEP_PYTHON_SLOTS, the rest through bounded NumPy
-batches.  The first failing center is handed to
+hypercube edge.  The first failing center is handed to
 ``certify_ball_isomorphism``, the per-center check, which names the
-counterexample.  ``check_sweep_size`` refuses a sweep over
-MAX_SWEEP_LENGTH or MAX_SWEEP_SIZE with a ``SizeGuardError`` before any
-of it runs; the CLI reports that as exit 4.
+counterexample.  ``check_sweep_length`` and ``check_sweep_size`` refuse
+a sweep over MAX_SWEEP_LENGTH or MAX_SWEEP_SIZE with a
+``SizeGuardError``; the CLI runs them before the sweep and reports a
+refusal as exit 4.
 """
 
 from __future__ import annotations
@@ -31,9 +30,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from operator import xor
-from typing import Optional
-
-import numpy as np
+from typing import Iterable, Optional
 
 from .cayley import GeneratorSet, SizeGuardError, ball, ball_vertices, sphere
 from .gf2 import BitVector, int_echelon, int_reduce
@@ -45,20 +42,10 @@ from .smallcode import ClassicalCode, enumerate_codewords, min_distance
 MAX_SWEEP_LENGTH = 20
 
 #: Largest sweep size, 2^n times the hypercube ball volume summed over
-#: the radii swept, that a sweep accepts.
-MAX_SWEEP_SIZE = 1 << 27
-
-#: Slot visits (centers times ball and edge slots) a sweep spends in its
-#: plain-Python pass before it hands the remaining centers to NumPy
-#: batches, 40 to 100 ms of Python on a 2-core Xeon.  A process that
-#: runs NumPy's ufuncs faults in about 1.7 MB of their code, which a
-#: small sweep does without; a large one runs 15 to 25 times faster
-#: batched.
-SWEEP_PYTHON_SLOTS = 1 << 19
-
-#: Elements per array of one NumPy batch (centers times ball or edge
-#: slots): 128 KB per array whatever the code or radius.
-SWEEP_BATCH_WORDS = 1 << 14
+#: the radii swept, that a sweep accepts.  A sweep spends 0.8 to 1.3 us
+#: per ball vertex (2-core Xeon; the most at large r, whose balls hold
+#: more edges per vertex), so an accepted sweep ends within about 22 s.
+MAX_SWEEP_SIZE = 1 << 24
 
 
 class SupportEscapesBallError(ValueError):
@@ -205,26 +192,25 @@ def ball_volume(n: int, r: int) -> int:
     return sum(comb(n, k) for k in range(min(r, n) + 1))
 
 
-def check_sweep_size(
-    cm: CoverMap, radius: Optional[int] = None, every_radius: bool = False
-) -> None:
-    """Refuse a sweep of certify_all_centers at radius (default r*), or
-    with every_radius at each radius up to it, as verify does, when n or
-    the swept size 2^n * sum |B_n(r)| is over its bound.  n is checked
-    first, so an over-long code is refused before its distance is
-    computed."""
+def check_sweep_length(cm: CoverMap) -> None:
+    """Refuse a sweep over the n-cube when n > MAX_SWEEP_LENGTH.  It
+    needs no distance, so it can run before one is computed."""
     if cm.n > MAX_SWEEP_LENGTH:
         raise SizeGuardError(
             f"cover sweep over the {cm.n}-cube exceeds the n <= "
             f"{MAX_SWEEP_LENGTH} guard"
         )
-    top = cm.safe_radius if radius is None else radius
-    radii = range(top + 1) if every_radius else (top,)
+
+
+def check_sweep_size(cm: CoverMap, radii: Iterable[int]) -> None:
+    """Refuse sweeps of certify_all_centers at each of radii when they
+    visit 2^n * sum |B_n(r)| > MAX_SWEEP_SIZE ball vertices."""
+    radii = list(radii)
     size = (1 << cm.n) * sum(ball_volume(cm.n, r) for r in radii)
     if size > MAX_SWEEP_SIZE:
         raise SizeGuardError(
-            f"cover sweep of 2^{cm.n} centers at radius {top} visits "
-            f"{size} ball vertices, over the {MAX_SWEEP_SIZE} guard"
+            f"cover sweep of 2^{cm.n} centers at radius {max(radii)} "
+            f"visits {size} ball vertices, over the {MAX_SWEEP_SIZE} guard"
         )
 
 
@@ -238,108 +224,45 @@ def certify_all_centers(
     ball.  Only the first failing center runs the per-center check,
     which names the same counterexample the center-by-center loop does.
     """
-    check_sweep_size(cm, r)
-    n = cm.n
     # The target ball around t is t ^ target, by BFS in the target graph.
     target = list(ball_vertices(cm.m, cm.target_generators(), 0, r))
-    if ball_volume(n, r) != len(target):
+    if ball_volume(cm.n, r) != len(target):
         # No hypercube ball maps onto its target ball, the one at 0
         # included.
         return _first_failure(cm, 0, r)
-    sweep = _Sweep(cm, r, target)
-    head = min(1 << n, SWEEP_PYTHON_SLOTS // sweep.cost)
-    center = sweep.python_pass(range(head))
-    if center is None and head < 1 << n:
-        center = sweep.numpy_pass(head)
-    if center is None:
-        return 1 << n, None
-    return _first_failure(cm, center, r)
-
-
-class _Sweep:
-    """What every center's check shares: the ball offsets, the target
-    ball's slots and its edges as pairs of slots."""
-
-    def __init__(self, cm: CoverMap, r: int, target: list[int]):
-        self.cm = cm
-        self.target = target
-        # The ball at c is c ^ offsets: every y with |y| <= r.
-        self.offsets = [
-            sum(1 << i for i in bits)
-            for w in range(min(r, cm.n) + 1)
-            for bits in combinations(range(cm.n), w)
-        ]
-        # place[v ^ t] is the slot of v in the target ball around t.
-        self.place = {v: j for j, v in enumerate(target)}
-        # Each edge {u, u ^ s} of the target ball once, as two slots.
-        edges = [
-            (j, i) for j, u in enumerate(target) for s in cm.columns
-            if (i := self.place.get(u ^ s, -1)) > j
-        ]
-        self.edge_a = [a for a, _ in edges]
-        self.edge_b = [b for _, b in edges]
-        # Python's cost of one center, in slot visits; the fixed part
-        # (about 2 us) counts as 32.
-        self.cost = 32 + len(target) + len(edges)
-
-    def python_pass(self, centers: range) -> Optional[int]:
-        """The first failing center in centers, one at a time."""
-        table = self.cm.projection_table
-        project = table.__getitem__
-        k = len(self.target)
-        units = frozenset(1 << i for i in range(self.cm.n))
-        for c in centers:
-            images = map(project, map(c.__xor__, self.offsets))
-            slots = map(self.place.get, map(table[c].__xor__, images))
-            # The offset y of each slot that c ^ y projects to; as many
-            # offsets as slots, so all k slots are filled exactly when
-            # the projection is injective and onto the target ball.
-            inverse = dict(zip(slots, self.offsets))
-            if len(inverse) != k or None in inverse:
-                return c
-            lifts = map(xor, map(inverse.__getitem__, self.edge_a),
-                        map(inverse.__getitem__, self.edge_b))
-            if not units.issuperset(lifts):
-                return c
-        return None
-
-    def numpy_pass(self, start: int) -> Optional[int]:
-        """The first failing center from start on, in NumPy batches."""
-        cm = self.cm
-        table = np.frombuffer(cm.projection_table, dtype=np.int64)
-        offsets = np.array(self.offsets)
-        k = len(self.target)
-        # slot[v ^ t] is the slot of v in the target ball around t, or k.
-        slot = np.full(1 << cm.m, k)
-        slot[self.target] = np.arange(k)
-        edge_a = np.array(self.edge_a, dtype=np.int64)
-        edge_b = np.array(self.edge_b, dtype=np.int64)
-        step = max(1, SWEEP_BATCH_WORDS // max(k + 1, len(edge_a)))
-        for lo in range(start, 1 << cm.n, step):
-            centers = np.arange(lo, min(lo + step, 1 << cm.n))
-            image = table[centers[:, None] ^ offsets]
-            image ^= table[centers][:, None]
-            # inverse[c, j] is the offset y whose c ^ y projects to slot
-            # j, as in the Python pass; every slot is filled exactly when
-            # the projection is injective and onto the target ball.
-            inverse = np.full((len(centers), k + 1), -1)
-            inverse[np.arange(len(centers))[:, None], slot[image]] = offsets
-            # Filled slots hold distinct offsets, so a lift differs in
-            # one bit exactly when the XOR is a power of two.
-            lift = inverse[:, edge_a]
-            lift ^= inverse[:, edge_b]
-            lift &= lift - 1
-            # The rows of the first empty slot and the first broken edge.
-            failed = []
-            empty = np.flatnonzero(inverse[:, :k] < 0)
-            if empty.size:
-                failed.append(int(empty[0]) // k)
-            broken = np.flatnonzero(lift)
-            if broken.size:
-                failed.append(int(broken[0]) // len(edge_a))
-            if failed:
-                return lo + min(failed)
-        return None
+    # The ball at c is c ^ offsets: every y with |y| <= r.
+    offsets = [
+        sum(1 << i for i in bits)
+        for w in range(min(r, cm.n) + 1)
+        for bits in combinations(range(cm.n), w)
+    ]
+    # place[v ^ t] is the slot of v in the target ball around t.
+    place = {v: j for j, v in enumerate(target)}
+    # Each edge {u, u ^ s} of the target ball once, as two slots.
+    edges = [
+        (j, i) for j, u in enumerate(target) for s in cm.columns
+        if (i := place.get(u ^ s, -1)) > j
+    ]
+    edge_a = [a for a, _ in edges]
+    edge_b = [b for _, b in edges]
+    table = cm.projection_table
+    project = table.__getitem__
+    k = len(target)
+    units = frozenset(1 << i for i in range(cm.n))
+    for c in range(1 << cm.n):
+        images = map(project, map(c.__xor__, offsets))
+        slots = map(place.get, map(table[c].__xor__, images))
+        # The offset y of each slot that c ^ y projects to; as many
+        # offsets as slots, so all k slots are filled exactly when the
+        # projection is injective and onto the target ball.
+        inverse = dict(zip(slots, offsets))
+        if len(inverse) != k or None in inverse:
+            return _first_failure(cm, c, r)
+        lifts = map(xor, map(inverse.__getitem__, edge_a),
+                    map(inverse.__getitem__, edge_b))
+        if not units.issuperset(lifts):
+            return _first_failure(cm, c, r)
+    return 1 << cm.n, None
 
 
 def _first_failure(

@@ -9,6 +9,7 @@ and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gf2 import DimensionBudgetError, gray_span
 from .cayley import format_small_word
@@ -76,11 +77,13 @@ def enumerate_codewords(code: ClassicalCode) -> list[int]:
     return list(gray_span(basis))
 
 
+@lru_cache(maxsize=64)
 def min_distance(code: ClassicalCode) -> int | None:
     """Minimum weight over nonzero codewords, exhaustively.
 
     Returns None when the code has no nonzero codeword (dimension 0);
-    never a sentinel integer.
+    never a sentinel integer.  Cached, so that the CLI's sweep guard and
+    the suite that sweeps share one search.
     """
     basis = code.codeword_basis()
     if not basis:

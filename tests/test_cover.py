@@ -17,6 +17,7 @@ from cayleycss.cover import (
     SupportEscapesBallError,
     certify_all_centers,
     certify_ball_isomorphism,
+    check_sweep_length,
     check_sweep_size,
     decompose_as_sphere_sum,
     lift_ball_word,
@@ -123,22 +124,6 @@ def loop_sweep(cm, r):
     return 1 << cm.n, None
 
 
-#: (Python slot budget, NumPy batch words): every center in the Python
-#: pass, every center in NumPy batches, and a few centers in Python with
-#: the rest in batches of one or a few centers.
-SWEEP_PATHS = {
-    "python": (1 << 40, cover.SWEEP_BATCH_WORDS),
-    "numpy": (0, cover.SWEEP_BATCH_WORDS),
-    "mixed": (300, 64),
-}
-
-
-def use_sweep_path(monkeypatch, path):
-    python_slots, batch_words = SWEEP_PATHS[path]
-    monkeypatch.setattr(cover, "SWEEP_PYTHON_SLOTS", python_slots)
-    monkeypatch.setattr(cover, "SWEEP_BATCH_WORDS", batch_words)
-
-
 def random_covers(rng, count):
     """count random codes [I_m | W] with m <= 8 and n = m + |W| <= 9."""
     covers = []
@@ -151,7 +136,7 @@ def random_covers(rng, count):
     return covers
 
 
-def test_sweep_matches_the_center_by_center_loop(monkeypatch):
+def test_sweep_matches_the_center_by_center_loop():
     rng = random.Random(1)
     kinds, parities = set(), set()
     for cm in random_covers(rng, 80):
@@ -161,11 +146,7 @@ def test_sweep_matches_the_center_by_center_loop(monkeypatch):
         for r in sorted(radii - {-1}):
             want = loop_sweep(cm, r)
             kinds.add(want[1].kind if want[1] else "isomorphism")
-            for path in SWEEP_PATHS:
-                use_sweep_path(monkeypatch, path)
-                assert certify_all_centers(cm, r) == want, (
-                    cm.m, cm.code.W, r, path
-                )
+            assert certify_all_centers(cm, r) == want, (cm.m, cm.code.W, r)
     assert kinds == {"isomorphism", "vertex-collision", "edge-mismatch"}
     assert parities == {0, 1}
 
@@ -182,12 +163,10 @@ def corrupt_projection(monkeypatch, cm, v, u):
 # n = 7, d = 7, r* = 2.  Each v is more than 2 from 0, its first center
 # (v with its two highest ones cleared) is odd for one and even for the
 # other, and u = v minus its highest one lies in that center's ball.
-@pytest.mark.parametrize("path", SWEEP_PATHS)
 @pytest.mark.parametrize("v", [0b1110101, 0b1011010])
 def test_sweep_fails_the_first_center_whose_ball_holds_a_corrupted_vertex(
-    monkeypatch, path, v
+    monkeypatch, v
 ):
-    use_sweep_path(monkeypatch, path)
     cm = CoverMap(build_parity_check(6, (0b111111,)))
     r = cm.safe_radius
     assert certify_all_centers(cm, r) == (1 << cm.n, None)
@@ -217,23 +196,25 @@ def refuse_distance(*_):
 
 
 def test_sweep_size_guard(monkeypatch):
-    # The largest sweep of the cover benchmark (n = 11, r = 5) and the
-    # CLI test inputs are accepted.
-    for m, W, r in [(10, (0b1111111011,), 5), (5, (0b11111,), None),
-                    (6, (0b111111,), 3)]:
-        check_sweep_size(CoverMap(build_parity_check(m, W)), r)
-    # n = 17 at r* = 7: 2^17 centers times 41226 ball vertices.
-    big = CoverMap(build_parity_check(16, ((1 << 16) - 1,)))
+    # The largest sweep of the cover benchmark (n = 11, r = 5), the CLI
+    # test inputs, and the verify cover suite on n = 12 at r* = 5 are
+    # accepted.
+    for m, W, radii in [(10, (0b1111111011,), [5]), (5, (0b11111,), [2]),
+                        (6, (0b111111,), [3]), (11, (0b11111111111,),
+                                                range(6))]:
+        cm = CoverMap(build_parity_check(m, W))
+        check_sweep_length(cm)
+        check_sweep_size(cm, radii)
+    # n = 13 at r* = 5: 2^13 centers times 2380 ball vertices.
+    cm = CoverMap(build_parity_check(12, ((1 << 12) - 1,)))
     with pytest.raises(SizeGuardError, match="ball vertices"):
-        check_sweep_size(big)
-    check_sweep_size(big, 0)
-    # n = 21 is refused before the distance is computed.
+        check_sweep_size(cm, [cm.safe_radius])
+    check_sweep_size(cm, range(5))
+    # n = 21 is refused without its distance.
     monkeypatch.setattr(cover, "min_distance", refuse_distance)
     long = CoverMap(build_parity_check(20, ((1 << 20) - 1,)))
     with pytest.raises(SizeGuardError, match="n <= 20"):
-        check_sweep_size(long, 0)
-    with pytest.raises(SizeGuardError):
-        certify_all_centers(long, 0)
+        check_sweep_length(long)
 
 
 def test_lift_at_safe_radius_for_odd_distance():

@@ -27,17 +27,12 @@ MAX_MATERIALIZED_DIMENSION = 16
 
 #: Adjacency matrices, and separately halved blocks, kept per process,
 #: least recently used dropped first.  The halved blocks carry every
-#: bipartite ``css.build_css`` code, so ``params`` and ``witness`` of
-#: the tower share one U with its echelon and never build M.  The
-#: adjacency entries serve the ``verify`` suites that read the tower
-#: matrix M itself (recursion, conjugation, normal forms and the
-#: recursive kernel basis, all at n <= 11), codes with an even-weight
-#: generator, and ``build``: every level of a ``verify --suite all``
-#: run is built once.  An adjacency entry at
-#: m = 13 holds up to about 20 MB (8 MB matrix, 4 MB echelon, 8 MB
-#: solver) and a halved one a quarter of that (2 MB block, 1 MB
-#: echelon, 2 MB solver), so the two full caches stay near 0.3 and
-#: 0.08 GB.
+#: bipartite ``css.build_css`` code, so the tower never builds M for
+#: its code.  The adjacency entries serve the ``verify`` suites that
+#: read M itself (all at n <= 11), codes with an even-weight generator,
+#: and ``build``.  An entry at m = 13 holds up to about 20 MB (8 MB
+#: matrix, 4 MB echelon, 8 MB solver) and a halved one a quarter of
+#: that, so the two full caches stay near 0.3 and 0.08 GB.
 ADJACENCY_CACHE_SIZE = 16
 
 #: Largest m whose adjacency matrices and halved blocks are cached.

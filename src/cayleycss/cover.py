@@ -32,6 +32,7 @@ from math import comb
 from operator import xor
 from typing import Iterable, Optional
 
+# ``ball`` stays bound here: the benchmark tracer's self-test reads it.
 from .cayley import GeneratorSet, SizeGuardError, ball, ball_vertices, sphere
 from .gf2 import BitVector, int_echelon, int_reduce
 from .smallcode import ClassicalCode, enumerate_codewords, min_distance
@@ -290,9 +291,7 @@ def lift_ball_word(
         )
     # center is a target vertex; it is its own canonical fiber point
     # because the identity columns come first.
-    target_ball = set(
-        ball(cm.m, cm.target_generators(), center, r).support()
-    )
+    target_ball = ball_vertices(cm.m, cm.target_generators(), center, r)
     outside = [v for v in c.support() if v not in target_ball]
     if outside:
         raise SupportEscapesBallError(
@@ -304,9 +303,7 @@ def lift_ball_word(
             f"ball at {center} is not isomorphic at radius {r}"
         )
     dom = cm.domain_generators()
-    inverse = {
-        cm.project(v): v for v in ball(cm.n, dom, center, r).support()
-    }
+    inverse = {cm.project(v): v for v in ball_vertices(cm.n, dom, center, r)}
     return BitVector.from_support(
         1 << cm.n, [inverse[v] for v in c.support()]
     )
@@ -356,7 +353,7 @@ def _sphere_system(
     inside it (the radius r-1 ball, sorted) and the echelon basis of
     those spheres; shared by every word decomposed in that ball."""
     S = GeneratorSet.canonical(m)
-    outer = frozenset(ball(m, S, center, r).support())
-    candidates = tuple(ball(m, S, center, max(r - 1, 0)).support())
+    outer = frozenset(ball_vertices(m, S, center, r))
+    candidates = tuple(sorted(ball_vertices(m, S, center, max(r - 1, 0))))
     basis = int_echelon(sphere(m, S, t).to_int() for t in candidates)
     return outer, candidates, tuple(basis)

@@ -21,7 +21,7 @@ from . import gf2
 from .cayley import (
     GeneratorSet,
     adjacency_matrix,
-    ball,
+    ball_vertices,
     check_self_orthogonal_combinatorial,
     class_vertices,
     halved_matrix,
@@ -242,7 +242,7 @@ def ball_weight_check(
     if code.m is None or code.generators is None:
         raise ValueError("ball weights need a graph-backed CSS code")
     threshold = math.ceil(n_classical * n_classical / 32)
-    near = set(ball(code.m, code.generators, 0, 4).support())
+    near = ball_vertices(code.m, code.generators, 0, 4)
     support = w.support()
     margins = {
         x: sum(x ^ v in near for v in support) - threshold for x in support

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import css as css_mod
 from . import gf2
 from .cayley import (
     GeneratorSet,
@@ -27,23 +26,16 @@ from .cayley import (
     adjacency_matrix,
     halved_matrix,
 )
-from .css import CssCode
+from .css import CssCode, build_css
 from .gf2 import BitMatrix, BitVector
 
 #: Recursive block assembly guard (2^11 x 2^11 dense intermediates).
 MAX_RECURSIVE_DIMENSION = 11
 
-#: Witness membership checks run up to this n; rank work beyond is not
-#: desk-scale.  Kept <= cayley.MAX_CACHED_DIMENSION, so the check's
-#: ``build_code(n)`` shares the halved block (and its echelon) that the
-#: caller's code of the same level already eliminated.
-MAX_VERIFIED_DIMENSION = 13
-
-#: Largest n for which a witness (a 2^n-bit word) is built.  On a
-#: 2-core host ``witness --n 23`` takes 0.9 s at 68 MB peak RSS, and
-#: n = 25 (guard raised) 1.5 s at 124 MB.  The word's dense transients
-#: grow 4x per step of two, so memory, not time, should set a higher
-#: guard.
+#: Largest n for which a witness (a 2^n-bit word) is built.  On a 2-core
+#: Xeon ``witness --n 23`` takes 0.4-0.5 s at 50 MB peak RSS and n = 25
+#: (guard raised) 1.0 s at 107 MB; the word's dense transients grow 4x
+#: per step of two, so memory should set a higher guard.
 MAX_WITNESS_DIMENSION = 23
 
 
@@ -302,49 +294,68 @@ def representative_normal_form(n_total: int, c: BitVector) -> NormalForm:
     return NormalForm(final, reduced=True)
 
 
-#: The fixed weight-2 logical word at the base of the witness tower.
-BASE_WITNESS_VERTICES = (2, 4)
-
-
 def min_weight_witness(n: int) -> BitVector:
     """A logical word of weight 2^((n-1)/2), built recursively.
 
     The base is the fixed weight-2 word at vertex positions 2 and 4;
     each step places (0, 0, J w, w) so the block kernel conditions hold
-    with d1 = w and d2 = J w.  Kernel and non-image membership are
-    verified up to n = MAX_VERIFIED_DIMENSION against ``build_code(n)``,
-    whose halved block is shared through the cayley cache there.
+    with d1 = w and d2 = J w.  The word returned is proved logical by
+    ``certify_logical``, without a matrix.
     """
-    if n % 2 == 0:
-        raise ValueError("witnesses exist for odd n only")
-    if n < 3:
-        raise ValueError("the tower starts at n = 3")
+    expected = parameters(n)[2]  # refuses even n and n < 3
     if n > MAX_WITNESS_DIMENSION:
         raise SizeGuardError(
             f"witness size guard: n = {n} exceeds {MAX_WITNESS_DIMENSION}"
         )
-    if n == 3:
-        w = BitVector.from_support(8, BASE_WITNESS_VERTICES)
-    else:
-        prev = min_weight_witness(n - 2)
-        zero = BitVector.zeros(prev.length)
-        w = QuadSplit((zero, zero, reversal(prev), prev)).join()
-    if n <= MAX_VERIFIED_DIMENSION:
-        cls = css_mod.classify_word(build_code(n), w)
-        if cls is css_mod.WordClass.NOT_IN_DUAL:
-            raise AssertionError("witness escaped the kernel")
-        if cls is css_mod.WordClass.STABILIZER:
-            raise AssertionError("witness degenerated into the row space")
-    expected = parameters(n)[2]
+    w = BitVector.from_support(8, (2, 4))
+    for _ in range((n - 3) // 2):
+        zero = BitVector.zeros(w.length)
+        w = QuadSplit((zero, zero, reversal(w), w)).join()
     if w.weight != expected:
-        raise AssertionError(
-            f"witness weight {w.weight} != {expected}"
-        )
+        raise AssertionError(f"witness weight {w.weight} != {expected}")
+    certify_logical(n, w)
     return w
+
+
+def cyclic_shift(n: int, v: np.ndarray) -> np.ndarray:
+    """x_i -> x_(i+1 mod n) on integer vertices: it permutes the basis
+    and fixes the all-ones word, so it maps ker M to itself."""
+    return ((v << 1) | (v >> (n - 1))) & ((1 << n) - 1)
+
+
+def certify_logical(
+    n: int, w: BitVector, partner=("cyclic-shift", cyclic_shift)
+) -> dict:
+    """Prove w logical in the level-n tower with no matrix, or raise
+    AssertionError: w and its partner z, the image of w under the named
+    vertex map, lie in ker M, and |w & z| is odd.  M is symmetric, so
+    its row space is orthogonal to ker M and misses w.
+
+    M v = 0 iff every vertex is hit an even number of times by x + s, x
+    in supp v and s in S; ``from_support`` forms those parities in one
+    pass, as a position listed twice cancels."""
+    name, vertex_map = partner
+
+    def in_kernel(x: np.ndarray) -> bool:
+        hits = (x[:, None] ^ np.array(generators(n).elements)).ravel()
+        return BitVector.from_support(1 << n, hits).is_zero()
+
+    x = np.array(w.support(), dtype=np.int64)
+    z = BitVector.from_support(w.length, vertex_map(n, x))
+    cert = {
+        "in_kernel": in_kernel(x),
+        "partner": name,
+        "partner_in_kernel": in_kernel(vertex_map(n, x)),
+        "overlap": (w.weight + z.weight - (w ^ z).weight) // 2,
+    }
+    if not (cert["in_kernel"] and cert["partner_in_kernel"]
+            and cert["overlap"] % 2):
+        raise AssertionError(f"word not certified logical: {cert}")
+    return cert
 
 
 def build_code(n: int) -> CssCode:
     """The CSS code of the level-n tower matrix (n odd)."""
     if n % 2 == 0:
         raise ValueError("the generator count n + 1 must be even")
-    return css_mod.build_css(n, generators(n))
+    return build_css(n, generators(n))

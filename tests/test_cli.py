@@ -395,8 +395,26 @@ def test_witness_report(capsys):
     assert out["support"] == [2, 4]
     assert out["weight"] == 2
     assert out["classification"] == "logical"
+    assert out["certificate"]["overlap"] == 1
     code5, report5 = run_report(capsys, "witness", "--n", "5")
     assert report5["outputs"]["weight"] == 4
+
+
+@pytest.mark.parametrize("n", [15, 17, 19, 21, 23])
+def test_witness_beyond_n13_reports_a_certified_logical_word(capsys, n):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "witness", "--n", str(n))
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    outputs = json.loads(out)["outputs"]
+    assert outputs["weight"] == 1 << ((n - 1) // 2)
+    assert (outputs["in_kernel"], outputs["in_row_space"],
+            outputs["classification"]) == (True, False, "logical")
+    assert outputs["certificate"] == {
+        "in_kernel": True, "partner": "cyclic-shift",
+        "partner_in_kernel": True, "overlap": 1,
+    }
+    assert elapsed < 1.0, f"witness --n {n} took {elapsed:.2f} s"
 
 
 def test_witness_size_guard_exits_before_work(capsys):

@@ -277,11 +277,10 @@ def test_codes_from_a_matrix_never_build_the_halved_block(halved_calls):
 
 
 def test_params_eliminates_the_halved_block_once(eliminated_shapes):
-    # The CLI's code and the witness check's build_code(9) share one
-    # cached U, so its echelon is computed once and M's never.
+    # The code's rank eliminates U(9); the witness is certified without
+    # a matrix, so no lower level's U and no M is eliminated.
     assert cli.main(["params", "--family", "repetition", "--n", "9"]) == 0
-    assert eliminated_shapes.count((256, 4)) == 1  # U at n = 9
-    assert not any(rows == 512 for rows, _ in eliminated_shapes)  # M
+    assert eliminated_shapes == [(256, 4)]
 
 
 #: Generator sets over F_2^5 with kernel dimension 20 and K = 8, so
@@ -327,8 +326,26 @@ def test_tower_params_and_witness_build_no_adjacency_matrix(monkeypatch,
     assert built == []
 
 
-def test_witness_checks_stay_within_the_cached_sizes():
-    assert repetition.MAX_VERIFIED_DIMENSION <= cayley.MAX_CACHED_DIMENSION
+@pytest.mark.parametrize("n", [9, 13, 23])
+def test_witness_builds_and_eliminates_no_matrix(monkeypatch, capsys, n):
+    cayley._adjacency.cache_clear()
+    cayley._halved.cache_clear()
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def record(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, record)
+    spy(gf2, "_eliminate")
+    for name in ("_build_halved", "_halved", "_build_adjacency",
+                 "_adjacency"):
+        spy(cayley, name)
+    assert cli.main(["witness", "--n", str(n)]) == 0
+    assert '"classification": "logical"' in capsys.readouterr().out
+    assert calls == []
 
 
 def test_class_vertices_index_each_class_by_v_shift_1():

@@ -198,6 +198,78 @@ def test_witness_rejects_even_n():
         min_weight_witness(4)
 
 
+# -- the matrix-free logical certificate -----------------------------------
+
+CERTIFIED = {
+    "in_kernel": True,
+    "partner": "cyclic-shift",
+    "partner_in_kernel": True,
+    "overlap": 1,
+}
+
+
+def translate_e1(n, v):
+    return v ^ 1
+
+
+def coordinate_reversal(n, v):
+    """x_i -> x_(n+1-i), also a graph automorphism of the tower."""
+    return sum(((v >> i) & 1) << (n - 1 - i) for i in range(n))
+
+
+@pytest.mark.parametrize("n", range(3, 24, 2))
+def test_witness_is_certified_at_every_odd_level(n):
+    w = min_weight_witness(n)
+    assert repetition.certify_logical(n, w) == CERTIFIED
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+def test_certificate_agrees_with_classify_word(n):
+    code = repetition.build_code(n)
+    w = min_weight_witness(n)
+    assert css.classify_word(code, w) is css.WordClass.LOGICAL
+    assert repetition.certify_logical(n, w) == CERTIFIED
+    # Every support vertex flipped in turn: off the kernel, refused.
+    for x in w.support():
+        bad = w ^ BitVector.from_support(w.length, [x])
+        assert css.classify_word(code, bad) is css.WordClass.NOT_IN_DUAL
+        with pytest.raises(AssertionError, match="'in_kernel': False"):
+            repetition.certify_logical(n, bad)
+    # A row of M is a stabilizer; its overlap with any kernel word,
+    # here its own shift, is even.
+    row = cayley.sphere(n, repetition.generators(n), 0)
+    assert css.classify_word(code, row) is css.WordClass.STABILIZER
+    with pytest.raises(AssertionError, match="not certified"):
+        repetition.certify_logical(n, row)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+def test_a_translate_is_a_kernel_partner_with_even_overlap(n):
+    # w + e1 is logical too, but lies on the other weight class.
+    w = min_weight_witness(n)
+    moved = BitVector.from_support(
+        w.length, translate_e1(n, np.array(w.support()))
+    )
+    assert css.classify_word(repetition.build_code(n), moved) is (
+        css.WordClass.LOGICAL
+    )
+    with pytest.raises(AssertionError,
+                       match="'partner_in_kernel': True, 'overlap': 0"):
+        repetition.certify_logical(n, w, ("translate-e1", translate_e1))
+
+
+@pytest.mark.parametrize("n", range(3, 24, 2))
+def test_coordinate_reversal_fails_as_partner_from_n7(n):
+    w = min_weight_witness(n)
+    partner = ("reversal", coordinate_reversal)
+    if n < 7:
+        assert repetition.certify_logical(n, w, partner)["overlap"] == 1
+        return
+    with pytest.raises(AssertionError,
+                       match="'partner_in_kernel': True, 'overlap': 0"):
+        repetition.certify_logical(n, w, partner)
+
+
 def test_parameters_closed_form():
     for n in range(3, 24, 2):
         N, K, D = repetition.parameters(n)

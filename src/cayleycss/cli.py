@@ -269,14 +269,14 @@ def cmd_witness(args, started: float) -> int:
         raise CliError("witness needs --n")
     if args.n % 2 == 0:
         raise CliError(f"witnesses exist for odd n only, got {args.n}")
-    w = repetition.min_weight_witness(args.n)
-    cert = repetition.certify_logical(args.n, w)
+    w, x, cert = repetition.certified_witness(args.n)
+    support = x.tolist()
     outputs = {
         "n": args.n,
         "weight": w.weight,
-        "support": w.support(),
+        "support": support,
         "support_bitstrings": [format_small_word(v, args.n)
-                               for v in w.support()],
+                               for v in support],
         "in_kernel": cert["in_kernel"],
         "in_row_space": False,
         "classification": css.WordClass.LOGICAL.value,

@@ -26,36 +26,58 @@ assert _BIN_HEADER.size == 16
 FORMAT_NAMES = ("alist", "mtx", "bin", "json")
 
 
-def _group(keys: np.ndarray, values: np.ndarray, n: int) -> list[list[int]]:
-    """Split ``values`` by ``keys`` (sorted ascending) into n lists."""
-    bounds = np.searchsorted(keys, np.arange(n + 1)).tolist()
-    items = values.tolist()
-    return [items[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+def _render(table: np.ndarray, sep: str = " ", end: str = "\n") -> str:
+    """Each row of a 2-D table of ints as one line of ``sep``-separated
+    decimals ended by ``end``, in one gather from a token table; a
+    negative entry pads the end of its row and renders as nothing."""
+    rows, width = table.shape
+    top = int(table.max(initial=0))
+    scale = 10 ** np.arange(len(str(top)) - 1, -1, -1)
+    if top < table.size:
+        value = np.arange(top + 1)[:, None]
+    else:  # few entries over a wide range: one token per entry
+        value = table.reshape(-1, 1)
+        slot = np.arange(table.size).reshape(rows, width)
+        table = np.where(table < 0, -1, slot)
+    # A token is sep and a value's digits, left-padded with zero bytes that
+    # are dropped at the end; the last token, all zero, renders padding.
+    tokens = np.zeros((len(value) + 1, len(scale) + 1), dtype=np.uint8)
+    tokens[:-1, 0] = ord(sep)
+    tokens[:-1, 1:] = np.where(
+        np.maximum(value, 1) >= scale, value // scale % 10 + ord("0"), 0
+    )
+    line = width * tokens.shape[1]
+    text = np.full((rows, line + 1), ord(end), dtype=np.uint8)
+    text[:, :-1] = tokens[table].reshape(rows, line)
+    if width:
+        text[:, 0] = 0  # no separator before the first entry of a line
+    text = text.ravel()
+    return text[text != 0].tobytes().decode()
+
+
+def _by_line(
+    keys: np.ndarray, values: np.ndarray, n: int, pad: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The count of each key in 0..n-1 and a dense (n x max count) table
+    whose row k holds, in order, the ``values`` keyed k (``keys`` sorted
+    ascending), padded with ``pad``."""
+    count = np.bincount(keys, minlength=n)
+    slot = np.arange(len(keys)) - (np.cumsum(count) - count)[keys]
+    table = np.full((n, count.max(initial=0)), pad, dtype=np.int64)
+    table[keys, slot] = values
+    return count, table
 
 
 def write_alist(M: BitMatrix) -> str:
     rr, cc = M.nonzero()
     by_col = np.argsort(cc, kind="stable")  # rows stay ascending per column
-    col_lists = _group(cc[by_col], rr[by_col] + 1, M.cols)
-    row_lists = _group(rr, cc + 1, M.rows)
-    col_deg = [len(c) for c in col_lists]
-    row_deg = [len(r) for r in row_lists]
-    max_col = max(col_deg, default=0)
-    max_row = max(row_deg, default=0)
-    lines = [
-        f"{M.cols} {M.rows}",
-        f"{max_col} {max_row}",
-        " ".join(map(str, col_deg)),
-        " ".join(map(str, row_deg)),
-    ]
     # Index lists are zero-padded to the maximum degree.
-    lines += [
-        " ".join(map(str, c + [0] * (max_col - len(c)))) for c in col_lists
-    ]
-    lines += [
-        " ".join(map(str, r + [0] * (max_row - len(r)))) for r in row_lists
-    ]
-    return "\n".join(lines) + "\n"
+    col_deg, col_lists = _by_line(cc[by_col], rr[by_col] + 1, M.cols, 0)
+    row_deg, row_lists = _by_line(rr, cc + 1, M.rows, 0)
+    return "".join(map(_render, (
+        np.array([[M.cols, M.rows], [col_lists.shape[1], row_lists.shape[1]]]),
+        col_deg[None], row_deg[None], col_lists, row_lists,
+    )))
 
 
 def read_alist(text: str) -> BitMatrix:
@@ -84,12 +106,10 @@ def read_alist(text: str) -> BitMatrix:
 
 def write_mtx(M: BitMatrix) -> str:
     rr, cc = M.nonzero()
-    lines = [
-        "%%MatrixMarket matrix coordinate pattern general",
-        f"{M.rows} {M.cols} {len(rr)}",
-    ]
-    lines += [f"{i + 1} {j + 1}" for i, j in zip(rr.tolist(), cc.tolist())]
-    return "\n".join(lines) + "\n"
+    return (
+        "%%MatrixMarket matrix coordinate pattern general\n"
+        f"{M.rows} {M.cols} {len(rr)}\n" + _render(np.stack([rr, cc], 1) + 1)
+    )
 
 
 def read_mtx(text: str) -> BitMatrix:
@@ -134,14 +154,20 @@ def read_bin(blob: bytes) -> BitMatrix:
 
 
 def write_json(M: BitMatrix) -> str:
-    """Row support lists (0-based), the most greppable of the formats."""
+    """Row support lists (0-based), the most greppable of the formats,
+    laid out as ``json.dumps(payload, indent=2)`` lays them out."""
     rr, cc = M.nonzero()
-    payload = {
-        "rows": M.rows,
-        "cols": M.cols,
-        "row_support": _group(rr, cc, M.rows),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    # Row "a,b;" becomes "[\n      a,\n      b\n    ]"; the empty row "[]".
+    rows = (
+        _render(_by_line(rr, cc, M.rows, -1)[1], sep=",", end=";")[:-1]
+        .replace(",", ",\n      ")
+        .replace(";", "\n    ],\n    [\n      ")
+    )
+    support = f"[\n    [\n      {rows}\n    ]\n  ]" if M.rows else "[]"
+    return (
+        f'{{\n  "rows": {M.rows},\n  "cols": {M.cols},\n  "row_support": '
+        + support.replace("[\n      \n    ]", "[]") + "\n}\n"
+    )
 
 
 def read_json(text: str) -> BitMatrix:

@@ -33,9 +33,9 @@ from .gf2 import BitMatrix, BitVector
 MAX_RECURSIVE_DIMENSION = 11
 
 #: Largest n for which a witness (a 2^n-bit word) is built.  On a 2-core
-#: Xeon ``witness --n 23`` takes 0.4-0.5 s at 50 MB peak RSS and n = 25
-#: (guard raised) 1.0 s at 107 MB; the word's dense transients grow 4x
-#: per step of two, so memory should set a higher guard.
+#: Xeon ``witness --n 23`` takes 0.3-0.4 s at 34 MB peak RSS and n = 25
+#: (guard raised) 0.4 s at 42 MB; the 2^n-bit words of the certificate
+#: grow 4x per step of two, so memory should set a higher guard.
 MAX_WITNESS_DIMENSION = 23
 
 
@@ -295,26 +295,31 @@ def representative_normal_form(n_total: int, c: BitVector) -> NormalForm:
 
 
 def min_weight_witness(n: int) -> BitVector:
-    """A logical word of weight 2^((n-1)/2), built recursively.
+    """A logical word of weight 2^((n-1)/2); see ``certified_witness``."""
+    return certified_witness(n)[0]
+
+
+def certified_witness(n: int) -> tuple[BitVector, np.ndarray, dict]:
+    """A logical word of weight 2^((n-1)/2), its ascending support and
+    the ``certify_logical`` certificate that proves it logical.
 
     The base is the fixed weight-2 word at vertex positions 2 and 4;
     each step places (0, 0, J w, w) so the block kernel conditions hold
-    with d1 = w and d2 = J w.  The word returned is proved logical by
-    ``certify_logical``, without a matrix.
+    with d1 = w and d2 = J w.  On a support x of length L that step is
+    x -> (3L - 1 - x) + (3L + x) at length 4L, one pass per level.
     """
     expected = parameters(n)[2]  # refuses even n and n < 3
     if n > MAX_WITNESS_DIMENSION:
         raise SizeGuardError(
             f"witness size guard: n = {n} exceeds {MAX_WITNESS_DIMENSION}"
         )
-    w = BitVector.from_support(8, (2, 4))
-    for _ in range((n - 3) // 2):
-        zero = BitVector.zeros(w.length)
-        w = QuadSplit((zero, zero, reversal(w), w)).join()
+    x = np.array([2, 4], dtype=np.int64)
+    for k in range(3, n, 2):
+        x = np.concatenate([(3 << k) - 1 - x[::-1], (3 << k) + x])
+    w = BitVector.from_support(1 << n, x)
     if w.weight != expected:
         raise AssertionError(f"witness weight {w.weight} != {expected}")
-    certify_logical(n, w)
-    return w
+    return w, x, certify_logical(n, w, support=x)
 
 
 def cyclic_shift(n: int, v: np.ndarray) -> np.ndarray:
@@ -324,7 +329,8 @@ def cyclic_shift(n: int, v: np.ndarray) -> np.ndarray:
 
 
 def certify_logical(
-    n: int, w: BitVector, partner=("cyclic-shift", cyclic_shift)
+    n: int, w: BitVector, partner=("cyclic-shift", cyclic_shift),
+    support: np.ndarray | None = None,
 ) -> dict:
     """Prove w logical in the level-n tower with no matrix, or raise
     AssertionError: w and its partner z, the image of w under the named
@@ -333,14 +339,15 @@ def certify_logical(
 
     M v = 0 iff every vertex is hit an even number of times by x + s, x
     in supp v and s in S; ``from_support`` forms those parities in one
-    pass, as a position listed twice cancels."""
+    pass, as a position listed twice cancels.  ``support``, if given, is
+    w's support, so w need not be unpacked."""
     name, vertex_map = partner
 
     def in_kernel(x: np.ndarray) -> bool:
         hits = (x[:, None] ^ np.array(generators(n).elements)).ravel()
         return BitVector.from_support(1 << n, hits).is_zero()
 
-    x = np.array(w.support(), dtype=np.int64)
+    x = np.array(w.support() if support is None else support, np.int64)
     z = BitVector.from_support(w.length, vertex_map(n, x))
     cert = {
         "in_kernel": in_kernel(x),

@@ -11,9 +11,9 @@ import jsonschema
 import pytest
 
 import cayleycss
-from cayleycss import cli, formats, verify
+from cayleycss import cli, formats, repetition, verify
 from cayleycss.cayley import GeneratorSet, adjacency_matrix
-from cayleycss.gf2 import BitMatrix
+from cayleycss.gf2 import BitMatrix, BitVector
 
 try:
     from importlib.resources import files as resource_files
@@ -415,6 +415,26 @@ def test_witness_beyond_n13_reports_a_certified_logical_word(capsys, n):
         "partner_in_kernel": True, "overlap": 1,
     }
     assert elapsed < 1.0, f"witness --n {n} took {elapsed:.2f} s"
+
+
+def test_witness_certifies_once_and_never_unpacks_the_word(capsys,
+                                                         monkeypatch):
+    calls = {"certify_logical": 0, "support": 0}
+    certify, support = repetition.certify_logical, BitVector.support
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(repetition, "certify_logical",
+                        counted("certify_logical", certify))
+    monkeypatch.setattr(BitVector, "support", counted("support", support))
+    code, out, err = run_cli(capsys, "witness", "--n", "11")
+    assert code == 0
+    assert json.loads(out)["outputs"]["weight"] == 32
+    assert calls == {"certify_logical": 1, "support": 0}
 
 
 def test_witness_size_guard_exits_before_work(capsys):

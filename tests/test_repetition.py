@@ -223,6 +223,25 @@ def test_witness_is_certified_at_every_odd_level(n):
     assert repetition.certify_logical(n, w) == CERTIFIED
 
 
+def quad_split_witness(n):
+    """The witness as first built: (0, 0, J w, w) joined from blocks."""
+    w = BitVector.from_support(8, (2, 4))
+    for _ in range((n - 3) // 2):
+        zero = BitVector.zeros(w.length)
+        w = QuadSplit((zero, zero, reversal(w), w)).join()
+    return w
+
+
+@pytest.mark.parametrize("n", range(3, 24, 2))
+def test_support_recursion_builds_the_quad_split_witness(n):
+    w, support, cert = repetition.certified_witness(n)
+    want = quad_split_witness(n)
+    assert w == want
+    assert support.tolist() == want.support()
+    assert cert == repetition.certify_logical(n, want) == CERTIFIED
+    assert min_weight_witness(n) == want
+
+
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
 def test_certificate_agrees_with_classify_word(n):
     code = repetition.build_code(n)

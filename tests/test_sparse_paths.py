@@ -10,6 +10,7 @@ byte-identical and verdicts equal.
 
 import hashlib
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -260,9 +261,111 @@ TOWER_11_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("fmt", formats.FORMAT_NAMES)
-def test_tower_n11_exports_are_pinned(fmt):
-    out = getattr(formats, f"write_{fmt}")(repetition.matrix(11))
+#: The same for n = 13, fixed from the writers that formatted one line
+#: at a time.
+TOWER_13_SHA256 = {
+    "alist": "891920b4205df8c8e4b7a0007542a5a81fcdd7b08df5bd618ec8d6db13d390a8",
+    "mtx": "5f80a5995c5459064ba085385c68ca96cd1f6d83fd906db38ecfdfd79c8d61a0",
+    "bin": "46b3097c7ae781d4452e978f0481a29a8a1281d2eb834a63b82f2270f28d3822",
+    "json": "3392d2509e820faab0acaf6eb9e20ed459b1737af1f9052584231a79f7d6f9d2",
+}
+
+
+def export_sha256(fmt: str, n: int) -> str:
+    out = getattr(formats, f"write_{fmt}")(repetition.matrix(n))
     if isinstance(out, str):
         out = out.encode()
-    assert hashlib.sha256(out).hexdigest() == TOWER_11_SHA256[fmt]
+    return hashlib.sha256(out).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", formats.FORMAT_NAMES)
+def test_tower_n11_exports_are_pinned(fmt):
+    assert export_sha256(fmt, 11) == TOWER_11_SHA256[fmt]
+
+
+@pytest.mark.parametrize("fmt", formats.FORMAT_NAMES)
+def test_tower_n13_exports_are_pinned(fmt):
+    assert export_sha256(fmt, 13) == TOWER_13_SHA256[fmt]
+
+
+# -- the text renderer at its edges ----------------------------------------
+
+TEXT_FORMATS = ("alist", "mtx", "json")
+
+
+def assert_text_writers_match_oracles(M: BitMatrix) -> None:
+    for fmt in TEXT_FORMATS:
+        got, want = getattr(formats, f"write_{fmt}")(M), ORACLES[fmt](M)
+        if got != want:  # name the first difference: diffing 10^4 lines
+            at = next(  # takes pytest minutes
+                (i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                min(len(got), len(want)),
+            )
+            pytest.fail(f"{fmt} differs at {at}: {got[at - 20:at + 20]!r}")
+
+
+#: Shapes whose dimension, largest index or largest degree is the last
+#: number of one decimal width or the first of the next.
+BOUNDARY_SHAPES = [
+    shape for k in (9, 99, 999, 9999)
+    for shape in ((2, k), (2, k + 1), (k, 2), (k + 1, 2))
+]
+
+
+@pytest.mark.parametrize("fill", ["ones", "corners", "sparse"])
+@pytest.mark.parametrize("rows, cols", BOUNDARY_SHAPES)
+def test_text_writers_across_decimal_widths(rows, cols, fill):
+    if fill == "ones":
+        dense = np.ones((rows, cols), dtype=np.uint8)
+    elif fill == "corners":  # empty rows and columns between the corners
+        dense = np.zeros((rows, cols), dtype=np.uint8)
+        dense[0, 0] = dense[-1, -1] = 1
+    else:
+        rng = np.random.default_rng(rows * 100003 + cols)
+        dense = (rng.random((rows, cols)) < 0.01).astype(np.uint8)
+    assert_text_writers_match_oracles(BitMatrix.from_dense(dense))
+
+
+@pytest.mark.parametrize("rows, cols, value", [
+    (0, 0, 0), (0, 5, 0), (5, 0, 0), (1, 1, 0), (1, 1, 1), (4, 7, 0),
+    (4, 7, 1),
+])
+def test_text_writers_on_empty_and_tiny_matrices(rows, cols, value):
+    dense = np.full((rows, cols), value, dtype=np.uint8)
+    assert_text_writers_match_oracles(BitMatrix.from_dense(dense))
+
+
+def test_wide_sparse_matrix_renders_without_a_token_per_index():
+    # Three ones in 2 x (2 x 10^6), rows of unequal length: a token table
+    # over every index up to the largest took 270 MB here.
+    M = BitMatrix.from_nonzero(
+        2, 2_000_000, np.array([0, 0, 1]), np.array([5, 7, 1_999_999])
+    )
+    tracemalloc.start()
+    try:
+        texts = [formats.write_mtx(M), formats.write_json(M)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert texts == [ORACLES["mtx"](M), ORACLES["json"](M)]
+    assert peak < 1_000_000, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_empty_rows_and_columns_render_as_blank_lists():
+    # Row 1 and columns 0 and 2 are empty.
+    M = BitMatrix.from_dense(np.array(
+        [[0, 1, 0, 1], [0, 0, 0, 0], [0, 0, 0, 1]], dtype=np.uint8
+    ))
+    assert_text_writers_match_oracles(M)
+    assert formats.write_alist(M) == (
+        "4 3\n2 2\n0 1 0 2\n2 0 1\n0 0\n1 0\n0 0\n1 3\n2 4\n0 0\n4 0\n"
+    )
+    assert formats.write_mtx(M) == (
+        "%%MatrixMarket matrix coordinate pattern general\n"
+        "3 4 3\n1 2\n1 4\n3 4\n"
+    )
+    assert formats.write_json(M) == (
+        '{\n  "rows": 3,\n  "cols": 4,\n  "row_support": [\n'
+        "    [\n      1,\n      3\n    ],\n    [],\n    [\n      3\n    ]\n"
+        "  ]\n}\n"
+    )

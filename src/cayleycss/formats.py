@@ -127,10 +127,16 @@ def read_mtx(text: str) -> BitMatrix:
     return BitMatrix.from_nonzero(rows, cols, ij[:, 0] - 1, ij[:, 1] - 1)
 
 
-def write_bin(M: BitMatrix) -> bytes:
+def _bin_parts(M: BitMatrix) -> tuple[bytes, np.ndarray]:
+    """The ``bin`` header and the packed rows, which share the matrix
+    words unless a row ends before its last word's last byte."""
     header = _BIN_HEADER.pack(BIN_MAGIC, BIN_VERSION, 0, M.rows, M.cols)
     stride = (M.cols + 7) // 8
-    return header + M.words.view(np.uint8)[:, :stride].tobytes()
+    return header, np.ascontiguousarray(M.words.view(np.uint8)[:, :stride])
+
+
+def write_bin(M: BitMatrix) -> bytes:
+    return b"".join(_bin_parts(M))
 
 
 def read_bin(blob: bytes) -> BitMatrix:
@@ -192,7 +198,10 @@ def _mode(fmt: str) -> str:
 
 def write_matrix(M: BitMatrix, fmt: str, path: str) -> None:
     with open(path, "w" + _mode(fmt)) as fh:
-        fh.write(globals()["write_" + fmt](M))
+        if fmt == "bin":
+            fh.writelines(_bin_parts(M))
+        else:
+            fh.write(globals()["write_" + fmt](M))
 
 
 def read_matrix(fmt: str, path: str) -> BitMatrix:

@@ -213,7 +213,7 @@ class BitVector:
 class BitMatrix:
     """An immutable GF(2) matrix stored as packed rows."""
 
-    __slots__ = ("rows", "cols", "words", "_ech", "_solver")
+    __slots__ = ("rows", "cols", "words", "_ech", "_solver", "_coords")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray):
         if words.shape != (rows, _n_words(cols)) or words.dtype != np.uint64:
@@ -221,25 +221,21 @@ class BitMatrix:
         words = words.copy()
         if cols % WORD_BITS and words.size:
             words[:, -1] &= _pad_mask(cols)
-        words.setflags(write=False)
-        self.rows = rows
-        self.cols = cols
-        self.words = words
-        self._ech = None
-        self._solver = None
+        self._hold(rows, cols, words)
 
     @classmethod
     def _wrap(cls, rows: int, cols: int, words: np.ndarray) -> "BitMatrix":
         """A matrix over ``words`` without a copy: the caller passes
         words that nothing else writes to, with zero padding bits."""
         M = object.__new__(cls)
-        words.setflags(write=False)
-        M.rows = rows
-        M.cols = cols
-        M.words = words
-        M._ech = None
-        M._solver = None
+        M._hold(rows, cols, words)
         return M
+
+    def _hold(self, rows: int, cols: int, words: np.ndarray) -> None:
+        """Take ``words`` read-only as the payload, with no caches yet."""
+        words.setflags(write=False)
+        self.rows, self.cols, self.words = rows, cols, words
+        self._ech = self._solver = self._coords = None
 
     # -- constructors --------------------------------------------------
 
@@ -251,10 +247,10 @@ class BitMatrix:
     @classmethod
     def from_nonzero(cls, rows: int, cols: int, rr, cc) -> "BitMatrix":
         """The rows x cols matrix with ones at the coordinates (rr, cc),
-        the inverse of ``nonzero()``.  The index arrays broadcast
+        the inverse of ``nonzero()``, which returns them when they come
+        in row-major order without repeats.  The index arrays broadcast
         against each other; a repeated coordinate sets its bit once, and
-        one outside the matrix raises ValueError.
-        """
+        one outside the matrix raises ValueError."""
         rr = np.asarray(rr, dtype=np.int64)
         cc = np.asarray(cc, dtype=np.int64)
         if not ((0 <= rr) & (rr < rows) & (0 <= cc) & (cc < cols)).all():
@@ -264,7 +260,14 @@ class BitMatrix:
         bits = np.uint64(1) << (cc % WORD_BITS).astype(np.uint64)
         np.bitwise_or.at(words.reshape(-1), flat, bits)
         # Every column is below cols, so the padding bits stay clear.
-        return cls._wrap(rows, cols, words)
+        M = cls._wrap(rows, cols, words)
+        key = (rr * cols + cc).ravel()
+        if (key[1:] > key[:-1]).all():  # row-major without repeats
+            rr, cc = (a.flatten() for a in np.broadcast_arrays(rr, cc))
+            rr.setflags(write=False)
+            cc.setflags(write=False)
+            M._coords = rr, cc
+        return M
 
     @classmethod
     def from_rows(cls, rows: Sequence[BitVector]) -> "BitMatrix":
@@ -301,20 +304,28 @@ class BitMatrix:
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column indices of the set bits in row-major order,
-        equal to ``np.nonzero(self.to_dense())``.
-
-        Only the nonzero words are gathered, and only their nonzero
-        bytes are unpacked, so the cost follows the number of set bits
-        rather than rows x cols.
+        equal to ``np.nonzero(self.to_dense())``, as read-only arrays:
+        the coordinates ``from_nonzero`` kept, or else each nonzero word
+        peels its lowest bit into its row-major slot, one bit per pass.
         """
+        if self._coords is not None:
+            return self._coords
         wr, wc = np.nonzero(self.words)
-        data = self.words[wr, wc].view(np.uint8)
-        nzb = np.flatnonzero(data)
-        bits = np.unpackbits(data[nzb, None], axis=1, bitorder="little")
-        k, b = np.nonzero(bits)
-        byte = nzb[k]
-        word = byte >> 3
-        return wr[word], wc[word] * WORD_BITS + (byte & 7) * 8 + b
+        w = self.words[wr, wc]
+        count = np.bitwise_count(w).astype(np.int64)
+        slot = np.cumsum(count) - count  # where each word's next bit goes
+        base = wc * WORD_BITS
+        cc = np.empty(count.sum(), dtype=np.int64)
+        while w.size:
+            low = w & -w
+            cc[slot] = base + np.bitwise_count(low - np.uint64(1))
+            w ^= low
+            more = w != 0
+            w, slot, base = w[more], slot[more] + 1, base[more]
+        rr = np.repeat(wr, count)
+        rr.setflags(write=False)
+        cc.setflags(write=False)
+        return rr, cc
 
     def transpose(self) -> "BitMatrix":
         rr, cc = self.nonzero()
@@ -417,7 +428,7 @@ def _eliminate(
     pivots: list[int] = []
     pivot_rows: list[int] = []
     for wi in range(pivot_words):
-        cand = np.flatnonzero(live & (work[:, wi] != 0))
+        cand = (live & (work[:, wi] != 0)).nonzero()[0]
         if cand.size == 0:
             continue
         first = len(pivot_rows)
@@ -427,7 +438,7 @@ def _eliminate(
         while bits:
             b = (bits & -bits).bit_length() - 1
             bits &= bits - 1
-            hits = np.flatnonzero(col & np.uint64(1 << b))
+            hits = (col & _BIT[b]).nonzero()[0]
             if hits.size == 0:
                 continue
             p = int(hits[0])

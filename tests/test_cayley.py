@@ -53,6 +53,14 @@ def test_small_word_parsing():
         parse_small_word("")
 
 
+def test_small_word_formatting_matches_the_bitwise_reference():
+    for m in range(1, 24):
+        alternating = int("01" * m, 2) & ((1 << m) - 1)
+        for value in (0, 1, (1 << m) - 1, alternating, alternating >> 1):
+            want = "".join("1" if value >> i & 1 else "0" for i in range(m))
+            assert format_small_word(value, m) == want
+
+
 def test_generator_set_validation():
     with pytest.raises(ValueError):
         GeneratorSet(3, (0,))

@@ -84,6 +84,15 @@ def test_file_io_round_trip(tower_8x8, tmp_path):
         assert formats.read_matrix(fmt, path) == tower_8x8
 
 
+@pytest.mark.parametrize("cols", [0, 63, 64, 65, 128])
+def test_bin_file_equals_write_bin(cols, tmp_path):
+    rng = np.random.default_rng(cols)
+    M = BitMatrix.from_dense(rng.integers(0, 2, (5, cols), dtype=np.uint8))
+    path = tmp_path / "m.bin"
+    formats.write_matrix(M, "bin", str(path))
+    assert path.read_bytes() == formats.write_bin(M)
+
+
 def test_unknown_format(tower_8x8, tmp_path):
     with pytest.raises(ValueError):
         formats.write_matrix(tower_8x8, "csv", str(tmp_path / "m.csv"))

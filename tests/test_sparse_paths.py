@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleycss import formats, gf2, repetition
-from cayleycss.cayley import GeneratorSet, adjacency_matrix
+from cayleycss.cayley import GeneratorSet, adjacency_matrix, halved_matrix
 from cayleycss.gf2 import BitMatrix
 
 # -- oracles: the dense writers and the row loop --------------------------
@@ -369,3 +369,64 @@ def test_empty_rows_and_columns_render_as_blank_lists():
         "    [\n      1,\n      3\n    ],\n    [],\n    [\n      3\n    ]\n"
         "  ]\n}\n"
     )
+
+
+# -- the coordinates a matrix was built from --------------------------------
+
+
+def assert_nonzero_is_dense_nonzero(M: BitMatrix) -> None:
+    """nonzero() equals np.nonzero of the dense matrix, dtype included,
+    and its arrays refuse in-place writes."""
+    got, want = M.nonzero(), np.nonzero(M.to_dense())
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def kept(M: BitMatrix) -> bool:
+    """Whether nonzero() hands out the same arrays on every call."""
+    first, second = M.nonzero(), M.nonzero()
+    return first[0] is second[0] and first[1] is second[1]
+
+
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("rows", [0, 1, 7])
+@pytest.mark.parametrize("cols", [63, 64, 65, 128])
+def test_row_major_coordinates_are_kept_as_nonzero(cols, rows, density):
+    rng = np.random.default_rng(1000 * rows + cols)
+    rr, cc = np.nonzero(rng.random((rows, cols)) < density)
+    M = BitMatrix.from_nonzero(rows, cols, rr, cc)
+    assert kept(M)
+    assert_nonzero_is_dense_nonzero(M)
+    assert rr.flags.writeable and cc.flags.writeable  # the caller's own
+
+
+@pytest.mark.parametrize("kind", ["unsorted", "repeated", "transposed"])
+@pytest.mark.parametrize("cols", [63, 64, 65, 128])
+def test_other_coordinates_take_the_computed_path(cols, kind):
+    rng = np.random.default_rng(cols)
+    dense = (rng.random((9, cols)) < 0.3).astype(np.uint8)
+    rr, cc = np.nonzero(dense)
+    if kind == "unsorted":
+        M = BitMatrix.from_nonzero(9, cols, rr[::-1], cc[::-1])
+    elif kind == "repeated":
+        M = BitMatrix.from_nonzero(9, cols, rr.repeat(2), cc.repeat(2))
+    else:  # as verify.halved_block compares U with its transpose
+        M = BitMatrix.from_nonzero(cols, 9, cc, rr)
+        dense = dense.T
+    assert not kept(M)
+    assert_nonzero_is_dense_nonzero(M)
+    assert M == BitMatrix.from_dense(dense)
+
+
+def test_tower_builds_and_readbacks_keep_their_coordinates():
+    S = repetition.generators(9)
+    M = adjacency_matrix(9, S)
+    assert kept(M) and kept(halved_matrix(9, S))
+    assert_nonzero_is_dense_nonzero(M)
+    for fmt in ("mtx", "json"):
+        back = getattr(formats, f"read_{fmt}")(
+            getattr(formats, f"write_{fmt}")(M)
+        )
+        assert back == M and kept(back)

@@ -25,24 +25,6 @@ from .gf2 import BitMatrix, BitVector
 #: (m = 16 means a 512 MB bit matrix).
 MAX_MATERIALIZED_DIMENSION = 16
 
-#: Adjacency matrices, and separately halved blocks, kept per process,
-#: least recently used dropped first.  The halved blocks carry every
-#: bipartite ``css.build_css`` code, so the tower never builds M for
-#: its code.  The adjacency entries serve the ``verify`` suites that
-#: read M itself (all at n <= 11), codes with an even-weight generator,
-#: and ``build``.  An entry at m = 13 holds up to about 20 MB (8 MB
-#: matrix, 4 MB echelon, 8 MB solver) and a halved one a quarter of
-#: that, so the two full caches stay near 0.3 and 0.08 GB.  Each entry
-#: also keeps the coordinates it was built from, 16 bytes per one:
-#: 1.8 MB for the tower's 14 generators at m = 13.
-ADJACENCY_CACHE_SIZE = 16
-
-#: Largest m whose adjacency matrices and halved blocks are cached.
-#: Larger ones (32 and 8 MB at m = 14, 512 and 128 MB at m = 16, before
-#: their echelon and solver) are built afresh per call and freed with
-#: their last user.
-MAX_CACHED_DIMENSION = 13
-
 
 class SizeGuardError(ValueError):
     """The requested object would exceed the memory guard."""
@@ -145,16 +127,13 @@ def ball_vertices(m: int, S: GeneratorSet, x: int, r: int) -> set[int]:
 def adjacency_matrix(m: int, S: GeneratorSet) -> BitMatrix:
     """The 2^m x 2^m adjacency matrix; row p is sphere(p, 1).
 
-    Up to m = MAX_CACHED_DIMENSION, returns one shared (immutable)
-    matrix per (m, S), so its elimination caches serve every caller in
-    the process; see ADJACENCY_CACHE_SIZE for the memory this keeps.
+    Every call builds a new matrix.  Its elimination caches live on it,
+    so a caller that needs M more than once passes this one object on.
     """
     if S.m != m:
         raise ValueError("generator set does not live in F_2^m")
     _guard_dimension(m)
-    if m > MAX_CACHED_DIMENSION:
-        return _build_adjacency(m, S)
-    return _adjacency(m, S)
+    return _build_adjacency(m, S)
 
 
 def _guard_dimension(m: int) -> None:
@@ -170,9 +149,6 @@ def _build_adjacency(m: int, S: GeneratorSet) -> BitMatrix:
     s = np.array(S.elements, dtype=np.int64)
     # Sorted rows keep the coordinates as the matrix's nonzero().
     return BitMatrix.from_nonzero(1 << m, 1 << m, p, np.sort(p ^ s, axis=1))
-
-
-_adjacency = lru_cache(maxsize=ADJACENCY_CACHE_SIZE)(_build_adjacency)
 
 
 def check_self_orthogonal_combinatorial(m: int, sets) -> np.ndarray:
@@ -318,16 +294,14 @@ def halved_matrix(m: int, S: GeneratorSet) -> BitMatrix:
     Rows are indexed by even-weight vertices, columns by odd-weight
     vertices, both in increasing integer order.  Row i is the even
     vertex e_i and column i the odd vertex e_i + 1, so U is symmetric:
-    e_i + (e_j + 1) = e_j + (e_i + 1).  Shared per (m, S) up to
-    MAX_CACHED_DIMENSION, as ``adjacency_matrix`` is.
+    e_i + (e_j + 1) = e_j + (e_i + 1).  Built afresh on every call, as
+    ``adjacency_matrix`` is.
     """
     if S.m != m:
         raise ValueError("generator set does not live in F_2^m")
     if not is_bipartite(S):
         raise ValueError("graph is not bipartite by weight parity")
-    if m > MAX_CACHED_DIMENSION:
-        return _build_halved(m, S)
-    return _halved(m, S)
+    return _build_halved(m, S)
 
 
 def _build_halved(m: int, S: GeneratorSet) -> BitMatrix:
@@ -336,6 +310,3 @@ def _build_halved(m: int, S: GeneratorSet) -> BitMatrix:
     half = 1 << (m - 1)
     cols = np.sort((evens ^ s) >> 1, axis=1)
     return BitMatrix.from_nonzero(half, half, evens >> 1, cols)
-
-
-_halved = lru_cache(maxsize=ADJACENCY_CACHE_SIZE)(_build_halved)

@@ -25,7 +25,7 @@ refusal as exit 4.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
@@ -59,12 +59,14 @@ class RadiusTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class BallIsomorphismCertificate:
-    """Witness that the projection is a graph isomorphism on a ball."""
+    """Witness that the projection is a graph isomorphism on a ball;
+    ``lift`` maps each target ball vertex to its one preimage."""
 
     center: int
     radius: int
     ball_size: int
     edge_count: int
+    lift: dict[int, int] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,9 @@ def certify_ball_isomorphism(
                         center, r, images[u], images[v], "edge-mismatch"
                     )
                 edges += 1
-    return BallIsomorphismCertificate(center, r, len(domain_ball), edges)
+    return BallIsomorphismCertificate(
+        center, r, len(domain_ball), edges, images
+    )
 
 
 def ball_volume(n: int, r: int) -> int:
@@ -291,22 +295,18 @@ def lift_ball_word(
         )
     # center is a target vertex; it is its own canonical fiber point
     # because the identity columns come first.
-    target_ball = ball_vertices(cm.m, cm.target_generators(), center, r)
-    outside = [v for v in c.support() if v not in target_ball]
-    if outside:
-        raise SupportEscapesBallError(
-            f"support vertex {outside[0]} escapes the radius-{r} ball"
-        )
     cert = certify_ball_isomorphism(cm, center, r)
     if isinstance(cert, BallCollision):
         raise RadiusTooLargeError(
             f"ball at {center} is not isomorphic at radius {r}"
         )
-    dom = cm.domain_generators()
-    inverse = {cm.project(v): v for v in ball_vertices(cm.n, dom, center, r)}
-    return BitVector.from_support(
-        1 << cm.n, [inverse[v] for v in c.support()]
-    )
+    support = c.support()
+    outside = [v for v in support if v not in cert.lift]
+    if outside:
+        raise SupportEscapesBallError(
+            f"support vertex {outside[0]} escapes the radius-{r} ball"
+        )
+    return BitVector.from_support(1 << cm.n, [cert.lift[v] for v in support])
 
 
 def sphere_orthogonality_profile(

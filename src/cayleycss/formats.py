@@ -98,8 +98,9 @@ def read_alist(text: str) -> BitMatrix:
     if bad.size:
         raise ValueError(f"column {bad[0] + 1} degree mismatch")
     col = line < cols
-    M = BitMatrix.from_nonzero(rows, cols, index[col], line[col])
-    if BitMatrix.from_nonzero(rows, cols, line[~col] - cols, index[~col]) != M:
+    # The row lists come row-major, so M keeps them as its nonzero().
+    M = BitMatrix.from_nonzero(rows, cols, line[~col] - cols, index[~col])
+    if BitMatrix.from_nonzero(rows, cols, index[col], line[col]) != M:
         raise ValueError("row lists disagree with columns")
     return M
 

@@ -52,14 +52,15 @@ def generators(n: int) -> GeneratorSet:
 
 
 def matrix(n: int) -> BitMatrix:
-    """The adjacency matrix for basis-plus-all-ones generators, shared
-    with every other caller asking for the same (n, S)."""
+    """The adjacency matrix for basis-plus-all-ones generators, built
+    afresh on every call; the per-word helpers below take it as an
+    argument, so a caller builds and eliminates each level once."""
     return adjacency_matrix(n, generators(n))
 
 
 def halved(n: int) -> BitMatrix:
     """The halved block U of the level-n tower (every generator has odd
-    weight), shared as ``matrix`` is."""
+    weight), built afresh on every call as ``matrix`` is."""
     return halved_matrix(n, generators(n))
 
 
@@ -143,19 +144,18 @@ class KernelCheck:
         return all(self.conditions)
 
 
-def kernel_characterize(n: int, quad: QuadSplit) -> KernelCheck:
+def kernel_characterize(M: BitMatrix, quad: QuadSplit) -> KernelCheck:
     """Evaluate the four block conditions equivalent to membership of
-    the assembled word in the level-(n+2) kernel:
+    the assembled word in the level-(n+2) kernel, M the level-n matrix:
 
       c4 = c1 + d1 and c3 = c2 + d2 with d1, d2 in the level-n kernel,
       M c1 = d2 + J d1 and M c2 = d1 + J d2.
     """
     c1, c2, c3, c4 = quad.parts
-    if c1.length != 1 << n:
+    if c1.length != M.cols:
         raise ValueError(
-            f"block length {c1.length} does not match level n = {n}"
+            f"block length {c1.length} does not match M's {M.cols} columns"
         )
-    M = matrix(n)
     d1 = c4 ^ c1
     d2 = c3 ^ c2
     conds = (
@@ -226,12 +226,12 @@ def kernel_basis_recursive(n: int) -> list[BitVector]:
 
 
 def image_element(
-    n: int, a1: BitVector, a2: BitVector, a3: BitVector, a4: BitVector
+    M: BitMatrix, a1: BitVector, a2: BitVector, a3: BitVector, a4: BitVector
 ) -> BitVector:
-    """A row-space element of level n+2 from four free blocks:
-    the four-block parametrization of the image under the recursion."""
-    M = matrix(n)
-    if any(a.length != 1 << n for a in (a1, a2, a3, a4)):
+    """A row-space element of level n+2 from four free blocks, M the
+    level-n matrix: the four-block parametrization of the image under
+    the recursion."""
+    if any(a.length != M.cols for a in (a1, a2, a3, a4)):
         raise ValueError("blocks must have length 2^n")
     u = reversal(a1 ^ a4)
     v = reversal(a2 ^ a3)
@@ -253,23 +253,24 @@ class NormalForm:
     reduced: bool  # True when brought to the (c1, 0, 0, c1) shape
 
 
-def representative_normal_form(n_total: int, c: BitVector) -> NormalForm:
-    """Normal form of a level-n_total kernel word modulo the row space.
+def representative_normal_form(
+    big: BitMatrix, M: BitMatrix, c: BitVector
+) -> NormalForm:
+    """Normal form of a kernel word of the level-(n+2) matrix ``big``
+    modulo its row space, M the level-n matrix.
 
     When the block differences d1, d2 are themselves row-space
     elements, two explicit image corrections bring the word to the
     shape (c1, 0, 0, c1); otherwise the word is returned unchanged
     (its d1, d2 are genuine logical words).
     """
-    n = n_total - 2
-    if n % 2 == 0 or n < 3:
+    n = M.cols.bit_length() - 1
+    if n % 2 == 0 or n < 3 or big.cols != 4 * M.cols:
         raise ValueError("normal forms are defined for odd n_total >= 5")
-    big = matrix(n_total)
     if not big.mul_vector(c).is_zero():
         raise ValueError("input word is not in the kernel")
     quad = QuadSplit.split(c)
-    check = kernel_characterize(n, quad)
-    M = matrix(n)
+    check = kernel_characterize(M, quad)
     if not gf2.in_row_space(M, check.d1):
         return NormalForm(quad, reduced=False)
     b1 = gf2.solve_preimage(M, check.d1)

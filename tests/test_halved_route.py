@@ -38,8 +38,8 @@ def full_classify(code, w):
 def assert_two_blocks_of_one_u(code):
     """The bipartite layout: one shared U on the even, then the odd
     class."""
-    U = cayley.halved_matrix(code.m, code.generators)
-    assert [B is U for B, _ in code.blocks] == [True, True]
+    (U, _), (B, _) = code.blocks
+    assert B is U and U == cayley.halved_matrix(code.m, code.generators)
     for (_, pos), want in zip(code.blocks, cayley.class_vertices(code.m)):
         assert (pos == want).all()
 
@@ -234,10 +234,7 @@ def halved_calls(monkeypatch):
 
 @pytest.fixture
 def eliminated_shapes(monkeypatch):
-    """The shape of every matrix eliminated, with both caches cleared so
-    that nothing arrives already eliminated."""
-    cayley._adjacency.cache_clear()
-    cayley._halved.cache_clear()
+    """The shape of every matrix eliminated."""
     shapes = []
     real = gf2._eliminate
 
@@ -255,7 +252,7 @@ def test_non_bipartite_sets_never_build_the_halved_block(halved_calls,
     code = css.build_css(5, S)
     assert len(code.blocks) == 1
     B, pos = code.blocks[0]
-    assert B is adjacency_matrix(5, S) and pos is None
+    assert B == adjacency_matrix(5, S) and pos is None
     assert code.rank == gf2.rank(full_matrix(code))
     w = code.kernel[0]
     assert css.classify_word(code, w) is full_classify(code, w)
@@ -268,7 +265,7 @@ def test_codes_from_a_matrix_never_build_the_halved_block(halved_calls):
     code = css.css_from_matrix(repetition.matrix(7))
     assert len(code.blocks) == 1
     B, pos = code.blocks[0]
-    assert B is repetition.matrix(7) and pos is None
+    assert B == repetition.matrix(7) and pos is None
     assert code.K == repetition.parameters(7)[1]
     w = repetition.min_weight_witness(7)
     halved_calls.clear()
@@ -312,15 +309,12 @@ def test_exact_distance_of_a_mixed_set_eliminates_m_once(
 
 def test_tower_params_and_witness_build_no_adjacency_matrix(monkeypatch,
                                                             capsys):
-    cayley._adjacency.cache_clear()
-    cayley._halved.cache_clear()
     built = []
 
     def spy(m, S):
         built.append(m)
         raise AssertionError("the adjacency matrix was built")
     monkeypatch.setattr(cayley, "_build_adjacency", spy)
-    monkeypatch.setattr(cayley, "_adjacency", spy)
     assert cli.main(["params", "--family", "repetition", "--n", "9"]) == 0
     assert cli.main(["witness", "--n", "9"]) == 0
     assert built == []
@@ -328,8 +322,6 @@ def test_tower_params_and_witness_build_no_adjacency_matrix(monkeypatch,
 
 @pytest.mark.parametrize("n", [9, 13, 23])
 def test_witness_builds_and_eliminates_no_matrix(monkeypatch, capsys, n):
-    cayley._adjacency.cache_clear()
-    cayley._halved.cache_clear()
     calls = []
 
     def spy(module, name):
@@ -340,8 +332,7 @@ def test_witness_builds_and_eliminates_no_matrix(monkeypatch, capsys, n):
             return real(*args)
         monkeypatch.setattr(module, name, record)
     spy(gf2, "_eliminate")
-    for name in ("_build_halved", "_halved", "_build_adjacency",
-                 "_adjacency"):
+    for name in ("_build_halved", "_build_adjacency"):
         spy(cayley, name)
     assert cli.main(["witness", "--n", str(n)]) == 0
     assert '"classification": "logical"' in capsys.readouterr().out
@@ -370,12 +361,3 @@ def test_halved_block_is_symmetric_and_lifts_to_the_tower():
     dense[np.ix_(evens, odds)] = U.to_dense()
     dense[np.ix_(odds, evens)] = U.to_dense()
     assert BitMatrix.from_dense(dense) == repetition.matrix(n)
-
-
-def test_halved_blocks_are_shared_only_up_to_cache_limit(monkeypatch):
-    monkeypatch.setattr(cayley, "MAX_CACHED_DIMENSION", 4)
-    S4, S5 = GeneratorSet.canonical(4), GeneratorSet.named("S5'")
-    assert cayley.halved_matrix(4, S4) is cayley.halved_matrix(4, S4)
-    fresh = cayley.halved_matrix(5, S5)
-    assert fresh is not cayley.halved_matrix(5, S5)
-    assert fresh == cayley.halved_matrix(5, S5)

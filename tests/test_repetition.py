@@ -76,8 +76,7 @@ def test_characterization_matches_direct_membership(n_total):
     """Block conditions agree with M . v = 0 on 1000 random words,
     half drawn from the kernel and half uniform."""
     rng = random.Random(100 + n_total)
-    n = n_total - 2
-    M = matrix(n_total)
+    M, level = matrix(n_total), matrix(n_total - 2)
     kernel = gf2.kernel_basis(M)
     length = 1 << n_total
     in_kernel_seen = 0
@@ -88,13 +87,14 @@ def test_characterization_matches_direct_membership(n_total):
             v = random_vector(rng, length)
         direct = M.mul_vector(v).is_zero()
         in_kernel_seen += direct
-        assert kernel_characterize(n, QuadSplit.split(v)).in_kernel == direct
+        check = kernel_characterize(level, QuadSplit.split(v))
+        assert check.in_kernel == direct
     assert 400 < in_kernel_seen < 600  # both classes actually exercised
 
 
 def test_characterization_block_length_guard():
     with pytest.raises(ValueError):
-        kernel_characterize(3, QuadSplit.split(BitVector.zeros(16)))
+        kernel_characterize(matrix(3), QuadSplit.split(BitVector.zeros(16)))
 
 
 @pytest.mark.parametrize("n_total,expected", [(5, 20), (7, 72)])
@@ -116,18 +116,17 @@ def test_kernel_dimension_formula():
 
 
 def test_tower_matrix_is_shared_and_eliminated_once():
-    # The tower code's check matrix is the halved block U, one cached
-    # object for both blocks and for every code of the same level.
-    cayley._halved.cache_clear()
+    # The tower code's check matrix is the halved block U, one object
+    # for both blocks, eliminated once for the code.
     n = 7
     code = css.build_css(n, repetition.generators(n))
-    U = repetition.halved(n)
-    assert [B is U for B, _ in code.blocks] == [True, True]
+    (U, _), (B, _) = code.blocks
+    assert B is U and U == repetition.halved(n)
     assert U._ech is None
     assert code.rank == 2 * gf2.rank(U)
     echelon = U._ech
     assert echelon is not None
-    assert repetition.build_code(n).rank == code.rank
+    assert len(code.kernel) == code.N - code.rank
     assert U._ech is echelon
 
 
@@ -136,30 +135,31 @@ def test_tower_matrix_is_shared_and_eliminated_once():
 
 def test_image_element_lands_in_row_space():
     rng = random.Random(21)
-    big = matrix(5)
+    big, M = matrix(5), matrix(3)
     for _ in range(10):
         blocks = [random_vector(rng, 8) for _ in range(4)]
-        c = image_element(3, *blocks)
+        c = image_element(M, *blocks)
         assert gf2.in_row_space(big, c)
 
 
 def test_image_elements_span_the_row_space():
     # the four unit blocks generate: check dimension equals the rank
+    M = matrix(3)
     rows = []
     for i in range(4):
         for p in range(8):
             blocks = [BitVector.zeros(8)] * 4
             blocks[i] = BitVector.from_support(8, [p])
-            rows.append(image_element(3, *blocks))
+            rows.append(image_element(M, *blocks))
     assert gf2.rank(BitMatrix.from_rows(rows)) == gf2.rank(matrix(5))
 
 
 def test_normal_form_of_image_word():
     rng = random.Random(22)
-    big = matrix(5)
+    big, M = matrix(5), matrix(3)
     for _ in range(5):
-        c = image_element(3, *[random_vector(rng, 8) for _ in range(4)])
-        nf = representative_normal_form(5, c)
+        c = image_element(M, *[random_vector(rng, 8) for _ in range(4)])
+        nf = representative_normal_form(big, M, c)
         assert nf.reduced
         assert nf.quad.parts[1].is_zero() and nf.quad.parts[2].is_zero()
         assert nf.quad.parts[0] == nf.quad.parts[3]
@@ -168,14 +168,16 @@ def test_normal_form_of_image_word():
 
 def test_normal_form_keeps_genuine_logical_words():
     w = min_weight_witness(5)
-    nf = representative_normal_form(5, w)
+    nf = representative_normal_form(matrix(5), matrix(3), w)
     assert not nf.reduced
     assert nf.quad.join() == w
 
 
 def test_normal_form_rejects_non_kernel_input():
     with pytest.raises(ValueError):
-        representative_normal_form(5, BitVector.from_support(32, [0]))
+        representative_normal_form(
+            matrix(5), matrix(3), BitVector.from_support(32, [0])
+        )
 
 
 # -- witnesses and the headline parameters ---------------------------------

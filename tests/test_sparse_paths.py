@@ -425,7 +425,7 @@ def test_tower_builds_and_readbacks_keep_their_coordinates():
     M = adjacency_matrix(9, S)
     assert kept(M) and kept(halved_matrix(9, S))
     assert_nonzero_is_dense_nonzero(M)
-    for fmt in ("mtx", "json"):
+    for fmt in ("alist", "mtx", "json"):
         back = getattr(formats, f"read_{fmt}")(
             getattr(formats, f"write_{fmt}")(M)
         )

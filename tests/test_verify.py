@@ -148,9 +148,9 @@ def test_paper_checks_run_only_at_their_sizes():
 def test_image_parametrization_catches_a_dropped_cross_term(monkeypatch):
     honest = repetition.image_element
 
-    def dropped(n, a1, a2, a3, a4):
+    def dropped(M, a1, a2, a3, a4):
         # The first block loses its a2 + a3 cross term.
-        word = repetition.QuadSplit.split(honest(n, a1, a2, a3, a4))
+        word = repetition.QuadSplit.split(honest(M, a1, a2, a3, a4))
         first = word.parts[0] ^ a2 ^ a3
         return repetition.QuadSplit((first, *word.parts[1:])).join()
 
@@ -158,6 +158,26 @@ def test_image_parametrization_catches_a_dropped_cross_term(monkeypatch):
     (item,) = [c for c in verify.run_suite("recursion", [5])
                if c.name == "recursion/image-parametrization-n5"]
     assert not item.ok
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify.image_parametrization(7),
+    lambda: verify.normal_forms(7, 16, 20240901),
+    lambda: verify.kernel_characterize_agreement(7, 200, 20240901),
+], ids=["image-parametrization", "normal-form", "characterize"])
+def test_level_checks_build_each_tower_level_once(monkeypatch, check):
+    # The per-word helpers take the level matrices, so a check builds
+    # (and eliminates) levels 5 and 7 once, not once per word.
+    built = []
+    real = cayley._build_adjacency
+
+    def spy(m, S):
+        built.append(m)
+        return real(m, S)
+    monkeypatch.setattr(cayley, "_build_adjacency", spy)
+    ok, detail = check()
+    assert ok, detail
+    assert sorted(built) == [5, 7]
 
 
 def test_normal_form_check_reduces_kernel_words(monkeypatch):
@@ -170,13 +190,12 @@ def test_normal_form_check_reduces_kernel_words(monkeypatch):
     rhs = []
     lifted = []
 
-    def traced_reduce(t, c):
+    def traced_reduce(big, M, c):
         c1, c2, c3, c4 = repetition.QuadSplit.split(c).parts
         d1, d2 = c4 ^ c1, c3 ^ c2
         rhs.clear()
-        nf = reduce_word(t, c)
-        if (d2.is_zero() and not d1.is_zero()
-                and gf2.in_row_space(repetition.matrix(t - 2), d1)):
+        nf = reduce_word(big, M, c)
+        if d2.is_zero() and not d1.is_zero() and gf2.in_row_space(M, d1):
             lifted.append((nf.reduced, d1 in rhs))
         return nf
 

@@ -29,7 +29,6 @@ from .css import (  # noqa: F401
     css_from_matrix,
     distance_exact,
     distance_lower_bound_theorem,
-    distance_witness_upper,
 )
 from .gf2 import (  # noqa: F401
     BitMatrix,

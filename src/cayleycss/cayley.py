@@ -63,6 +63,13 @@ class GeneratorSet:
 
     @classmethod
     def from_strings(cls, m: int, texts: Iterable[str]) -> "GeneratorSet":
+        """Parse bitstrings of exactly m characters, x1 first."""
+        texts = tuple(texts)
+        for t in texts:
+            if len(t) != m:
+                raise ValueError(
+                    f"generator {t!r} has length {len(t)}, not m = {m}"
+                )
         return cls(m, tuple(parse_small_word(t) for t in texts))
 
     @classmethod

@@ -320,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="max kernel dimension for exhaustive distance search",
         )
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        # Parsed in check_options, so a bad CAYLEY_CSS_THREADS exits 2.
         p.add_argument(
-            "--threads", type=int,
-            default=int(os.environ.get("CAYLEY_CSS_THREADS", "1")),
+            "--threads", default=os.environ.get("CAYLEY_CSS_THREADS", "1")
         )
         p.add_argument("--out", help="output file (default stdout)")
 
@@ -361,6 +361,12 @@ def check_options(args) -> None:
             args.n = int(args.n)
         except ValueError:
             raise CliError(f"--n must be an integer, got {args.n!r}") from None
+    try:
+        args.threads = int(args.threads)
+    except ValueError:
+        raise CliError(
+            f"--threads must be an integer, got {args.threads!r}"
+        ) from None
     if args.threads < 1:
         raise CliError(f"--threads must be at least 1, got {args.threads}")
     if not 0 <= args.exact_budget <= gf2.MAX_ENUMERATION_BUDGET:

@@ -3,8 +3,9 @@
 A single self-orthogonal matrix H (H . H^T = 0) defines a CSS code of
 length N = 2^m with K = N - 2 rank(H); the distance is the minimum
 weight over ker H minus the row space.  Distance strategies: exact
-enumeration within a budget, witness-verified upper bounds, and the
-proven arithmetic lower bound ceil(d n^2 / 640).
+enumeration within a budget, upper bounds from words that
+``classify_word`` finds logical, and the proven arithmetic lower bound
+ceil(d n^2 / 640), whose ball-weight premise is a fact about the graph.
 """
 
 from __future__ import annotations
@@ -65,12 +66,13 @@ class CssCode:
     of odd vertices read U^T on the even class, and that is U because
     U = U^T (see ``cayley.halved_matrix``).  M itself is never built.
     Every other code is the single block (H, None).
+
+    A code is its length and its blocks, nothing more: checks on the
+    Cayley graph itself, such as ``ball_weight_check``, take m and S.
     """
 
     N: int
     blocks: tuple[tuple[BitMatrix, Optional[np.ndarray]], ...]
-    m: Optional[int] = None
-    generators: Optional[GeneratorSet] = None
 
     @property
     def rank(self) -> int:
@@ -123,7 +125,7 @@ def build_css(m: int, S: GeneratorSet) -> CssCode:
         blocks = tuple((U, pos) for pos in class_vertices(m))
     else:
         blocks = ((adjacency_matrix(m, S), None),)
-    return CssCode(1 << m, blocks, m=m, generators=S)
+    return CssCode(1 << m, blocks)
 
 
 def css_from_matrix(H: BitMatrix) -> CssCode:
@@ -135,18 +137,14 @@ def css_from_matrix(H: BitMatrix) -> CssCode:
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Distance information with its provenance.
-
-    method is "exact" or "witness-upper"; the self-dual case carries
-    trivial=True instead of a number.
-    """
+    """The outcome of ``distance_exact``: method "exact", and the
+    self-dual case carries trivial=True instead of a number.  An upper
+    bound is a word that ``classify_word`` finds logical."""
 
     method: str
     value: Optional[int] = None
-    upper: Optional[int] = None
     witness: Optional[BitVector] = None
     trivial: bool = False
-    rejected_reason: Optional[str] = None
 
 
 def distance_exact(
@@ -170,22 +168,6 @@ def distance_exact(
         list(code.kernel), code.rows, budget
     )
     return DistanceReport(method="exact", value=weight, witness=witness)
-
-
-def distance_witness_upper(code: CssCode, w: BitVector) -> DistanceReport:
-    """Validate an externally supplied logical word as an upper bound."""
-    cls = classify_word(code, w)
-    if cls is WordClass.NOT_IN_DUAL:
-        return DistanceReport(
-            method="witness-upper",
-            rejected_reason="witness is not in the kernel",
-        )
-    if cls is WordClass.STABILIZER:
-        return DistanceReport(
-            method="witness-upper",
-            rejected_reason="witness lies in the row space",
-        )
-    return DistanceReport(method="witness-upper", upper=w.weight, witness=w)
 
 
 def distance_lower_bound_theorem(n: int, d: int) -> int:
@@ -231,18 +213,18 @@ class BallWeightReport:
 
 
 def ball_weight_check(
-    code: CssCode, w: BitVector, n_classical: int
+    m: int, S: GeneratorSet, w: BitVector, n_classical: int
 ) -> BallWeightReport:
     """Check |w intersect B(x, 4)| >= ceil(n^2/32) at every x in the
-    support of w, using the code's own Cayley graph.
+    support of w, in the Cayley graph of F_2^m with generators S.
 
     Translations are graph automorphisms, B(x, 4) = x + B(0, 4), so one
     BFS from 0 serves every center: v lies in B(x, 4) iff x + v does
     in B(0, 4)."""
-    if code.m is None or code.generators is None:
-        raise ValueError("ball weights need a graph-backed CSS code")
+    if S.m != m or w.length != 1 << m:
+        raise ValueError("the word and the generators must live on F_2^m")
     threshold = math.ceil(n_classical * n_classical / 32)
-    near = ball_vertices(code.m, code.generators, 0, 4)
+    near = ball_vertices(m, S, 0, 4)
     support = w.support()
     margins = {
         x: sum(x ^ v in near for v in support) - threshold for x in support

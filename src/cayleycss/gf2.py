@@ -134,10 +134,10 @@ class BitVector:
 
     @classmethod
     def concat(cls, parts: Sequence["BitVector"]) -> "BitVector":
-        length = sum(p.length for p in parts)
-        bits = [np.zeros(0, np.uint8)]
-        bits += [_unpack(p.words, p.length) for p in parts]
-        return cls._wrap(length, _pack(np.concatenate(bits), length))
+        value = length = 0
+        for p in parts:
+            value, length = value | p.to_int() << length, length + p.length
+        return cls.from_int(length, value)
 
     # -- queries -------------------------------------------------------
 
@@ -169,8 +169,8 @@ class BitVector:
             raise ValueError(
                 f"slice [{start}, {stop}) outside [0, {self.length})"
             )
-        bits = _unpack(self.words, stop)[start:]
-        return BitVector._wrap(stop - start, _pack(bits, stop - start))
+        value = self.to_int() >> start & ((1 << (stop - start)) - 1)
+        return BitVector.from_int(stop - start, value)
 
     def reversed(self) -> "BitVector":
         """Bit reversal: position p maps to length-1-p."""

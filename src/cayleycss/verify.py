@@ -267,7 +267,8 @@ def suite_dimension(
 
 
 #: Largest n at which the distance suite checks the witness and the
-#: lower bound, whose ball weights still build the level-n code.
+#: lower bound.  Neither builds a matrix, so this is no memory guard:
+#: it fixes the suite's check names, and raising it adds n >= 15.
 MAX_DISTANCE_CHECK_DIMENSION = 13
 
 
@@ -315,7 +316,7 @@ def lower_bound(n: int) -> tuple[bool, str]:
     lower = css.distance_lower_bound_theorem(length, d)
     claimed = repetition.parameters(n)[2]
     w = repetition.min_weight_witness(n)
-    balls = css.ball_weight_check(repetition.build_code(n), w, length)
+    balls = css.ball_weight_check(n, repetition.generators(n), w, length)
     return lower <= claimed <= w.weight and balls.ok, (
         f"lower bound {lower}, claimed {claimed}, witness weight "
         f"{w.weight}; least ball-weight margin "

@@ -84,8 +84,7 @@ def test_05_verified_witnesses_where_exact_search_is_out_of_reach():
         w = repetition.min_weight_witness(n)
         assert w.weight == 1 << ((n - 1) // 2)
         code = repetition.build_code(n)
-        report = css.distance_witness_upper(code, w)
-        assert report.rejected_reason is None and report.upper == w.weight
+        assert css.classify_word(code, w) is css.WordClass.LOGICAL
 
 
 def test_06_block_recursion_and_reversal_identities():
@@ -187,8 +186,8 @@ def test_12_lower_bound_arithmetic_and_ball_weight_spot_check():
     with pytest.raises(css.InapplicableBoundError):
         css.distance_lower_bound_theorem(100, 8)
     w = repetition.min_weight_witness(9)
-    code = repetition.build_code(9)
-    report = css.ball_weight_check(code, w, n_classical=10)
+    report = css.ball_weight_check(9, repetition.generators(9), w,
+                                   n_classical=10)
     assert report.threshold == 4
     assert report.ok, "a support vertex saw fewer than 4 ones in its ball"
 

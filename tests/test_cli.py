@@ -190,7 +190,7 @@ def test_cover_negative_radius_exits_before_work(capsys, monkeypatch):
     assert err.count("\n") == 1 and "--radius" in err
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("threads", ["0", "-3", "abc"])
 def test_threads_below_one_exits_before_work(capsys, monkeypatch, threads):
     monkeypatch.setattr(cli, "cmd_verify", refuse_work)
     monkeypatch.setattr(cli, "cmd_params", refuse_work)
@@ -205,6 +205,35 @@ def test_threads_below_one_exits_before_work(capsys, monkeypatch, threads):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "--threads" in err
+
+
+def test_bad_threads_environment_leaves_version_working(capsys,
+                                                        monkeypatch):
+    monkeypatch.setenv("CAYLEY_CSS_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"cayley-css {cayleycss.__version__}\n"
+
+
+@pytest.mark.parametrize("gens", ["11,1110", "1100,11100"],
+                         ids=["short", "long"])
+@pytest.mark.parametrize("argv", [
+    ["params", "--m", "4"],
+    ["cover", "--m", "4"],
+    ["verify", "--suite", "cover", "--m", "4"],
+], ids=["params", "cover", "verify"])
+def test_gens_of_the_wrong_length_exit_before_work(capsys, monkeypatch,
+                                                   argv, gens):
+    # "11" and "11100" read as e_1 + e_2 and e_1 + e_2 + e_3, inside
+    # F_2^4, so only their length shows that they are not m-bit words.
+    monkeypatch.setattr(cli.css, "build_css", refuse_work)
+    monkeypatch.setattr(cli.cover, "CoverMap", refuse_work)
+    monkeypatch.setattr(verify, "run_suite", refuse_work)
+    code, out, err = run_cli(capsys, *argv, "--gens", gens)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "not m = 4" in err
 
 
 @pytest.mark.parametrize("budget", ["-1", "31", "80"])

@@ -16,7 +16,6 @@ from cayleycss.css import (
     css_from_matrix,
     distance_exact,
     distance_lower_bound_theorem,
-    distance_witness_upper,
 )
 from cayleycss.gf2 import BitMatrix, BitVector
 
@@ -81,21 +80,6 @@ def test_classify_word_three_ways():
         classify_word(code, BitVector.zeros(4))
 
 
-def test_witness_upper_report():
-    code = build_css(3, GeneratorSet.named("S3'"))
-    good = distance_witness_upper(code, BitVector.from_support(8, [2, 4]))
-    assert good.rejected_reason is None and good.upper == 2
-
-    M = adjacency_matrix(3, GeneratorSet.named("S3'"))
-    stab = distance_witness_upper(code, M.row(0))
-    assert stab.upper is None
-    assert "row space" in stab.rejected_reason
-
-    junk = distance_witness_upper(code, BitVector.from_support(8, [0]))
-    assert junk.upper is None
-    assert "kernel" in junk.rejected_reason
-
-
 def test_lower_bound_arithmetic():
     assert distance_lower_bound_theorem(10, 9) == 2    # ceil(900/640)
     assert distance_lower_bound_theorem(16, 10) == 4   # ceil(2560/640)
@@ -104,30 +88,32 @@ def test_lower_bound_arithmetic():
         distance_lower_bound_theorem(100, 8)
 
 
-def test_ball_weight_check_requires_graph():
-    M = adjacency_matrix(3, GeneratorSet.named("S3'"))
-    bare = css_from_matrix(M)
-    with pytest.raises(ValueError):
-        css.ball_weight_check(bare, BitVector.from_support(8, [2, 4]), 10)
-
-
 def test_ball_weight_margins():
-    code = build_css(3, GeneratorSet.named("S3'"))
     w = BitVector.from_support(8, [2, 4])
-    report = css.ball_weight_check(code, w, n_classical=4)
+    report = css.ball_weight_check(3, GeneratorSet.named("S3'"), w,
+                                   n_classical=4)
     assert report.threshold == 1  # ceil(16/32) = 1
     # radius-4 balls cover the whole graph, so both ones are inside
     assert all(m == 1 for m in report.margins.values())
     assert report.ok
 
 
-def per_vertex_ball_margins(code, w, n_classical):
+@pytest.mark.parametrize("m, n, length", [(7, 9, 512), (9, 9, 256)])
+def test_ball_weight_check_refuses_a_graph_the_word_is_not_on(m, n, length):
+    # With (m, S) passed apart, nothing else ties them to each other and
+    # to the word; a mismatch would count margins on the wrong graph.
+    w = BitVector.from_support(length, [3, 5])
+    with pytest.raises(ValueError, match="F_2"):
+        css.ball_weight_check(m, repetition.generators(n), w, n + 1)
+
+
+def per_vertex_ball_margins(m, S, w, n_classical):
     """Reference margins: one BFS ball per support vertex, no
     translation."""
     threshold = math.ceil(n_classical * n_classical / 32)
     margins = {}
     for x in w.support():
-        b = ball(code.m, code.generators, x, 4)
+        b = ball(m, S, x, 4)
         inside = sum(b.bit(v) for v in w.support())
         margins[x] = inside - threshold
     return margins
@@ -135,10 +121,10 @@ def per_vertex_ball_margins(code, w, n_classical):
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11])
 def test_ball_weight_margins_match_per_vertex_balls_on_witnesses(n):
-    code = repetition.build_code(n)
+    S = repetition.generators(n)
     w = repetition.min_weight_witness(n)
-    report = css.ball_weight_check(code, w, n_classical=n + 1)
-    assert report.margins == per_vertex_ball_margins(code, w, n + 1)
+    report = css.ball_weight_check(n, S, w, n_classical=n + 1)
+    assert report.margins == per_vertex_ball_margins(n, S, w, n + 1)
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
@@ -146,10 +132,10 @@ def test_ball_weight_margins_match_per_vertex_balls_on_random_words(n):
     # Up to n = 7 a radius-4 ball is the whole graph (graph distance is
     # at most (n + 1) / 2), so n = 9 is the first size with proper balls.
     rng = random.Random(n)
-    code = repetition.build_code(n)
+    S = repetition.generators(n)
     for _ in range(5):
         w = BitVector.from_support(
             1 << n, rng.sample(range(1 << n), rng.randint(1, 32))
         )
-        report = css.ball_weight_check(code, w, n_classical=n + 1)
-        assert report.margins == per_vertex_ball_margins(code, w, n + 1)
+        report = css.ball_weight_check(n, S, w, n_classical=n + 1)
+        assert report.margins == per_vertex_ball_margins(n, S, w, n + 1)

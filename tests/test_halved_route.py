@@ -20,14 +20,14 @@ from cayleycss.css import WordClass
 from cayleycss.gf2 import BitMatrix, BitVector
 
 
-def full_matrix(code):
-    """The oracle M of a graph-backed code, never read from its blocks."""
-    return adjacency_matrix(code.m, code.generators)
+def full_matrix(m, S):
+    """The oracle M of the graph, never read from a code's blocks."""
+    return adjacency_matrix(m, S)
 
 
-def full_classify(code, w):
+def full_classify(m, S, w):
     """The three-way classification on M, never on U."""
-    M = full_matrix(code)
+    M = full_matrix(m, S)
     if not M.mul_vector(w).is_zero():
         return WordClass.NOT_IN_DUAL
     if gf2.in_row_space(M, w):
@@ -35,12 +35,12 @@ def full_classify(code, w):
     return WordClass.LOGICAL
 
 
-def assert_two_blocks_of_one_u(code):
-    """The bipartite layout: one shared U on the even, then the odd
-    class."""
+def assert_two_blocks_of_one_u(code, m, S):
+    """The bipartite layout of the code of (m, S): one shared U on the
+    even, then the odd class."""
     (U, _), (B, _) = code.blocks
-    assert B is U and U == cayley.halved_matrix(code.m, code.generators)
-    for (_, pos), want in zip(code.blocks, cayley.class_vertices(code.m)):
+    assert B is U and U == cayley.halved_matrix(m, S)
+    for (_, pos), want in zip(code.blocks, cayley.class_vertices(m)):
         assert (pos == want).all()
 
 
@@ -65,9 +65,10 @@ def translate(w, t):
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
 def test_tower_rank_is_twice_the_halved_rank(n):
+    S = repetition.generators(n)
     code = repetition.build_code(n)
-    assert_two_blocks_of_one_u(code)
-    assert code.rank == gf2.rank(full_matrix(code))
+    assert_two_blocks_of_one_u(code, n, S)
+    assert code.rank == gf2.rank(full_matrix(n, S))
     assert code.K == repetition.parameters(n)[1]
 
 
@@ -79,7 +80,7 @@ def test_hypercube_rank_is_twice_the_halved_rank(m):
     assert gf2.rank(M) == 2 * gf2.rank(cayley.halved_matrix(m, S))
     if m % 2 == 0:
         code = css.build_css(m, S)
-        assert_two_blocks_of_one_u(code)
+        assert_two_blocks_of_one_u(code, m, S)
         assert code.rank == gf2.rank(M)
 
 
@@ -104,8 +105,8 @@ ORACLE_DISTANCE_DIMENSION = 20
 def test_random_odd_weight_sets_agree_with_the_full_matrix(drawn, seed):
     m, S = drawn
     code = css.build_css(m, S)
-    assert_two_blocks_of_one_u(code)
-    M = full_matrix(code)
+    assert_two_blocks_of_one_u(code, m, S)
+    M = full_matrix(m, S)
     N = code.N
     assert code.rank == gf2.rank(M)
     assert sorted(r.to_int() for r in code.rows) == sorted(
@@ -130,7 +131,7 @@ def test_random_odd_weight_sets_agree_with_the_full_matrix(drawn, seed):
             value ^= v.to_int()
     words.append(BitVector.from_int(N, value))
     for w in words:
-        assert css.classify_word(code, w) is full_classify(code, w)
+        assert css.classify_word(code, w) is full_classify(m, S, w)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -144,7 +145,7 @@ def test_exact_distance_matches_the_walk_over_m(seed):
         code = css.build_css(5, S)
         if code.K > 0 and code.N - code.rank <= 22:
             break
-    M = full_matrix(code)
+    M = full_matrix(5, S)
     report = css.distance_exact(code)
     weight, witness = gf2.min_weight_in_span_minus_subspace(
         gf2.kernel_basis(M), [M.row(i) for i in range(M.rows)]
@@ -157,17 +158,19 @@ def test_exact_distance_matches_the_walk_over_m(seed):
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
 def test_witness_classifies_as_on_the_full_matrix(n):
+    S = repetition.generators(n)
     code = repetition.build_code(n)
     w = repetition.min_weight_witness(n)
     assert css.classify_word(code, w) is WordClass.LOGICAL
-    assert full_classify(code, w) is WordClass.LOGICAL
+    assert full_classify(n, S, w) is WordClass.LOGICAL
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_kernel_row_space_and_off_kernel_words_classify_alike(n):
     rng = random.Random(n)
+    S = repetition.generators(n)
     code = repetition.build_code(n)
-    M = full_matrix(code)
+    M = full_matrix(n, S)
     N = code.N
     kernel = [v.to_int() for v in code.kernel]
     seen = set()
@@ -181,7 +184,7 @@ def test_kernel_row_space_and_off_kernel_words_classify_alike(n):
             M.mul_vector(random_word(rng, N)),
             random_word(rng, N),
         ):
-            want = full_classify(code, w)
+            want = full_classify(n, S, w)
             assert css.classify_word(code, w) is want
             seen.add(want)
     assert seen == set(WordClass)
@@ -192,8 +195,9 @@ def test_stabilizer_on_one_class_and_logical_on_the_other(n):
     # The witness lies on the odd class; M maps a word on one class to a
     # row-space word on the other, and translation by e_1 swaps classes.
     rng = random.Random(n)
+    S = repetition.generators(n)
     code = repetition.build_code(n)
-    M = full_matrix(code)
+    M = full_matrix(n, S)
     N = code.N
     evens, odds = cayley.class_vertices(n)
     w = repetition.min_weight_witness(n)
@@ -211,7 +215,7 @@ def test_stabilizer_on_one_class_and_logical_on_the_other(n):
         (stab_even ^ broken_odd, WordClass.NOT_IN_DUAL),
     ]
     for word, want in cases:
-        assert full_classify(code, word) is want
+        assert full_classify(n, S, word) is want
         assert css.classify_word(code, word) is want
 
 
@@ -253,9 +257,9 @@ def test_non_bipartite_sets_never_build_the_halved_block(halved_calls,
     assert len(code.blocks) == 1
     B, pos = code.blocks[0]
     assert B == adjacency_matrix(5, S) and pos is None
-    assert code.rank == gf2.rank(full_matrix(code))
+    assert code.rank == gf2.rank(full_matrix(5, S))
     w = code.kernel[0]
-    assert css.classify_word(code, w) is full_classify(code, w)
+    assert css.classify_word(code, w) is full_classify(5, S, w)
     assert cli.main(["params", "--m", "5", "--gens",
                      "10000,01000,00100,00011"]) == 0
     assert halved_calls == []

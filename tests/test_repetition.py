@@ -316,9 +316,9 @@ def test_theorem_report_bounded_regime():
     code = repetition.build_code(7)
     assert (code.N, code.K) == (128, 16)
     assert code.N - code.rank > gf2.DEFAULT_ENUMERATION_BUDGET
-    upper = css.distance_witness_upper(code, min_weight_witness(7))
-    assert upper.rejected_reason is None
-    assert upper.upper == 8 == repetition.parameters(7)[2]
+    w = min_weight_witness(7)
+    assert css.classify_word(code, w) is css.WordClass.LOGICAL
+    assert w.weight == 8 == repetition.parameters(7)[2]
 
 
 @pytest.mark.parametrize("n,params", [(3, (4, 2, 2)), (5, (16, 4, 4))])

@@ -234,6 +234,21 @@ def test_lower_bound_check_fails_above_the_witness(monkeypatch):
     assert not item.ok
 
 
+def test_distance_checks_above_n5_build_no_matrix(monkeypatch):
+    # The witness is certified and the ball weights counted on the graph
+    # itself, so past the exact range no check builds M or the halved U.
+    built = []
+    for name in ("_build_adjacency", "_build_halved"):
+        def spy(m, S, name=name, real=getattr(cayley, name)):
+            built.append((name, m))
+            return real(m, S)
+        monkeypatch.setattr(cayley, name, spy)
+    items = verify.run_suite("distance", [7, 9, 11, 13])
+    assert len(items) == 7
+    assert all(item.ok for item in items), [i.detail for i in items]
+    assert built == []
+
+
 # The check names of ``verify --suite all --n 3..13``; a check that
 # silently drops out of the scoreboard fails here.
 ALL_CHECKS_3_TO_13 = sorted(

@@ -113,6 +113,8 @@ def ball(m: int, S: GeneratorSet, x: int, r: int) -> BitVector:
 
 def ball_vertices(m: int, S: GeneratorSet, x: int, r: int) -> set[int]:
     """The vertices of ``ball`` as a set."""
+    if S.m != m:
+        raise ValueError("generator set does not live in F_2^m")
     if not 0 <= x < (1 << m):
         raise ValueError(f"vertex {x} outside F_2^{m}")
     seen = {x}

@@ -137,11 +137,10 @@ def css_from_matrix(H: BitMatrix) -> CssCode:
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """The outcome of ``distance_exact``: method "exact", and the
+    """The outcome of ``distance_exact``, an exact distance; the
     self-dual case carries trivial=True instead of a number.  An upper
     bound is a word that ``classify_word`` finds logical."""
 
-    method: str
     value: Optional[int] = None
     witness: Optional[BitVector] = None
     trivial: bool = False
@@ -160,14 +159,14 @@ def distance_exact(
     bounds.
     """
     if code.is_trivial:
-        return DistanceReport(method="exact", trivial=True)
+        return DistanceReport(trivial=True)
     dim = code.N - code.rank
     if dim > budget:
         raise gf2.DimensionBudgetError(dim, budget)
     weight, witness = gf2.min_weight_in_span_minus_subspace(
         list(code.kernel), code.rows, budget
     )
-    return DistanceReport(method="exact", value=weight, witness=witness)
+    return DistanceReport(value=weight, witness=witness)
 
 
 def distance_lower_bound_theorem(n: int, d: int) -> int:

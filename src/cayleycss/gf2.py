@@ -358,55 +358,37 @@ class BitMatrix:
 
 
 class RowEchelonCache:
-    """Row echelon form of a matrix: reduced rows, pivots and rank.
+    """Row echelon form of a matrix: echelon rows, pivots and rank, and
+    the fully reduced rows, built on first use.
 
-    The reduced rows have strictly increasing pivot columns and span the
+    The echelon rows have strictly increasing pivot columns and span the
     row space of the original matrix.
     """
 
-    __slots__ = ("pivots", "basis", "rank", "_blocks")
+    __slots__ = ("pivots", "basis", "rank", "_piv", "_full")
 
     def __init__(self, pivots: list[int], basis: np.ndarray):
         self.pivots = pivots
         self.basis = basis  # (rank, n_words), pivot-sorted echelon rows
         self.rank = len(pivots)
-        # One block per 64-column word holding pivots: the word index,
-        # the mask of its pivot bits, and (row, entry in that word) by
-        # pivot bit.  A row's lowest set bit is its pivot.
-        piv_words = np.array(pivots, dtype=np.int64) >> 6
-        starts = np.flatnonzero(np.diff(piv_words, prepend=-1)).tolist()
-        self._blocks = []
-        for first, stop in zip(starts, starts[1:] + [self.rank]):
-            wi = pivots[first] >> 6
-            mask = 0
-            by_bit = {}
-            for r, e in enumerate(basis[first:stop, wi].tolist(), first):
-                mask |= e & -e
-                by_bit[e & -e] = (r, e)
-            self._blocks.append((wi, mask, by_bit))
+        self._piv = np.array(pivots, dtype=np.int64)
+        self._full = None
+
+    def rref(self) -> np.ndarray:
+        """The fully reduced rows (zeros above every pivot), read-only."""
+        if self._full is None:
+            full = _rref(self.basis.copy(), self.pivots)
+            full.setflags(write=False)
+            self._full = full
+        return self._full
 
     def reduce(self, words: np.ndarray) -> np.ndarray:
-        """Residual of a packed vector after elimination against the basis.
-
-        Works one pivot word at a time: the rows to apply are chosen on
-        the word as a Python int, lowest pivot first, then XORed in
-        together.  Rows of later words are zero in this one, so this
-        applies the same rows as one pass over the pivots in order.
-        """
-        out = words.copy()
-        for wi, mask, by_bit in self._blocks:
-            x = int(out[wi])
-            hit = x & mask
-            if not hit:
-                continue
-            rows = []
-            while hit:
-                r, e = by_bit[hit & -hit]
-                rows.append(r)
-                x ^= e
-                hit = x & mask
-            out[wi:] ^= np.bitwise_xor.reduce(self.basis[rows, wi:])
-        return out
+        """Residual of a packed vector modulo the row space: zero at
+        every pivot.  In the fully reduced rows, the coefficient of row r
+        is the vector's own bit at pivot r, so the rows to XOR in are
+        read off in one gather."""
+        hit = (words[self._piv >> 6] & _BIT[self._piv & 63]) != 0
+        return words ^ np.bitwise_xor.reduce(self.rref()[hit], axis=0)
 
 
 def _eliminate(
@@ -467,23 +449,25 @@ def rank(M: BitMatrix) -> int:
 
 
 def _rref(basis: np.ndarray, pivots: Sequence[int]) -> np.ndarray:
-    """Fully reduce echelon rows in place (zeros above every pivot)."""
+    """Fully reduce echelon rows in place (zeros above every pivot).
+
+    Row r is zero before its pivot word, so only that word on is XORed.
+    """
     for r in range(len(pivots) - 1, 0, -1):
         c = pivots[r]
         wi = c >> 6
-        bit = np.uint64(1 << (c & 63))
-        above = (basis[:r, wi] & bit) != 0
-        if above.any():
-            basis[:r][above] ^= basis[r]
+        above = (basis[:r, wi] & _BIT[c & 63]).nonzero()[0]
+        if above.size:
+            basis[above, wi:] ^= basis[r, wi:]
     return basis
 
 
 def kernel_basis(M: BitMatrix) -> list[BitVector]:
     """Basis of {v : M . v^T = 0}; has cols - rank(M) elements."""
     ech = _echelon(M)
-    rref = BitMatrix(ech.rank, M.cols, _rref(ech.basis.copy(), ech.pivots))
+    rref = BitMatrix._wrap(ech.rank, M.cols, ech.rref())
     free = np.ones(M.cols, dtype=bool)
-    free[ech.pivots] = False
+    free[ech._piv] = False
     # Vector k: the k-th free column f and the pivots of rows with a 1 at f.
     k = np.cumsum(free) - 1
     r, c = rref.nonzero()
@@ -491,7 +475,7 @@ def kernel_basis(M: BitMatrix) -> list[BitVector]:
     f = np.flatnonzero(free)
     K = BitMatrix.from_nonzero(
         f.size, M.cols, np.concatenate([k[f], k[c]]),
-        np.concatenate([f, np.array(ech.pivots, dtype=np.int64)[r]]),
+        np.concatenate([f, ech._piv[r]]),
     )
     return [K.row(i) for i in range(K.rows)]
 

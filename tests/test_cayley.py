@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleycss import gf2, verify
+from cayleycss import gf2, repetition, verify
 from cayleycss.cayley import (
     CyclicProductGroup,
     GeneratorSet,
@@ -18,6 +18,7 @@ from cayleycss.cayley import (
     algebra_nilpotency_check,
     algebra_nilpotency_check_f2,
     ball,
+    ball_vertices,
     check_self_orthogonal_combinatorial,
     format_small_word,
     halved_matrix,
@@ -97,6 +98,13 @@ def test_sphere_and_ball():
     assert b2.weight == 1 + 4 + 6
     assert all(v.bit_count() <= 2 for v in b2.support())
     assert ball(4, S, 0, 4).weight == 16
+
+
+@pytest.mark.parametrize("neighborhood", [ball_vertices, ball])
+def test_ball_refuses_a_generator_set_of_another_group(neighborhood):
+    # Generators of F_2^9 would reach vertices up to 511 from F_2^3.
+    with pytest.raises(ValueError, match="does not live in F_2"):
+        neighborhood(3, repetition.generators(9), 0, 1)
 
 
 # -- pair count ------------------------------------------------------------

@@ -9,6 +9,7 @@ oracle's results exactly.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,8 +191,9 @@ def test_solver_matches_gauss_jordan(dense, seed):
 @given(matrices(), st.integers(0, 2**32 - 1))
 def test_blockwise_reduce_matches_per_pivot_loop(dense, seed):
     # A cache built directly from pivots and rows, as the oracle builds
-    # it, reduces word by word exactly as the per-pivot loop does, on
-    # random words and on row-space words (residual zero).
+    # it, reduces through its fully reduced rows exactly as the
+    # per-pivot loop does, on random words and on row-space words
+    # (residual zero).
     M = BitMatrix.from_dense(dense)
     ech = oracle_echelon(M)
     rng = np.random.default_rng(seed)
@@ -201,3 +203,63 @@ def test_blockwise_reduce_matches_per_pivot_loop(dense, seed):
             want = oracle_reduce(ech, v.words)
             assert np.array_equal(ech.reduce(v.words), want)
         assert not ech.reduce(v.words).any()
+
+
+# -- the fully reduced rows are built once, and never for the rank ---------
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """The list of row counts ``gf2._rref`` was called with."""
+    calls = []
+    real = gf2._rref
+
+    def spy(basis, pivots):
+        calls.append(len(pivots))
+        return real(basis, pivots)
+
+    monkeypatch.setattr(gf2, "_rref", spy)
+    return calls
+
+
+def random_matrix(rows, cols, seed=0):
+    rng = np.random.default_rng(seed)
+    return BitMatrix.from_dense(rng.integers(0, 2, (rows, cols)))
+
+
+def test_rank_leaves_the_reduced_rows_unbuilt(rref_calls):
+    M = random_matrix(90, 130)
+    assert gf2.rank(M) == oracle_echelon(M).rank
+    assert rref_calls == []
+
+
+def test_membership_and_kernels_reduce_the_rows_once(rref_calls):
+    M = random_matrix(90, 130)
+    rng = np.random.default_rng(1)
+    for i in range(10):
+        if i % 2:
+            v = M.transpose().mul_vector(vector(rng, M.rows))
+            assert gf2.in_row_space(M, v)
+        else:
+            v = vector(rng, M.cols)
+            want = not oracle_reduce(oracle_echelon(M), v.words).any()
+            assert gf2.in_row_space(M, v) == want
+    first = [v.to_int() for v in gf2.kernel_basis(M)]
+    assert first == oracle_kernel(M)
+    assert [v.to_int() for v in gf2.kernel_basis(M)] == first
+    assert rref_calls == [gf2.rank(M)]
+
+
+@pytest.mark.parametrize("rows", [0, 5])
+@pytest.mark.parametrize("cols", [1, 64, 70])
+def test_reduce_without_pivots_returns_its_input(rows, cols):
+    # An all-zero matrix and a 0-row matrix have no pivots.
+    M = BitMatrix(rows, cols, np.zeros((rows, (cols + 63) // 64),
+                                       dtype=np.uint64))
+    ech = gf2._echelon(M)
+    assert ech.rank == 0
+    rng = np.random.default_rng(cols)
+    for v in (BitVector.zeros(cols), vector(rng, cols),
+              BitVector.from_support(cols, [cols - 1])):
+        assert np.array_equal(ech.reduce(v.words), v.words)
+        assert gf2.in_row_space(M, v) == v.is_zero()

@@ -9,17 +9,19 @@ up to floor((d-2)/2); we certify this computationally rather than
 assume it.
 
 ``certify_all_centers`` makes that certificate at every one of the 2^n
-centers in one sweep.  It reads the projection from a 2^n table built
+centers in one sweep.  It reads the projection P from a 2^n table built
 from the columns, takes each center's ball as {x : |x xor c| <= r}, and
-checks per center that the projection is injective on it, that the
-image is the target ball around the center's image (found by BFS in the
-target graph), and that every target edge inside that ball lifts to a
-hypercube edge.  The first failing center is handed to
-``certify_ball_isomorphism``, the per-center check, which names the
-counterexample.  ``check_sweep_length`` and ``check_sweep_size`` refuse
-a sweep over MAX_SWEEP_LENGTH or MAX_SWEEP_SIZE with a
-``SizeGuardError``; the CLI runs them before the sweep and reports a
-refusal as exit 4.
+checks that P is injective on it, that the image is the target ball
+around P(c) (found by BFS in the target graph), and that every target
+edge inside that ball lifts to a hypercube edge.  The check reads only
+the relative images P(c ^ y) ^ P(c), |y| <= r, so a center whose list
+equals the last passing center's is skipped: it has the same verdict.
+On a true cover P is a homomorphism and every list is the one at 0.
+The first failing center is handed to ``certify_ball_isomorphism``, the
+per-center check, which names the counterexample.
+``check_sweep_length`` and ``check_sweep_size`` refuse a sweep over
+MAX_SWEEP_LENGTH or MAX_SWEEP_SIZE with a ``SizeGuardError``; the CLI
+runs them before the sweep and reports a refusal as exit 4.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from .smallcode import ClassicalCode, enumerate_codewords, min_distance
 MAX_SWEEP_LENGTH = 20
 
 #: Largest sweep size, 2^n times the hypercube ball volume summed over
-#: the radii swept, that a sweep accepts.  A sweep spends 0.8 to 1.3 us
-#: per ball vertex (2-core Xeon; the most at large r, whose balls hold
-#: more edges per vertex), so an accepted sweep ends within about 22 s.
+#: the radii swept, that a sweep accepts.  A run spends 0.25 to 0.35 us
+#: per ball vertex at r >= 1 and 0.9 to 1.4 us at r = 0, n <= 20 (2-core
+#: Xeon), so an accepted sweep ends within about 6 s.
 MAX_SWEEP_SIZE = 1 << 24
 
 
@@ -226,7 +228,9 @@ def certify_all_centers(
     fails: (centers checked, its collision), or (2^n, None).
 
     Every center's verdict comes from the projection table on its own
-    ball.  Only the first failing center runs the per-center check,
+    ball, through its relative images alone, so a center with the same
+    relative images as the last passing one is passed without the
+    check.  Only the first failing center runs the per-center check,
     which names the same counterexample the center-by-center loop does.
     """
     # The target ball around t is t ^ target, by BFS in the target graph.
@@ -254,9 +258,14 @@ def certify_all_centers(
     project = table.__getitem__
     k = len(target)
     units = frozenset(1 << i for i in range(cm.n))
+    passed = None
     for c in range(1 << cm.n):
         images = map(project, map(c.__xor__, offsets))
-        slots = map(place.get, map(table[c].__xor__, images))
+        relative = list(map(table[c].__xor__, images))
+        # The check below reads nothing of c but this list.
+        if relative == passed:
+            continue
+        slots = map(place.get, relative)
         # The offset y of each slot that c ^ y projects to; as many
         # offsets as slots, so all k slots are filled exactly when the
         # projection is injective and onto the target ball.
@@ -267,6 +276,7 @@ def certify_all_centers(
                     map(inverse.__getitem__, edge_b))
         if not units.issuperset(lifts):
             return _first_failure(cm, c, r)
+        passed = relative
     return 1 << cm.n, None
 
 

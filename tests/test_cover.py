@@ -151,6 +151,19 @@ def test_sweep_matches_the_center_by_center_loop():
     assert parities == {0, 1}
 
 
+@pytest.fixture
+def full_checks(monkeypatch):
+    """One entry per center the sweep checks in full: each full check
+    builds its inverse map through ``dict`` once."""
+    calls = []
+
+    def spy(pairs):
+        calls.append(None)
+        return dict(pairs)
+    monkeypatch.setattr(cover, "dict", spy, raising=False)
+    return calls
+
+
 def corrupt_projection(monkeypatch, cm, v, u):
     """Make v project where u does, in the table the sweep reads and in
     the projection the per-center check reads."""
@@ -165,19 +178,79 @@ def corrupt_projection(monkeypatch, cm, v, u):
 # other, and u = v minus its highest one lies in that center's ball.
 @pytest.mark.parametrize("v", [0b1110101, 0b1011010])
 def test_sweep_fails_the_first_center_whose_ball_holds_a_corrupted_vertex(
-    monkeypatch, v
+    monkeypatch, full_checks, v
 ):
     cm = CoverMap(build_parity_check(6, (0b111111,)))
     r = cm.safe_radius
     assert certify_all_centers(cm, r) == (1 << cm.n, None)
+    assert len(full_checks) == 1
     first = min(c for c in range(1 << cm.n) if (c ^ v).bit_count() <= r)
     assert first > 0
     u = v ^ (1 << (v.bit_length() - 1))
     corrupt_projection(monkeypatch, cm, v, u)
+    full_checks.clear()
     assert certify_all_centers(cm, r) == (
         first + 1, BallCollision(first, r, u, v, "vertex-collision")
     )
+    # Center 0, then the first center whose ball holds v.
+    assert len(full_checks) == 2
     assert certify_all_centers(cm, r) == loop_sweep(cm, r)
+
+
+def swap_projection(cm, v, u):
+    """Exchange the images of v and u, in the table and in project."""
+    table = array("q", cm.projection_table)
+    table[v], table[u] = table[u], table[v]
+    cm.projection_table = table
+    cm.project = table.__getitem__
+
+
+def outcome(sweep, cm, r):
+    """The sweep's result, or the message of the AssertionError it
+    raises when a ball's image leaves the target ball."""
+    try:
+        return sweep(cm, r)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def test_sweep_matches_the_loop_on_corrupted_tables(monkeypatch):
+    # A corrupted table is no homomorphism, so the centers' relative
+    # images differ and the sweep must still give the loop's verdict.
+    rng = random.Random(23)
+    kinds = set()
+    for cm in random_covers(rng, 60):
+        radii = {cm.safe_radius - 1, cm.safe_radius, cm.safe_radius + 1}
+        v, u = rng.sample(range(1 << cm.n), 2)
+        for corrupt in ("overwrite", "swap"):
+            bad = CoverMap(cm.code)
+            if corrupt == "overwrite":
+                corrupt_projection(monkeypatch, bad, v, u)
+            else:
+                swap_projection(bad, v, u)
+            for r in sorted(radii - {-1}):
+                want = outcome(loop_sweep, bad, r)
+                kinds.add("raises" if isinstance(want, str)
+                          else want[1].kind if want[1] else "isomorphism")
+                assert outcome(certify_all_centers, bad, r) == want, (
+                    cm.m, cm.code.W, corrupt, v, u, r)
+    assert kinds == {"isomorphism", "vertex-collision", "edge-mismatch",
+                     "raises"}
+
+
+@pytest.mark.parametrize("m, W, n, safe", [
+    (8, (0b11111111,), 9, 3), (6, (0b111111,), 7, 2),
+    (5, (0b11111, 0b00111), 7, 1),
+])
+def test_an_intact_table_is_checked_in_full_at_one_center(
+    full_checks, m, W, n, safe
+):
+    cm = CoverMap(build_parity_check(m, W))
+    assert (cm.n, cm.safe_radius) == (n, safe)
+    for r in range(safe + 1):
+        full_checks.clear()
+        assert certify_all_centers(cm, r) == (1 << n, None)
+        assert len(full_checks) == 1, r
 
 
 def test_sweep_refuses_to_disagree_with_the_per_center_check():

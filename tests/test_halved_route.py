@@ -25,9 +25,8 @@ def full_matrix(m, S):
     return adjacency_matrix(m, S)
 
 
-def full_classify(m, S, w):
+def full_classify(M, w):
     """The three-way classification on M, never on U."""
-    M = full_matrix(m, S)
     if not M.mul_vector(w).is_zero():
         return WordClass.NOT_IN_DUAL
     if gf2.in_row_space(M, w):
@@ -131,7 +130,7 @@ def test_random_odd_weight_sets_agree_with_the_full_matrix(drawn, seed):
             value ^= v.to_int()
     words.append(BitVector.from_int(N, value))
     for w in words:
-        assert css.classify_word(code, w) is full_classify(m, S, w)
+        assert css.classify_word(code, w) is full_classify(M, w)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -162,7 +161,7 @@ def test_witness_classifies_as_on_the_full_matrix(n):
     code = repetition.build_code(n)
     w = repetition.min_weight_witness(n)
     assert css.classify_word(code, w) is WordClass.LOGICAL
-    assert full_classify(n, S, w) is WordClass.LOGICAL
+    assert full_classify(full_matrix(n, S), w) is WordClass.LOGICAL
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
@@ -184,7 +183,7 @@ def test_kernel_row_space_and_off_kernel_words_classify_alike(n):
             M.mul_vector(random_word(rng, N)),
             random_word(rng, N),
         ):
-            want = full_classify(n, S, w)
+            want = full_classify(M, w)
             assert css.classify_word(code, w) is want
             seen.add(want)
     assert seen == set(WordClass)
@@ -215,7 +214,7 @@ def test_stabilizer_on_one_class_and_logical_on_the_other(n):
         (stab_even ^ broken_odd, WordClass.NOT_IN_DUAL),
     ]
     for word, want in cases:
-        assert full_classify(n, S, word) is want
+        assert full_classify(M, word) is want
         assert css.classify_word(code, word) is want
 
 
@@ -259,7 +258,7 @@ def test_non_bipartite_sets_never_build_the_halved_block(halved_calls,
     assert B == adjacency_matrix(5, S) and pos is None
     assert code.rank == gf2.rank(full_matrix(5, S))
     w = code.kernel[0]
-    assert css.classify_word(code, w) is full_classify(5, S, w)
+    assert css.classify_word(code, w) is full_classify(full_matrix(5, S), w)
     assert cli.main(["params", "--m", "5", "--gens",
                      "10000,01000,00100,00011"]) == 0
     assert halved_calls == []

@@ -2,18 +2,23 @@
 parameters, run verification suites, certify covers, and print
 logical-witness reports as machine-readable JSON.
 
+Usage: ``cayley-css COMMAND [--opt value | --opt=value]...``.  Each
+option takes one value (given twice, the last counts) and is spelled in
+full.  An unknown command, an option the command does not take, a
+missing value, a non-integer or a bad choice prints one ``error:`` line
+and exits 2 before any work.
+
 Exit codes: 0 success, 2 precondition violation, 3 verification
 failure, 4 enumeration/size budget exceeded.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 from typing import Optional
 
 from . import __version__, cover, css, formats, gf2, repetition, verify
@@ -89,7 +94,7 @@ def make_report(args, inputs: dict, outputs: dict,
         "tool": "cayley-css",
         "version": __version__,
         "command": args.command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "indexing_convention": INDEXING_CONVENTION,
         "inputs": inputs,
         "outputs": outputs,
@@ -205,9 +210,12 @@ def cmd_verify(args, started: float) -> int:
         )
 
     # Threads change the wall time only; the report is the same.
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        mapper = pool.map if args.threads > 1 else map
-        suites = list(mapper(run, names))
+    if args.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            suites = list(pool.map(run, names))
+    else:
+        suites = list(map(run, names))
     items = [c for suite in suites for c in suite]
     if not items:
         raise CliError(
@@ -287,71 +295,75 @@ def cmd_witness(args, started: float) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cayley-css",
-        description=(
-            "CSS codes from Cayley graphs over F_2^m: build, measure, "
-            "verify"
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Option: (converter or tuple of choices, commands that take it or None
+# for all, default, help).  Command c runs cmd_c.
+OPTIONS = {
+    "--m": (int, None, None, "group dimension"),
+    # --n stays a string so verify can take a range like "3..13".
+    "--n": (str, None, None, "family parameter (verify: range LO..HI)"),
+    "--gens": (lambda t: t.split(","), None, None,
+               "comma-separated generator bitstrings, x1 first"),
+    "--family": (("repetition", "hypercube", "custom", "z2n-torus"), None,
+                 "custom", "generator family"),
+    "--exact-budget": (int, None, gf2.DEFAULT_ENUMERATION_BUDGET,
+                       "max kernel dimension for exhaustive distance search"),
+    "--seed": (int, None, DEFAULT_SEED, "seed of the randomized checks"),
+    "--threads": (int, None, None, "threads for the suites of verify "
+                  "(default CAYLEY_CSS_THREADS, else 1)"),
+    "--out": (str, None, None, "output file (default stdout)"),
+    "--format": (formats.FORMAT_NAMES, ("build",), "alist", "export format"),
+    "--suite": (SUITE_NAMES + ("all",), ("verify",), "all", "suite to run"),
+    "--radius": (int, ("cover",), None, "ball radius (default (d-2)//2)"),
+}
 
-    def common(p):
-        p.add_argument("--m", type=int, help="group dimension")
-        # --n stays a string so verify can take a range like "3..13".
-        p.add_argument("--n", help="family parameter (verify: range LO..HI)")
-        p.add_argument(
-            "--gens",
-            type=lambda t: t.split(","),
-            help="comma-separated generator bitstrings, x1 first",
-        )
-        p.add_argument(
-            "--family",
-            choices=("repetition", "hypercube", "custom", "z2n-torus"),
-            default="custom",
-        )
-        p.add_argument(
-            "--exact-budget", type=int,
-            default=gf2.DEFAULT_ENUMERATION_BUDGET,
-            help="max kernel dimension for exhaustive distance search",
-        )
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        # Parsed in check_options, so a bad CAYLEY_CSS_THREADS exits 2.
-        p.add_argument(
-            "--threads", default=os.environ.get("CAYLEY_CSS_THREADS", "1")
-        )
-        p.add_argument("--out", help="output file (default stdout)")
 
-    p_build = sub.add_parser("build", help="export an adjacency matrix")
-    common(p_build)
-    p_build.add_argument(
-        "--format", choices=formats.FORMAT_NAMES, default="alist"
-    )
+def help_text(commands: list[str]) -> str:
+    lines = ["usage: cayley-css COMMAND [--OPTION VALUE]... | --version",
+             f"commands: {', '.join(commands)}", "options:"]
+    for name, (convert, takers, default, text) in OPTIONS.items():
+        if isinstance(convert, tuple):
+            text += f"; one of {', '.join(convert)}"
+        text += f"; {', '.join(takers)} only" if takers else ""
+        text += f"; default {default}" if default is not None else ""
+        lines.append(f"  {name:<15}{text}")
+    return "\n".join(lines)
 
-    p_params = sub.add_parser("params", help="compute [[N, K, D]]")
-    common(p_params)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    common(p_verify)
-    p_verify.add_argument(
-        "--suite", choices=SUITE_NAMES + ("all",), default="all"
-    )
-
-    p_cover = sub.add_parser("cover", help="certify a covering map")
-    common(p_cover)
-    p_cover.add_argument(
-        "--radius", type=int, help="ball radius (default floor((d-2)/2))"
-    )
-
-    p_witness = sub.add_parser(
-        "witness", help="minimum-weight logical word of the tower"
-    )
-    common(p_witness)
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read COMMAND [--opt value | --opt=value]... against OPTIONS."""
+    commands = [name[4:] for name in globals() if name.startswith("cmd_")]
+    shown = [w for w in argv if w in ("-h", "--help", "--version")]
+    if shown:
+        print(help_text(commands) if shown[0] != "--version"
+              else f"cayley-css {__version__}")
+        raise SystemExit(0)
+    if not argv or argv[0] not in commands:
+        raise CliError(f"start with a command: {', '.join(commands)}")
+    command, words = argv[0], iter(argv[1:])
+    # Converted with the rest, so a bad CAYLEY_CSS_THREADS exits 2.
+    texts = {"--threads": os.environ.get("CAYLEY_CSS_THREADS", "1")}
+    for word in words:
+        name, eq, text = word.partition("=")
+        takers = (OPTIONS[name][1] or commands) if name in OPTIONS else ()
+        if command not in takers:
+            raise CliError(f"{command} does not take {name!r} (see --help)")
+        if not eq and (text := next(words, "--")).startswith("--"):
+            raise CliError(f"{name} needs a value")
+        texts[name] = text
+    values = {name: default for name, (_, takers, default, _)
+              in OPTIONS.items() if command in (takers or commands)}
+    for name, text in texts.items():
+        convert = OPTIONS[name][0]
+        choices = convert if isinstance(convert, tuple) else None
+        try:  # int() and choices.index raise ValueError, nothing else
+            values[name] = (choices[choices.index(text)] if choices
+                            else convert(text))
+        except ValueError:
+            want = f"one of {', '.join(choices)}" if choices else "an integer"
+            raise CliError(f"{name} must be {want}, got {text!r}") from None
+    return SimpleNamespace(command=command, argv=argv, **{
+        name[2:].replace("-", "_"): value for name, value in values.items()
+    })
 
 
 def check_options(args) -> None:
@@ -361,12 +373,6 @@ def check_options(args) -> None:
             args.n = int(args.n)
         except ValueError:
             raise CliError(f"--n must be an integer, got {args.n!r}") from None
-    try:
-        args.threads = int(args.threads)
-    except ValueError:
-        raise CliError(
-            f"--threads must be an integer, got {args.threads!r}"
-        ) from None
     if args.threads < 1:
         raise CliError(f"--threads must be at least 1, got {args.threads}")
     if not 0 <= args.exact_budget <= gf2.MAX_ENUMERATION_BUDGET:
@@ -379,17 +385,10 @@ def check_options(args) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "build": cmd_build,
-        "params": cmd_params,
-        "verify": cmd_verify,
-        "cover": cmd_cover,
-        "witness": cmd_witness,
-    }
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         check_options(args)
-        return handlers[args.command](args, time.perf_counter())
+        return globals()[f"cmd_{args.command}"](args, time.perf_counter())
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

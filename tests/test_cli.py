@@ -1,5 +1,6 @@
 """CLI surface: reports, formats, exit codes, and schema validity."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,9 +12,10 @@ import jsonschema
 import pytest
 
 import cayleycss
-from cayleycss import cli, formats, repetition, verify
+from cayleycss import cli, formats, gf2, repetition, verify
 from cayleycss.cayley import GeneratorSet, adjacency_matrix
 from cayleycss.gf2 import BitMatrix, BitVector
+from cayleycss.verify import SUITE_NAMES
 
 try:
     from importlib.resources import files as resource_files
@@ -114,11 +116,12 @@ def test_verify_all_small_range(capsys):
 def test_verify_all_report_does_not_depend_on_threads(capsys):
     reports = []
     for threads in ("1", "2"):
-        code, report = run_report(
-            capsys, "verify", "--suite", "all", "--n", "3..5",
-            "--m", "4", "--gens", "1111", "--threads", threads,
-        )
+        argv = ["verify", "--suite", "all", "--n", "3..5",
+                "--m", "4", "--gens", "1111", "--threads", threads]
+        code, report = run_report(capsys, *argv)
         assert code == 0
+        # The report records the argv it was given, --threads included.
+        assert report.pop("argv") == argv
         for key in ("timings", "threads"):
             report.pop(key)
         for check in report["checks"]:
@@ -205,6 +208,176 @@ def test_threads_below_one_exits_before_work(capsys, monkeypatch, threads):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "--threads" in err
+
+
+@pytest.mark.parametrize("line", [
+    "",
+    "bogus --m 5",
+    "cover --suite all",
+    "cover --m 5 --gens 11111 --m",
+    "params --family repetition --n 3 --out",
+    "params --family repetition --n 3 --out --seed",
+    "cover --m x --gens 11111",
+    "params --family bogus --n 3",
+    "cover --m 5 --gens 11111 stray",
+    "params --family repetition --n 7 --exact 3",
+], ids=["no-command", "unknown-command", "option-of-another-command",
+        "missing-value", "missing-text-value", "option-as-value",
+        "non-integer", "bad-choice", "stray-positional",
+        "abbreviated-option"])
+def test_malformed_argv_exits_2_before_work(capsys, monkeypatch, line):
+    for command in ("build", "params", "verify", "cover", "witness"):
+        monkeypatch.setattr(cli, f"cmd_{command}", refuse_work)
+    code, out, err = run_cli(capsys, *line.split())
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["cover", "--help"]])
+def test_help_names_every_command_and_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "commands: build, params, verify, cover, witness\n" in out
+    for name in cli.OPTIONS:
+        assert f"\n  {name} " in out
+
+
+def test_report_records_the_argv_it_parsed(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["script.py", "list.json"])
+    argv = ["cover", "--m", "5", "--gens", "11111"]
+    code, report = run_report(capsys, *argv)
+    assert code == 0
+    assert report["argv"] == argv
+    # Without an argv, main reads the process's command line.
+    monkeypatch.setattr(sys, "argv", ["cayley-css", "witness", "--n", "5"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out)["argv"] == [
+        "witness", "--n", "5"]
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the option table replaced, kept as its oracle."""
+    parser = argparse.ArgumentParser(
+        prog="cayley-css",
+        description=(
+            "CSS codes from Cayley graphs over F_2^m: build, measure, "
+            "verify"
+        ),
+    )
+    parser.add_argument(
+        "--version", action="version",
+        version=f"%(prog)s {cayleycss.__version__}"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--m", type=int, help="group dimension")
+        p.add_argument("--n", help="family parameter (verify: range LO..HI)")
+        p.add_argument(
+            "--gens",
+            type=lambda t: t.split(","),
+            help="comma-separated generator bitstrings, x1 first",
+        )
+        p.add_argument(
+            "--family",
+            choices=("repetition", "hypercube", "custom", "z2n-torus"),
+            default="custom",
+        )
+        p.add_argument(
+            "--exact-budget", type=int,
+            default=gf2.DEFAULT_ENUMERATION_BUDGET,
+            help="max kernel dimension for exhaustive distance search",
+        )
+        p.add_argument("--seed", type=int, default=cli.DEFAULT_SEED)
+        p.add_argument(
+            "--threads", default=os.environ.get("CAYLEY_CSS_THREADS", "1")
+        )
+        p.add_argument("--out", help="output file (default stdout)")
+
+    p_build = sub.add_parser("build", help="export an adjacency matrix")
+    common(p_build)
+    p_build.add_argument(
+        "--format", choices=formats.FORMAT_NAMES, default="alist"
+    )
+    common(sub.add_parser("params", help="compute [[N, K, D]]"))
+    p_verify = sub.add_parser("verify", help="run a verification suite")
+    common(p_verify)
+    p_verify.add_argument(
+        "--suite", choices=SUITE_NAMES + ("all",), default="all"
+    )
+    p_cover = sub.add_parser("cover", help="certify a covering map")
+    common(p_cover)
+    p_cover.add_argument(
+        "--radius", type=int, help="ball radius (default floor((d-2)/2))"
+    )
+    common(sub.add_parser(
+        "witness", help="minimum-weight logical word of the tower"
+    ))
+    return parser
+
+
+ORACLE_ARGV = [
+    # Every argv shape the benchmark draws (perfbench/workloads.py).
+    # tower
+    *(f"params --family repetition --n {n}" for n in (9, 11, 13)),
+    *(f"witness --n {n}" for n in (9, 11, 13)),
+    *(f"build --family repetition --n 13 --format {fmt} --out r0-n13.{fmt}"
+      for fmt in formats.FORMAT_NAMES),
+    "params --family hypercube --m 12",
+    # distance
+    "params --m 5 --gens 00011,00101,01001,10001,11110,01111",
+    "params --family repetition --n 3",
+    "params --family repetition --n 5",
+    # verify
+    "verify --suite all --n 3..13 --threads 1 --seed 1405712293",
+    # cover
+    "cover --m 6 --gens 111000,010111 --radius 1",
+    "cover --m 5 --gens 11100,01110,00111,10101 --radius 1",
+    "cover --m 8 --gens 11111111 --radius 3",
+    "cover --m 10 --gens 1111111111 --radius 5",
+    # The README examples.
+    "params --n 3 --family repetition",
+    "params --m 4 --gens 0001,0010,0100,1000",
+    "build --n 3 --family repetition --format alist --out m.alist",
+    "verify --suite dimension --n 3..13",
+    "verify --suite all --n 3..5 --threads 4",
+    "cover --m 5 --gens 11111",
+    "cover --m 5 --gens 11111 --radius 3",
+    "witness --n 5",
+    # --opt=value, mixed with --opt value.
+    "cover --m=5 --gens=11111 --radius=2",
+    "verify --suite=cover --n=3..5 --m=5 --gens 11111 --threads=2",
+    "build --family=z2n-torus --n=3 --format=bin --out=t.bin",
+    "params --exact-budget=20 --n 7 --family=repetition --seed=7",
+    "params --m 4 --gens= --out=",
+    # Negative values, and an option given twice (the last counts).
+    "params --family repetition --n -3",
+    "cover --m 5 --gens 11111 --radius -1",
+    "params --family repetition --n 7 --exact-budget -1",
+    "verify --suite recursion --n 4..6 --threads -3",
+    "params --family repetition --n 3 --seed -5",
+    "params --family repetition --n 3 --n 5",
+]
+
+
+@pytest.mark.parametrize("threads_env", [None, "3"], ids=["env-unset",
+                                                          "env-3"])
+@pytest.mark.parametrize("line", ORACLE_ARGV)
+def test_option_table_parses_as_argparse_did(monkeypatch, line, threads_env):
+    if threads_env is None:
+        monkeypatch.delenv("CAYLEY_CSS_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("CAYLEY_CSS_THREADS", threads_env)
+    argv = line.split()
+    expected = vars(reference_parser().parse_args(argv))
+    # argparse kept --threads as text for check_options to convert.
+    expected["threads"] = int(expected["threads"])
+    got = vars(cli.parse_args(argv))
+    assert got.pop("argv") == argv
+    assert got == expected
 
 
 def test_bad_threads_environment_leaves_version_working(capsys,
@@ -343,6 +516,28 @@ def test_runs_do_not_import_numpy_ma():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_runs_do_not_import_argparse_or_thread_pools():
+    # Each module costs start-up time in every fresh process; verify
+    # imports concurrent.futures only for --threads above 1.
+    script = (
+        "import contextlib, io, sys\n"
+        "from cayleycss import cli\n"
+        "for argv in ('params --family repetition --n 9', 'witness --n 9',\n"
+        "             'cover --m 5 --gens 11111',\n"
+        "             'verify --suite all --n 3..7 --threads 1'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv.split()) == 0, argv\n"
+        "print(sorted({'argparse', 'gettext', 'locale',\n"
+        "              'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    src = Path(cayleycss.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # n = 17 at the default radius 7, over the sweep size guard; n = 21,

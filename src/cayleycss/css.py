@@ -2,10 +2,12 @@
 
 A single self-orthogonal matrix H (H . H^T = 0) defines a CSS code of
 length N = 2^m with K = N - 2 rank(H); the distance is the minimum
-weight over ker H minus the row space.  Distance strategies: exact
-enumeration within a budget, upper bounds from words that
-``classify_word`` finds logical, and the proven arithmetic lower bound
-ceil(d n^2 / 640), whose ball-weight premise is a fact about the graph.
+weight over ker H minus the row space.  A code is a direct sum of such
+blocks, so its distance is the least of theirs.  Distance strategies:
+exact enumeration per block within a budget, upper bounds from words
+that ``classify_word`` finds logical, and the proven arithmetic lower
+bound ceil(d n^2 / 640), whose ball-weight premise is a fact about the
+graph.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -89,22 +90,6 @@ class CssCode:
         )
 
     @property
-    def rows(self) -> list[BitVector]:
-        """The rows of every block, placed on the code's coordinates:
-        the rows of the code's check matrix, in some order."""
-        return [
-            self._lift(B.row(i), pos)
-            for B, pos in self.blocks for i in range(B.rows)
-        ]
-
-    @cached_property
-    def kernel(self) -> tuple[BitVector, ...]:
-        return tuple(
-            self._lift(v, pos)
-            for B, pos in self.blocks for v in gf2.kernel_basis(B)
-        )
-
-    @property
     def is_trivial(self) -> bool:
         """Self-dual case: kernel equals row space, no logical words."""
         return self.K == 0
@@ -149,24 +134,34 @@ class DistanceReport:
 def distance_exact(
     code: CssCode, budget: int = gf2.DEFAULT_ENUMERATION_BUDGET
 ) -> DistanceReport:
-    """Exact distance by enumeration of the kernel: a table of partial
-    combinations and a Gray code over the rest (see
-    ``gf2.min_weight_in_span_minus_subspace``).
+    """Exact distance, searched block by block: each block's kernel
+    minus its row space goes to ``gf2.min_weight_in_span_minus_subspace``.
+
+    A logical word of the direct sum has a logical part in some block,
+    no heavier than the word, so each lightest one lies in one block.
+    Blocks with 2 rank = cols have no logical word and are skipped.
+    Weight ties go to the least lifted witness: each block's positions
+    increase, so lifting keeps the order the engine breaks ties by.
 
     Reports the trivial outcome when kernel equals row space (the
     self-dual hypercube case); raises DimensionBudgetError when the
-    kernel dimension exceeds the budget, so callers can fall back to
-    bounds.
+    code's kernel dimension exceeds the budget, so callers can fall
+    back to bounds.
     """
     if code.is_trivial:
         return DistanceReport(trivial=True)
     dim = code.N - code.rank
     if dim > budget:
         raise gf2.DimensionBudgetError(dim, budget)
-    weight, witness = gf2.min_weight_in_span_minus_subspace(
-        list(code.kernel), code.rows, budget
-    )
-    return DistanceReport(value=weight, witness=witness)
+    found = []
+    for B, pos in code.blocks:
+        if 2 * gf2.rank(B) < B.cols:
+            weight, witness = gf2.min_weight_in_span_minus_subspace(
+                gf2.kernel_basis(B), [B.row(i) for i in range(B.rows)], budget
+            )
+            found.append((weight, code._lift(witness, pos).to_int()))
+    weight, value = min(found)
+    return DistanceReport(weight, BitVector.from_int(code.N, value))
 
 
 def distance_lower_bound_theorem(n: int, d: int) -> int:

@@ -391,25 +391,23 @@ class RowEchelonCache:
         return words ^ np.bitwise_xor.reduce(self.rref()[hit], axis=0)
 
 
-def _eliminate(
-    work: np.ndarray, pivot_words: int
-) -> tuple[list[int], np.ndarray]:
+def _eliminate(work: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Row echelon elimination of ``work`` in place, one word at a time.
 
-    Pivots are sought only in the first ``pivot_words`` words.  For each
-    64-column word, the rows that are not pivot rows yet and have a
-    nonzero entry in it are the candidates; their copy of the word is
-    gathered once, the 64 columns are pivoted among them, and each pivot
-    row is XORed into the others from this word on (earlier words of
-    candidate rows are already zero).  Pivot rows stay where they are.
+    For each 64-column word, the rows that are not pivot rows yet and
+    have a nonzero entry in it are the candidates; their copy of the
+    word is gathered once, the 64 columns are pivoted among them, and
+    each pivot row is XORed into the others from this word on (earlier
+    words of candidate rows are already zero).  Pivot rows stay where
+    they are.
 
     Returns the pivot columns in increasing order and the indices of
-    their rows.  Every other row ends up zero in the pivot words.
+    their rows.  Every other row ends up zero.
     """
     live = np.ones(work.shape[0], dtype=bool)
     pivots: list[int] = []
     pivot_rows: list[int] = []
-    for wi in range(pivot_words):
+    for wi in range(work.shape[1]):
         cand = (live & (work[:, wi] != 0)).nonzero()[0]
         if cand.size == 0:
             continue
@@ -438,7 +436,7 @@ def _eliminate(
 def _echelon(M: BitMatrix) -> RowEchelonCache:
     if M._ech is None:
         work = M.words.copy()
-        pivots, rows = _eliminate(work, work.shape[1])
+        pivots, rows = _eliminate(work)
         M._ech = RowEchelonCache(pivots, work[rows])
     return M._ech
 
@@ -487,50 +485,22 @@ def in_row_space(M: BitMatrix, v: BitVector) -> bool:
     return not _echelon(M).reduce(v.words).any()
 
 
-class _Solver:
-    """Fixed linear section of x -> M . x^T, built once per matrix.
-
-    Eliminates the augmented matrix [M | I] with pivots in the M-columns
-    only and fully reduces the pivot rows, so the identity block records
-    a transform T with T . M in reduced row echelon form on top and zero
-    below.  Applying T to a right-hand side reads off a solution with
-    all free variables pinned to zero; b -> x is a genuine linear map.
-    """
-
-    __slots__ = ("pivots", "transform", "rank")
-
-    def __init__(self, M: BitMatrix):
-        nw_m = _n_words(M.cols)
-        work = np.hstack([M.words, BitMatrix.identity(M.rows).words])
-        pivots, rows = _eliminate(work, nw_m)
-        work[rows] = _rref(work[rows], pivots)
-        rest = np.ones(M.rows, dtype=bool)
-        rest[rows] = False
-        order = np.concatenate([rows, np.flatnonzero(rest)])
-        self.pivots = np.array(pivots, dtype=np.int64)
-        self.rank = len(pivots)
-        self.transform = work[order, nw_m:]
-
-    def solve(self, cols: int, b: BitVector) -> BitVector | None:
-        tb = (
-            np.bitwise_count(self.transform & b.words[None, :]).sum(axis=1) & 1
-        )
-        if tb[self.rank:].any():
-            return None
-        return BitVector.from_support(cols, self.pivots[tb[: self.rank] != 0])
-
-
 def solve_preimage(M: BitMatrix, b: BitVector) -> BitVector | None:
     """Some x with M . x^T = b, or None when unsolvable.
 
-    Deterministic for a fixed M: free variables are pinned to zero, so
-    b -> x is a fixed linear section of the matrix map.
+    M's columns, as integers, go through int_echelon once, cached on
+    M.  It keeps each column independent of those before it: M's pivot
+    columns.  The mask int_reduce returns for b is then the one solution
+    supported on them, so free variables are zero and b -> x is a fixed
+    linear section of the matrix map.
     """
     if b.length != M.rows:
         raise ValueError(f"vector length {b.length} != row count {M.rows}")
     if M._solver is None:
-        M._solver = _Solver(M)
-    return M._solver.solve(M.cols, b)
+        T = M.transpose()
+        M._solver = int_echelon(T.row(i).to_int() for i in range(T.rows))
+    residual, x = int_reduce(M._solver, b.to_int())
+    return None if residual else BitVector.from_int(M.cols, x)
 
 
 #: Cost of listing one column-sharing row pair in the sparse

@@ -194,6 +194,14 @@ def test_solve_preimage_unsolvable():
     M = BitMatrix.from_dense(np.array([[1, 0], [1, 0]], dtype=np.uint8))
     assert gf2.solve_preimage(M, BitVector.from_support(2, [0, 1])) is not None
     assert gf2.solve_preimage(M, BitVector.from_support(2, [0])) is None
+    # Empty shapes: a zero right-hand side has the zero solution, and
+    # with no columns nothing reaches e_0.
+    for rows, cols in [(3, 0), (0, 3), (0, 0)]:
+        E = BitMatrix.from_nonzero(rows, cols, [], [])
+        x = gf2.solve_preimage(E, BitVector.zeros(rows))
+        assert x == BitVector.zeros(cols)
+    E = BitMatrix.from_nonzero(3, 0, [], [])
+    assert gf2.solve_preimage(E, BitVector.from_support(3, [0])) is None
 
 
 def test_is_self_orthogonal():

@@ -54,6 +54,24 @@ def random_word(rng, length, support=None):
     )
 
 
+def lift(N, v, pos):
+    """A word of a block placed on the coordinates ``pos`` of a length-N
+    code (None: all of them)."""
+    return v if pos is None else BitVector.from_support(
+        N, [int(pos[i]) for i in v.support()]
+    )
+
+
+def lifted_kernel_and_rows(code):
+    """Every block's kernel basis and rows, placed on the code's
+    coordinates: the kernel and check rows of the whole code."""
+    kernel = [lift(code.N, v, pos)
+              for B, pos in code.blocks for v in gf2.kernel_basis(B)]
+    rows = [lift(code.N, B.row(i), pos)
+            for B, pos in code.blocks for i in range(B.rows)]
+    return kernel, rows
+
+
 def translate(w, t):
     """The word moved by the graph automorphism v -> v + t."""
     return BitVector.from_support(w.length, [v ^ t for v in w.support()])
@@ -108,10 +126,10 @@ def test_random_odd_weight_sets_agree_with_the_full_matrix(drawn, seed):
     M = full_matrix(m, S)
     N = code.N
     assert code.rank == gf2.rank(M)
-    assert sorted(r.to_int() for r in code.rows) == sorted(
+    kernel, rows = lifted_kernel_and_rows(code)
+    assert sorted(r.to_int() for r in rows) == sorted(
         M.row(i).to_int() for i in range(M.rows)
     )
-    kernel = code.kernel
     assert len(kernel) == N - gf2.rank(M)
     assert all(M.mul_vector(v).is_zero() for v in kernel)
     assert gf2.rank(BitMatrix.from_rows(kernel)) == len(kernel)
@@ -152,6 +170,52 @@ def test_exact_distance_matches_the_walk_over_m(seed):
     assert (report.value, report.witness) == (weight, witness)
 
 
+#: Self-orthogonal blocks of known distance: a trivial one (kernel equals
+#: row space), two with D = 2 and the Hamming check matrix of the Steane
+#: code (D = 3).  ONES_4's least logical word is {0, 1}; PAIR_FOUR's is
+#: {2, 3}, since {0, 1} is one of its rows.
+TRIVIAL = BitMatrix.from_dense([[1, 1]])
+ONES_4 = BitMatrix.from_dense([[1, 1, 1, 1]])
+PAIR_FOUR = BitMatrix.from_dense([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 1]])
+STEANE = BitMatrix.from_dense([
+    [0, 0, 0, 1, 1, 1, 1],
+    [0, 1, 1, 0, 0, 1, 1],
+    [1, 0, 1, 0, 1, 0, 1],
+])
+
+
+def two_block_code(first, first_pos, second):
+    """The direct sum of two blocks: ``first`` on the coordinates
+    ``first_pos``, ``second`` on the rest, in increasing order."""
+    N = first.cols + second.cols
+    rest = [p for p in range(N) if p not in first_pos]
+    return css.CssCode(N, ((first, np.array(first_pos)),
+                           (second, np.array(rest))))
+
+
+@pytest.mark.parametrize("first, first_pos, second, value, support", [
+    # A trivial block next to a nontrivial one: only the Steane block
+    # has logical words.
+    (TRIVIAL, [0, 5], STEANE, 3, [1, 2, 3]),
+    # Two nontrivial blocks with different D: the lighter block wins.
+    (STEANE, [0, 2, 3, 5, 6, 8, 10], ONES_4, 2, [1, 4]),
+    # Equal D: the first block's least word is the smaller in the block
+    # ({0, 1} against {2, 3}) but lifts to {5, 7}, the second's to
+    # {2, 3}, so the tie goes to the second block.
+    (ONES_4, [5, 7, 8, 9], PAIR_FOUR, 2, [2, 3]),
+])
+def test_exact_distance_of_two_different_blocks(first, first_pos, second,
+                                                value, support):
+    code = two_block_code(first, first_pos, second)
+    assert gf2.is_self_orthogonal(first) and gf2.is_self_orthogonal(second)
+    report = css.distance_exact(code)
+    kernel, rows = lifted_kernel_and_rows(code)
+    weight, witness = gf2.min_weight_in_span_minus_subspace(kernel, rows)
+    assert (report.value, report.witness) == (weight, witness)
+    assert (report.value, report.witness.support()) == (value, support)
+    assert css.classify_word(code, report.witness) is WordClass.LOGICAL
+
+
 # -- classification ------------------------------------------------------
 
 
@@ -171,7 +235,7 @@ def test_kernel_row_space_and_off_kernel_words_classify_alike(n):
     code = repetition.build_code(n)
     M = full_matrix(n, S)
     N = code.N
-    kernel = [v.to_int() for v in code.kernel]
+    kernel = [v.to_int() for v in gf2.kernel_basis(M)]
     seen = set()
     for _ in range(20):
         value = 0
@@ -241,9 +305,9 @@ def eliminated_shapes(monkeypatch):
     shapes = []
     real = gf2._eliminate
 
-    def spy(work, pivot_words):
+    def spy(work):
         shapes.append(work.shape)
-        return real(work, pivot_words)
+        return real(work)
     monkeypatch.setattr(gf2, "_eliminate", spy)
     return shapes
 
@@ -257,7 +321,7 @@ def test_non_bipartite_sets_never_build_the_halved_block(halved_calls,
     B, pos = code.blocks[0]
     assert B == adjacency_matrix(5, S) and pos is None
     assert code.rank == gf2.rank(full_matrix(5, S))
-    w = code.kernel[0]
+    w = gf2.kernel_basis(B)[0]
     assert css.classify_word(code, w) is full_classify(full_matrix(5, S), w)
     assert cli.main(["params", "--m", "5", "--gens",
                      "10000,01000,00100,00011"]) == 0

@@ -126,8 +126,26 @@ def test_tower_matrix_is_shared_and_eliminated_once():
     assert code.rank == 2 * gf2.rank(U)
     echelon = U._ech
     assert echelon is not None
-    assert len(code.kernel) == code.N - code.rank
+    kernel = [gf2.kernel_basis(B) for B, _ in code.blocks]
+    assert sum(map(len, kernel)) == code.N - code.rank
     assert U._ech is echelon
+
+
+def test_recursive_kernel_basis_eliminates_the_level_matrix_once(
+        monkeypatch):
+    # M(7) (128 x 128, two words a row) is eliminated once for its rank,
+    # kernel and every solve; no augmented [M | I] (128 x 4 words) is.
+    # The residual map (144 columns) and the independence check of the
+    # level-9 words are the only other eliminations.
+    shapes = []
+    real = gf2._eliminate
+
+    def spy(work):
+        shapes.append(work.shape)
+        return real(work)
+    monkeypatch.setattr(gf2, "_eliminate", spy)
+    basis = kernel_basis_recursive(7)
+    assert shapes == [(128, 2), (128, 3), (len(basis), 8)]
 
 
 # -- image parametrization and normal forms --------------------------------

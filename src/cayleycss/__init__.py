@@ -27,6 +27,7 @@ from .css import (  # noqa: F401
     build_css,
     classify_word,
     css_from_matrix,
+    distance,
     distance_exact,
     distance_lower_bound_theorem,
 )

@@ -29,7 +29,6 @@ from .cayley import (
     adjacency_matrix,
     format_small_word,
 )
-from .gf2 import DimensionBudgetError
 from .smallcode import ClassicalCode, InvalidGeneratorError, build_parity_check
 from .verify import SUITE_NAMES, torus_adjacency
 
@@ -142,28 +141,14 @@ def cmd_build(args, started: float) -> int:
 def cmd_params(args, started: float) -> int:
     m, S = resolve_generators(args)
     code = css.build_css(m, S)
-    outputs: dict = {"N": code.N, "K": code.K, "rank": code.rank}
-    if code.is_trivial:
-        outputs["D"] = {"method": "exact", "trivial": True}
+    witness = claimed = None
+    if args.family == "repetition":
+        witness = repetition.min_weight_witness(m)
+        claimed = repetition.parameters(m)[2]
+    D = css.distance(code, args.exact_budget, witness, claimed)
+    outputs = {"N": code.N, "K": code.K, "rank": code.rank, "D": D.as_dict()}
+    if D.trivial:
         outputs["note"] = "self-dual: kernel equals row space, no logical words"
-    else:
-        kernel_dim = code.N - code.rank
-        if kernel_dim <= args.exact_budget:
-            report = css.distance_exact(code, args.exact_budget)
-            outputs["D"] = {
-                "method": "exact",
-                "value": report.value,
-                "witness_support": report.witness.support(),
-            }
-        elif args.family == "repetition" and m % 2 == 1:
-            outputs["D"] = {
-                "method": "witness-upper",
-                "upper": repetition.min_weight_witness(m).weight,
-                "claimed": repetition.parameters(m)[2],
-                "label": "paper-claimed, witness-upper-bound-verified",
-            }
-        else:
-            raise DimensionBudgetError(kernel_dim, args.exact_budget)
     report = make_report(
         args, {"m": m, "generators": S.as_strings()}, outputs, [], started
     )
@@ -306,7 +291,7 @@ OPTIONS = {
     "--family": (("repetition", "hypercube", "custom", "z2n-torus"), None,
                  "custom", "generator family"),
     "--exact-budget": (int, None, gf2.DEFAULT_ENUMERATION_BUDGET,
-                       "max kernel dimension for exhaustive distance search"),
+                       "max kernel dimension of a block for exact distance"),
     "--seed": (int, None, DEFAULT_SEED, "seed of the randomized checks"),
     "--threads": (int, None, None, "threads for the suites of verify "
                   "(default CAYLEY_CSS_THREADS, else 1)"),
@@ -392,7 +377,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (DimensionBudgetError, SizeGuardError) as exc:
+    except (gf2.DimensionBudgetError, SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:

@@ -4,10 +4,10 @@ A single self-orthogonal matrix H (H . H^T = 0) defines a CSS code of
 length N = 2^m with K = N - 2 rank(H); the distance is the minimum
 weight over ker H minus the row space.  A code is a direct sum of such
 blocks, so its distance is the least of theirs.  Distance strategies:
-exact enumeration per block within a budget, upper bounds from words
-that ``classify_word`` finds logical, and the proven arithmetic lower
-bound ceil(d n^2 / 640), whose ball-weight premise is a fact about the
-graph.
+exact enumeration per block within a budget on its kernel dimension,
+upper bounds from logical words (``distance`` chooses between these two
+and labels the result), and the proven arithmetic lower bound
+ceil(d n^2 / 640), whose ball-weight premise is a fact about the graph.
 """
 
 from __future__ import annotations
@@ -83,12 +83,6 @@ class CssCode:
     def K(self) -> int:
         return self.N - 2 * self.rank
 
-    def _lift(self, v: BitVector, pos: Optional[np.ndarray]) -> BitVector:
-        """A word of a block, placed on the code's coordinates."""
-        return v if pos is None else BitVector.from_support(
-            self.N, pos[v.support()]
-        )
-
     @property
     def is_trivial(self) -> bool:
         """Self-dual case: kernel equals row space, no logical words."""
@@ -122,13 +116,39 @@ def css_from_matrix(H: BitMatrix) -> CssCode:
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """The outcome of ``distance_exact``, an exact distance; the
-    self-dual case carries trivial=True instead of a number.  An upper
-    bound is a word that ``classify_word`` finds logical."""
+    """A distance and its ``method``: ``exact`` from ``distance_exact``,
+    trivial=True instead of a number in the self-dual case, or
+    ``witness-upper`` from ``distance``, a certified logical word."""
 
     value: Optional[int] = None
     witness: Optional[BitVector] = None
     trivial: bool = False
+    method: str = "exact"
+    claimed: Optional[int] = None
+
+    def as_dict(self) -> dict:
+        if self.trivial:
+            return {"method": self.method, "trivial": True}
+        if self.method == "exact":
+            return {"method": self.method, "value": self.value,
+                    "witness_support": self.witness.support()}
+        return {"method": self.method, "upper": self.value,
+                "claimed": self.claimed,
+                "label": "paper-claimed, witness-upper-bound-verified"}
+
+
+def distance(code: CssCode, budget: int = gf2.DEFAULT_ENUMERATION_BUDGET,
+             witness: Optional[BitVector] = None,
+             claimed: Optional[int] = None) -> DistanceReport:
+    """``distance_exact``, or past the budget the caller's ``witness``
+    and ``claimed`` D as ``witness-upper``; without one, it raises."""
+    try:
+        return distance_exact(code, budget)
+    except gf2.DimensionBudgetError:
+        if witness is None:
+            raise
+    return DistanceReport(witness.weight, witness, method="witness-upper",
+                          claimed=claimed)
 
 
 def distance_exact(
@@ -144,22 +164,25 @@ def distance_exact(
     increase, so lifting keeps the order the engine breaks ties by.
 
     Reports the trivial outcome when kernel equals row space (the
-    self-dual hypercube case); raises DimensionBudgetError when the
-    code's kernel dimension exceeds the budget, so callers can fall
-    back to bounds.
+    self-dual hypercube case).  Before any search, raises
+    DimensionBudgetError when a searched block's kernel dimension,
+    cols - rank, exceeds the budget, so callers can fall back to bounds.
     """
     if code.is_trivial:
         return DistanceReport(trivial=True)
-    dim = code.N - code.rank
+    searched = [(B, pos) for B, pos in code.blocks
+                if 2 * gf2.rank(B) < B.cols]
+    dim = max(B.cols - gf2.rank(B) for B, _ in searched)
     if dim > budget:
         raise gf2.DimensionBudgetError(dim, budget)
     found = []
-    for B, pos in code.blocks:
-        if 2 * gf2.rank(B) < B.cols:
-            weight, witness = gf2.min_weight_in_span_minus_subspace(
-                gf2.kernel_basis(B), [B.row(i) for i in range(B.rows)], budget
-            )
-            found.append((weight, code._lift(witness, pos).to_int()))
+    for B, pos in searched:
+        weight, witness = gf2.min_weight_in_span_minus_subspace(
+            gf2.kernel_basis(B), [B.row(i) for i in range(B.rows)], budget
+        )
+        if pos is not None:
+            witness = BitVector.from_support(code.N, pos[witness.support()])
+        found.append((weight, witness.to_int()))
     weight, value = min(found)
     return DistanceReport(weight, BitVector.from_int(code.N, value))
 

@@ -363,7 +363,6 @@ def certify_logical(
 
 
 def build_code(n: int) -> CssCode:
-    """The CSS code of the level-n tower matrix (n odd)."""
-    if n % 2 == 0:
-        raise ValueError("the generator count n + 1 must be even")
+    """The CSS code of the level-n tower matrix; ``build_css`` refuses
+    an even n, whose n + 1 generators are odd in number."""
     return build_css(n, generators(n))

@@ -107,9 +107,7 @@ def _odd(ns: Iterable[int]) -> list[int]:
 # -- recursion ---------------------------------------------------------
 
 
-def suite_recursion(
-    ns: Iterable[int], seed: int = 20240901, **_
-) -> list[CheckItem]:
+def suite_recursion(ns: Iterable[int], seed: int, **_) -> list[CheckItem]:
     items = []
     for n in ns:
         if 4 <= n <= repetition.MAX_RECURSIVE_DIMENSION:
@@ -231,9 +229,7 @@ def normal_forms(t: int, samples: int, seed: int) -> tuple[bool, str]:
 # -- dimension ---------------------------------------------------------
 
 
-def suite_dimension(
-    ns: Iterable[int], seed: int = 20240901, **_
-) -> list[CheckItem]:
+def suite_dimension(ns: Iterable[int], seed: int, **_) -> list[CheckItem]:
     items = []
     for n in _odd(ns):
         def check(n=n):
@@ -272,9 +268,7 @@ def suite_dimension(
 MAX_DISTANCE_CHECK_DIMENSION = 13
 
 
-def suite_distance(
-    ns: Iterable[int], budget: int = gf2.DEFAULT_ENUMERATION_BUDGET, **_
-) -> list[CheckItem]:
+def suite_distance(ns: Iterable[int], budget: int, **_) -> list[CheckItem]:
     items = []
     for n in _odd(ns):
         if n <= 5:
@@ -344,9 +338,7 @@ def suite_conjugation(ns: Iterable[int], **_) -> list[CheckItem]:
 # -- bipartite ---------------------------------------------------------
 
 
-def suite_bipartite(
-    ns: Iterable[int], budget: int = gf2.DEFAULT_ENUMERATION_BUDGET, **_
-) -> list[CheckItem]:
+def suite_bipartite(ns: Iterable[int], budget: int, **_) -> list[CheckItem]:
     items = []
     for n in _odd(ns):
         items.append(_sized(

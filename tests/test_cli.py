@@ -81,6 +81,52 @@ def test_params_trivial_hypercube(capsys):
     assert report["outputs"]["D"]["trivial"] is True
 
 
+#: The two-block set whose U blocks each have kernel dimension 15 (the
+#: whole code's is 30): the budget is charged per block.
+TWO_BLOCKS_OF_DIM_15 = ("10101,00010,01000,00100,00111,00001,01110,10110,"
+                        "11111,10011,11001,10000,01011,11010,01101,11100")
+
+
+# Compared as text, so the key order of each report is pinned too.
+@pytest.mark.parametrize("argv, outputs", [
+    (["--family", "hypercube", "--m", "4"],
+     '{"N": 16, "K": 0, "rank": 8, "D": {"method": "exact", "trivial": '
+     'true}, "note": "self-dual: kernel equals row space, no logical '
+     'words"}'),
+    (["--family", "repetition", "--n", "3"],
+     '{"N": 8, "K": 4, "rank": 2, "D": {"method": "exact", "value": 2, '
+     '"witness_support": [1, 2]}}'),
+    (["--family", "repetition", "--n", "5"],
+     '{"N": 32, "K": 8, "rank": 12, "D": {"method": "exact", "value": 4, '
+     '"witness_support": [5, 6, 9, 10]}}'),
+    # A U block of the n = 5 tower has kernel dimension 10.
+    (["--family", "repetition", "--n", "5", "--exact-budget", "15"],
+     '{"N": 32, "K": 8, "rank": 12, "D": {"method": "exact", "value": 4, '
+     '"witness_support": [5, 6, 9, 10]}}'),
+    (["--family", "repetition", "--n", "7"],
+     '{"N": 128, "K": 16, "rank": 56, "D": {"method": "witness-upper", '
+     '"upper": 8, "claimed": 8, "label": "paper-claimed, '
+     'witness-upper-bound-verified"}}'),
+    (["--m", "5", "--gens", TWO_BLOCKS_OF_DIM_15],
+     '{"N": 32, "K": 28, "rank": 2, "D": {"method": "exact", "value": 2, '
+     '"witness_support": [1, 2]}}'),
+], ids=["hypercube-m4", "tower-n3", "tower-n5", "tower-n5-budget15",
+        "tower-n7", "two-blocks"])
+def test_params_outputs_match_golden_text(capsys, argv, outputs):
+    code, report = run_report(capsys, "params", *argv)
+    assert code == 0
+    assert json.dumps(report["outputs"]) == outputs
+
+
+def test_params_single_block_over_budget_exits_4(capsys):
+    # Even-weight generators: one block, of kernel dimension 48.
+    code, out, err = run_cli(capsys, "params", "--m", "6",
+                             "--gens", "010100,011110,100101,101111")
+    assert code == 4
+    assert out == ""
+    assert err == "error: enumeration dimension 48 exceeds budget 26\n"
+
+
 def test_params_precondition_exit(capsys):
     code, out, err = run_cli(capsys, "params", "--m", "3", "--gens", "100")
     assert code == 2
@@ -577,10 +623,11 @@ def test_verify_above_size_guard_exits_4_before_any_suite(capsys,
     assert err.count("\n") == 1 and "guard" in err
 
 
-# Kernel dimensions: 20 for the n = 5 tower, 10 for its halved block.
+# Kernel dimension 10: each U block of the n = 5 tower, and its halved
+# code.  The budget is charged per block.
 @pytest.mark.parametrize("suite, budget, dim, threads", [
-    ("distance", "10", 20, "1"), ("bipartite", "9", 10, "1"),
-    ("all", "9", 20, "2"),
+    ("distance", "9", 10, "1"), ("bipartite", "9", 10, "1"),
+    ("all", "9", 10, "2"),
 ])
 def test_verify_budget_overrun_exits_4(capsys, suite, budget, dim, threads):
     code, out, err = run_cli(capsys, "verify", "--suite", suite,

@@ -66,6 +66,21 @@ def test_distance_exact_budget():
         distance_exact(code, budget=2)
 
 
+def test_distance_falls_back_to_the_callers_witness_past_the_budget():
+    code = repetition.build_code(3)  # one U block of kernel dimension 3
+    w = repetition.min_weight_witness(3)
+    assert css.distance(code, 3, w, 2) == distance_exact(code, 3)
+    with pytest.raises(gf2.DimensionBudgetError):
+        css.distance(code, 2)
+    report = css.distance(code, 2, w, 2)
+    assert (report.method, report.value, report.witness) == (
+        "witness-upper", 2, w)
+    assert report.as_dict() == {
+        "method": "witness-upper", "upper": 2, "claimed": 2,
+        "label": "paper-claimed, witness-upper-bound-verified",
+    }
+
+
 def test_classify_word_three_ways():
     code = build_css(3, GeneratorSet.named("S3'"))
     M = adjacency_matrix(3, GeneratorSet.named("S3'"))

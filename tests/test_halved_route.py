@@ -216,6 +216,28 @@ def test_exact_distance_of_two_different_blocks(first, first_pos, second,
     assert css.classify_word(code, report.witness) is WordClass.LOGICAL
 
 
+def steane_next_to_ones_4():
+    """Kernel dimensions: 4 for the Steane block, 3 for ONES_4 and 7
+    for the whole code."""
+    return two_block_code(STEANE, [0, 2, 3, 5, 6, 8, 10], ONES_4)
+
+
+def test_a_block_past_the_budget_stops_before_any_search(monkeypatch):
+    def refuse_search(*_):
+        raise AssertionError("searched before the budget check")
+    monkeypatch.setattr(gf2, "min_weight_in_span_minus_subspace",
+                        refuse_search)
+    with pytest.raises(gf2.DimensionBudgetError) as err:
+        css.distance_exact(steane_next_to_ones_4(), 3)
+    assert (err.value.dimension, err.value.budget) == (4, 3)
+
+
+def test_the_budget_is_charged_per_block_not_on_the_whole_kernel():
+    report = css.distance_exact(steane_next_to_ones_4(), 4)
+    assert (report.method, report.value) == ("exact", 2)
+    assert report.witness.support() == [1, 4]
+
+
 # -- classification ------------------------------------------------------
 
 

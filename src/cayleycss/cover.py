@@ -36,7 +36,7 @@ from typing import Iterable, Optional
 
 # ``ball`` stays bound here: the benchmark tracer's self-test reads it.
 from .cayley import GeneratorSet, SizeGuardError, ball, ball_vertices, sphere
-from .gf2 import BitVector, int_echelon, int_reduce
+from .gf2 import BitMatrix, BitVector, solve_preimage
 from .smallcode import ClassicalCode, enumerate_codewords, min_distance
 
 
@@ -343,27 +343,26 @@ def decompose_as_sphere_sum(
         raise ValueError(f"word does not live in F_2^{m}")
     if not r < m:
         raise ValueError("radius must be smaller than the dimension")
-    outer, candidates, basis = _sphere_system(m, center, r)
+    outer, candidates, spheres = _sphere_system(m, center, r)
     outside = [v for v in c.support() if v not in outer]
     if outside:
         raise SupportEscapesBallError(
             f"support vertex {outside[0]} escapes the radius-{r} ball"
         )
-    residual, mask = int_reduce(basis, c.to_int())
-    if residual:
-        return None
-    return {t for i, t in enumerate(candidates) if mask >> i & 1}
+    x = solve_preimage(spheres, c)
+    return None if x is None else {candidates[i] for i in x.support()}
 
 
 @lru_cache(maxsize=16)
 def _sphere_system(
     m: int, center: int, r: int
-) -> tuple[frozenset[int], tuple[int, ...], tuple[tuple[int, int], ...]]:
+) -> tuple[frozenset[int], tuple[int, ...], BitMatrix]:
     """The radius-r ball around center, the centers of the spheres
-    inside it (the radius r-1 ball, sorted) and the echelon basis of
-    those spheres; shared by every word decomposed in that ball."""
+    inside it (the radius r-1 ball, sorted) and the matrix whose columns
+    are those spheres, which keeps their column basis; shared by every
+    word decomposed in that ball."""
     S = GeneratorSet.canonical(m)
     outer = frozenset(ball_vertices(m, S, center, r))
     candidates = tuple(sorted(ball_vertices(m, S, center, max(r - 1, 0))))
-    basis = int_echelon(sphere(m, S, t).to_int() for t in candidates)
-    return outer, candidates, tuple(basis)
+    spheres = BitMatrix.from_rows([sphere(m, S, t) for t in candidates])
+    return outer, candidates, spheres.transpose()

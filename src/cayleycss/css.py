@@ -161,7 +161,9 @@ def distance_exact(
     no heavier than the word, so each lightest one lies in one block.
     Blocks with 2 rank = cols have no logical word and are skipped.
     Weight ties go to the least lifted witness: each block's positions
-    increase, so lifting keeps the order the engine breaks ties by.
+    increase, so lifting keeps the order the engine breaks ties by.  A
+    matrix that several blocks share, as the bipartite U is, is searched
+    once and its witness lifted through each block's positions.
 
     Reports the trivial outcome when kernel equals row space (the
     self-dual hypercube case).  Before any search, raises
@@ -176,10 +178,14 @@ def distance_exact(
     if dim > budget:
         raise gf2.DimensionBudgetError(dim, budget)
     found = []
+    searches = {}  # id(B): the one search of a matrix blocks share
     for B, pos in searched:
-        weight, witness = gf2.min_weight_in_span_minus_subspace(
-            gf2.kernel_basis(B), [B.row(i) for i in range(B.rows)], budget
-        )
+        if id(B) not in searches:
+            rows = [B.row(i) for i in range(B.rows)]
+            searches[id(B)] = gf2.min_weight_in_span_minus_subspace(
+                gf2.kernel_basis(B), rows, budget
+            )
+        weight, witness = searches[id(B)]
         if pos is not None:
             witness = BitVector.from_support(code.N, pos[witness.support()])
         found.append((weight, witness.to_int()))

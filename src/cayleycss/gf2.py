@@ -4,13 +4,18 @@ Vectors and matrices are packed into 64-bit words, little-endian bit
 order within words: bit ``i`` of a vector lives in word ``i // 64`` at
 position ``i % 64``.  All serialization uses this layout.
 
-Everything here is immutable after construction; the elimination caches
-are write-once and safe to share between threads.
+Elimination is one XOR basis of Python integers keyed by leading bit,
+``int_echelon``.  A matrix caches two, built on first use: its rows
+give ``rank`` and ``in_row_space``, its columns ``solve_preimage`` and,
+as their dependencies in order, ``kernel_basis``.  Everything here is
+immutable after construction; the read-only bases are safe to share
+between threads.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -52,10 +57,6 @@ def _n_words(length: int) -> int:
     return (length + WORD_BITS - 1) // WORD_BITS
 
 
-#: _BIT[i] is the word with bit i set.
-_BIT = np.uint64(1) << np.arange(WORD_BITS, dtype=np.uint64)
-
-
 def _pack(bits: np.ndarray, length: int) -> np.ndarray:
     """The packed words of a 0/1 array of ``length`` entries."""
     buf = np.zeros(_n_words(length) * 8, dtype=np.uint8)
@@ -68,14 +69,6 @@ def _unpack(words: np.ndarray, count: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little", count=count)
 
 
-def _pad_mask(length: int) -> np.uint64:
-    """Mask selecting the valid bits of the last word."""
-    rem = length % WORD_BITS
-    if rem == 0:
-        return np.uint64(0xFFFFFFFFFFFFFFFF)
-    return np.uint64((1 << rem) - 1)
-
-
 class BitVector:
     """An immutable GF(2) vector packed into 64-bit words."""
 
@@ -85,8 +78,8 @@ class BitVector:
         if words.shape != (_n_words(length),) or words.dtype != np.uint64:
             raise ValueError("payload shape/dtype mismatch")
         words = words.copy()
-        if length % WORD_BITS and words.size:
-            words[-1] &= _pad_mask(length)
+        if length % WORD_BITS and words.size:  # clear the padding bits
+            words[-1] &= np.uint64((1 << length % WORD_BITS) - 1)
         words.setflags(write=False)
         self.length = length
         self.words = words
@@ -122,7 +115,8 @@ class BitVector:
                        if not 0 <= p < length)
             raise ValueError(f"position {bad} out of range [0, {length})")
         words = np.zeros(_n_words(length), dtype=np.uint64)
-        np.bitwise_xor.at(words, pos >> 6, _BIT[pos & 63])
+        np.bitwise_xor.at(words, pos >> 6,
+                          np.uint64(1) << (pos & 63).astype(np.uint64))
         return cls._wrap(length, words)
 
     @classmethod
@@ -213,14 +207,15 @@ class BitVector:
 class BitMatrix:
     """An immutable GF(2) matrix stored as packed rows."""
 
-    __slots__ = ("rows", "cols", "words", "_ech", "_solver", "_coords")
+    __slots__ = ("rows", "cols", "words", "_row_basis", "_col_basis",
+                 "_coords")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray):
         if words.shape != (rows, _n_words(cols)) or words.dtype != np.uint64:
             raise ValueError("payload shape/dtype mismatch")
         words = words.copy()
-        if cols % WORD_BITS and words.size:
-            words[:, -1] &= _pad_mask(cols)
+        if cols % WORD_BITS and words.size:  # clear the padding bits
+            words[:, -1] &= np.uint64((1 << cols % WORD_BITS) - 1)
         self._hold(rows, cols, words)
 
     @classmethod
@@ -235,7 +230,7 @@ class BitMatrix:
         """Take ``words`` read-only as the payload, with no caches yet."""
         words.setflags(write=False)
         self.rows, self.cols, self.words = rows, cols, words
-        self._ech = self._solver = self._coords = None
+        self._row_basis = self._col_basis = self._coords = None
 
     # -- constructors --------------------------------------------------
 
@@ -284,10 +279,7 @@ class BitMatrix:
         rows, cols = dense.shape
         packed = np.packbits(dense, axis=1, bitorder="little")
         pad = _n_words(cols) * 8 - packed.shape[1]
-        if pad:
-            packed = np.hstack(
-                [packed, np.zeros((rows, pad), dtype=np.uint8)]
-            )
+        packed = np.pad(packed, ((0, 0), (0, pad)))
         return cls(rows, cols, packed.view(np.uint64))
 
     # -- queries -------------------------------------------------------
@@ -357,149 +349,61 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
-class RowEchelonCache:
-    """Row echelon form of a matrix: echelon rows, pivots and rank, and
-    the fully reduced rows, built on first use.
-
-    The echelon rows have strictly increasing pivot columns and span the
-    row space of the original matrix.
-    """
-
-    __slots__ = ("pivots", "basis", "rank", "_piv", "_full")
-
-    def __init__(self, pivots: list[int], basis: np.ndarray):
-        self.pivots = pivots
-        self.basis = basis  # (rank, n_words), pivot-sorted echelon rows
-        self.rank = len(pivots)
-        self._piv = np.array(pivots, dtype=np.int64)
-        self._full = None
-
-    def rref(self) -> np.ndarray:
-        """The fully reduced rows (zeros above every pivot), read-only."""
-        if self._full is None:
-            full = _rref(self.basis.copy(), self.pivots)
-            full.setflags(write=False)
-            self._full = full
-        return self._full
-
-    def reduce(self, words: np.ndarray) -> np.ndarray:
-        """Residual of a packed vector modulo the row space: zero at
-        every pivot.  In the fully reduced rows, the coefficient of row r
-        is the vector's own bit at pivot r, so the rows to XOR in are
-        read off in one gather."""
-        hit = (words[self._piv >> 6] & _BIT[self._piv & 63]) != 0
-        return words ^ np.bitwise_xor.reduce(self.rref()[hit], axis=0)
+def _int_rows(M: BitMatrix) -> Iterator[int]:
+    """M's rows as integers, converted one at a time."""
+    return (int.from_bytes(w.tobytes(), "little") for w in M.words)
 
 
-def _eliminate(work: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Row echelon elimination of ``work`` in place, one word at a time.
-
-    For each 64-column word, the rows that are not pivot rows yet and
-    have a nonzero entry in it are the candidates; their copy of the
-    word is gathered once, the 64 columns are pivoted among them, and
-    each pivot row is XORed into the others from this word on (earlier
-    words of candidate rows are already zero).  Pivot rows stay where
-    they are.
-
-    Returns the pivot columns in increasing order and the indices of
-    their rows.  Every other row ends up zero.
-    """
-    live = np.ones(work.shape[0], dtype=bool)
-    pivots: list[int] = []
-    pivot_rows: list[int] = []
-    for wi in range(work.shape[1]):
-        cand = (live & (work[:, wi] != 0)).nonzero()[0]
-        if cand.size == 0:
-            continue
-        first = len(pivot_rows)
-        # This word of each candidate; a row drops to 0 once it pivots.
-        col = work[cand, wi]
-        bits = int(np.bitwise_or.reduce(col))
-        while bits:
-            b = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            hits = (col & _BIT[b]).nonzero()[0]
-            if hits.size == 0:
-                continue
-            p = int(hits[0])
-            if hits.size > 1:
-                below = hits[1:]
-                work[cand[below], wi:] ^= work[cand[p], wi:]
-                col[below] ^= col[p]
-            col[p] = 0
-            pivots.append(wi * WORD_BITS + b)
-            pivot_rows.append(int(cand[p]))
-        live[pivot_rows[first:]] = False
-    return pivots, np.array(pivot_rows, dtype=np.intp)
+def row_basis(M: BitMatrix) -> Mapping[int, tuple[int, int]]:
+    """The int_echelon basis of M's rows, built once and cached on M."""
+    if M._row_basis is None:
+        M._row_basis = MappingProxyType(int_echelon(_int_rows(M)))
+    return M._row_basis
 
 
-def _echelon(M: BitMatrix) -> RowEchelonCache:
-    if M._ech is None:
-        work = M.words.copy()
-        pivots, rows = _eliminate(work)
-        M._ech = RowEchelonCache(pivots, work[rows])
-    return M._ech
+def _column_basis(M: BitMatrix) -> tuple[Mapping, tuple[int, ...]]:
+    """The int_echelon basis of M's columns and the dependency masks of
+    the columns it leaves out, built once and cached on M."""
+    if M._col_basis is None:
+        kernel: list[int] = []
+        basis = int_echelon(_int_rows(M.transpose()), kernel)
+        M._col_basis = MappingProxyType(basis), tuple(kernel)
+    return M._col_basis
 
 
 def rank(M: BitMatrix) -> int:
-    """GF(2) row rank; the echelon form is cached on the matrix."""
-    return _echelon(M).rank
-
-
-def _rref(basis: np.ndarray, pivots: Sequence[int]) -> np.ndarray:
-    """Fully reduce echelon rows in place (zeros above every pivot).
-
-    Row r is zero before its pivot word, so only that word on is XORed.
-    """
-    for r in range(len(pivots) - 1, 0, -1):
-        c = pivots[r]
-        wi = c >> 6
-        above = (basis[:r, wi] & _BIT[c & 63]).nonzero()[0]
-        if above.size:
-            basis[above, wi:] ^= basis[r, wi:]
-    return basis
+    """GF(2) row rank: the size of M's row basis."""
+    return len(row_basis(M))
 
 
 def kernel_basis(M: BitMatrix) -> list[BitVector]:
-    """Basis of {v : M . v^T = 0}; has cols - rank(M) elements."""
-    ech = _echelon(M)
-    rref = BitMatrix._wrap(ech.rank, M.cols, ech.rref())
-    free = np.ones(M.cols, dtype=bool)
-    free[ech._piv] = False
-    # Vector k: the k-th free column f and the pivots of rows with a 1 at f.
-    k = np.cumsum(free) - 1
-    r, c = rref.nonzero()
-    r, c = r[free[c]], c[free[c]]
-    f = np.flatnonzero(free)
-    K = BitMatrix.from_nonzero(
-        f.size, M.cols, np.concatenate([k[f], k[c]]),
-        np.concatenate([f, ech._piv[r]]),
-    )
-    return [K.row(i) for i in range(K.rows)]
+    """Basis of {v : M . v^T = 0}; has cols - rank(M) elements.
+
+    Vector k is the dependency of the k-th column that lies in the span
+    of the columns before it: that column and the columns independent of
+    their predecessors that sum to it, the reduced kernel basis of
+    Gauss-Jordan elimination, vector for vector."""
+    return [BitVector.from_int(M.cols, k) for k in _column_basis(M)[1]]
 
 
 def in_row_space(M: BitMatrix, v: BitVector) -> bool:
     """True iff v lies in the GF(2) row span of M."""
     if v.length != M.cols:
         raise ValueError(f"vector length {v.length} != column count {M.cols}")
-    return not _echelon(M).reduce(v.words).any()
+    return not int_reduce(row_basis(M), v.to_int())[0]
 
 
 def solve_preimage(M: BitMatrix, b: BitVector) -> BitVector | None:
     """Some x with M . x^T = b, or None when unsolvable.
 
-    M's columns, as integers, go through int_echelon once, cached on
-    M.  It keeps each column independent of those before it: M's pivot
-    columns.  The mask int_reduce returns for b is then the one solution
-    supported on them, so free variables are zero and b -> x is a fixed
-    linear section of the matrix map.
+    M's column basis keeps each column independent of those before it:
+    M's pivot columns.  The mask int_reduce returns for b is then the
+    one solution supported on them, so free variables are zero and
+    b -> x is a fixed linear section of the matrix map.
     """
     if b.length != M.rows:
         raise ValueError(f"vector length {b.length} != row count {M.rows}")
-    if M._solver is None:
-        T = M.transpose()
-        M._solver = int_echelon(T.row(i).to_int() for i in range(T.rows))
-    residual, x = int_reduce(M._solver, b.to_int())
+    residual, x = int_reduce(_column_basis(M)[0], b.to_int())
     return None if residual else BitVector.from_int(M.cols, x)
 
 
@@ -564,29 +468,43 @@ def _sparse_self_orthogonal(
     return not (counts & 1).any()
 
 
-def int_echelon(vectors: Iterable[int]) -> list[tuple[int, int]]:
-    """Echelon basis of integers under XOR, as (row, mask) pairs sorted
-    by decreasing leading bit; bit i of mask is set when input i was
-    XORed into the row."""
-    basis: list[tuple[int, int]] = []
+def int_echelon(
+    vectors: Iterable[int],
+    dependencies: list[int] | None = None,
+    basis: dict[int, tuple[int, int]] | None = None,
+) -> dict[int, tuple[int, int]]:
+    """Echelon basis of integers under XOR, as {leading bit length:
+    (row, mask)}; bit i of mask is set when input i was XORed into the
+    row.  Each input joins as its int_reduce residual, so a row's
+    leading bit is a key of no earlier row.
+
+    ``dependencies``, if given, receives the mask of every input that
+    reduces to zero, in input order.  ``basis``, if given, is a basis
+    to extend in place; its masks are XORed into those of the inputs.
+    """
+    basis = {} if basis is None else basis
     for i, v in enumerate(vectors):
         v, mask = int_reduce(basis, v, 1 << i)
         if v:
-            basis.append((v, mask))
-            basis.sort(key=lambda e: e[0].bit_length(), reverse=True)
+            basis[v.bit_length()] = v, mask
+        elif dependencies is not None:
+            dependencies.append(mask)
     return basis
 
 
 def int_reduce(
-    basis: Sequence[tuple[int, int]], v: int, mask: int = 0
+    basis: Mapping[int, tuple[int, int]], v: int, mask: int = 0
 ) -> tuple[int, int]:
     """Residual of v against an int_echelon basis, and mask XORed with
-    the masks of the rows used; v lies in the span iff it is 0."""
-    # Rows are sorted by decreasing leading bit, so one pass suffices.
-    for b, bm in basis:
-        if v.bit_length() == b.bit_length():
-            v ^= b
-            mask ^= bm
+    the masks of the rows used; v lies in the span iff it is 0.  The
+    residual's leading bit picks the next row, until it picks none."""
+    get = basis.get
+    while v:
+        row = get(v.bit_length())
+        if row is None:
+            break
+        v ^= row[0]
+        mask ^= row[1]
     return v, mask
 
 
@@ -625,8 +543,10 @@ def min_weight_in_span_minus_subspace(
     the enumeration order.
     """
     length = span_basis[0].length if span_basis else 0
-    sub_ints = [b for b, _ in int_echelon(v.to_int() for v in sub_basis)]
-    span_ints = [b for b, _ in int_echelon(v.to_int() for v in span_basis)]
+    sub_ints = [b for b, _ in int_echelon(v.to_int() for v in sub_basis)
+                .values()]
+    span_ints = [b for b, _ in int_echelon(v.to_int() for v in span_basis)
+                 .values()]
     dim_span = len(span_ints)
     if dim_span > budget:
         raise DimensionBudgetError(dim_span, budget)
@@ -635,7 +555,7 @@ def min_weight_in_span_minus_subspace(
     if len(joint) > dim_span:
         raise ValueError("subspace basis is not contained in the span")
     # Complement basis: the rows that took in some span vector.
-    comp = [b for b, mask in joint if mask >> s]
+    comp = [b for b, mask in joint.values() if mask >> s]
     if not comp:
         raise EmptyDifferenceError("span and subspace coincide")
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import gf2
 from .cayley import (
+    MAX_MATERIALIZED_DIMENSION,
     GeneratorSet,
     SizeGuardError,
     adjacency_matrix,
@@ -29,7 +30,9 @@ from .cayley import (
 from .css import CssCode, build_css
 from .gf2 import BitMatrix, BitVector
 
-#: Recursive block assembly guard (2^11 x 2^11 dense intermediates).
+#: Largest n at which the recursion suite checks the block assembly.
+#: ``build_recursive`` is guarded at m <= 16, so this is no memory
+#: guard: it fixes the suite's check names; raising it adds n >= 12.
 MAX_RECURSIVE_DIMENSION = 11
 
 #: Largest n for which a witness (a 2^n-bit word) is built.  On a 2-core
@@ -80,17 +83,20 @@ def build_recursive(n: int) -> BitMatrix:
     bit-exactly."""
     if n < 4:
         raise ValueError("recursion starts at n = 4 from the n = 3 base")
-    if n > MAX_RECURSIVE_DIMENSION:
+    if n > MAX_MATERIALIZED_DIMENSION:
         raise SizeGuardError(
-            f"recursive build capped at n <= {MAX_RECURSIVE_DIMENSION}"
+            f"recursive build capped at n <= {MAX_MATERIALIZED_DIMENSION}"
         )
     half = 1 << (n - 1)
-    prev = matrix(n - 1).to_dense()
-    J = np.fliplr(np.eye(half, dtype=np.uint8))
-    I = np.eye(half, dtype=np.uint8)
-    top = np.hstack([(prev + J) % 2, (I + J) % 2])
-    bottom = np.hstack([(I + J) % 2, (prev + J) % 2])
-    return BitMatrix.from_dense(np.vstack([top, bottom]))
+    J = reversal_matrix(half).words
+    # The coordinates of M + J and of I + J, XORed on packed words.
+    a, b = BitMatrix(half, half, matrix(n - 1).words ^ J).nonzero()
+    c, d = BitMatrix(half, half, BitMatrix.identity(half).words ^ J).nonzero()
+    return BitMatrix.from_nonzero(
+        2 * half, 2 * half,
+        np.concatenate([a, c, c + half, a + half]),
+        np.concatenate([b, d + half, d, b + half]),
+    )
 
 
 def conjugation_check(n: int) -> bool:
@@ -101,15 +107,12 @@ def conjugation_check(n: int) -> bool:
     M = matrix(n)
     rr, cc = M.nonzero()
     N = M.rows
-    if BitMatrix.from_nonzero(N, N, N - 1 - rr, N - 1 - cc) != M:
-        return False
-    for v in gf2.kernel_basis(M):
-        if not M.mul_vector(reversal(v)).is_zero():
-            return False
-    for i in range(M.rows):
-        if not gf2.in_row_space(M, reversal(M.row(i))):
-            return False
-    return True
+    return (
+        BitMatrix.from_nonzero(N, N, N - 1 - rr, N - 1 - cc) == M
+        and all(M.mul_vector(reversal(v)).is_zero()
+                for v in gf2.kernel_basis(M))
+        and all(gf2.in_row_space(M, reversal(M.row(i))) for i in range(N))
+    )
 
 
 @dataclass(frozen=True)
@@ -181,31 +184,24 @@ def kernel_basis_recursive(n: int) -> list[BitVector]:
     M = matrix(n)
     ker = gf2.kernel_basis(M)
     K = len(ker)
-    ech = gf2._echelon(M)
-    # Left kernel of the residual map (d1, d2) -> d1 + J d2 mod im.
-    residual_rows = []
-    for v in ker:
-        residual_rows.append(BitVector(v.length, ech.reduce(v.words)))
-    for v in ker:
-        residual_rows.append(
-            BitVector(v.length, ech.reduce(reversal(v).words))
-        )
-    A = BitMatrix.from_rows(residual_rows)
-    pair_coeffs = gf2.kernel_basis(A.transpose())
+    # Pair coefficients: the dependencies of ker and J ker on top of M's
+    # row basis, its masks cleared so only theirs remain.
+    rows = {k: (row, 0) for k, (row, _) in gf2.row_basis(M).items()}
+    pair_coeffs = []
+    gf2.int_echelon(
+        (v.to_int() for v in ker + [reversal(v) for v in ker]),
+        pair_coeffs, rows,
+    )
     if len(pair_coeffs) != 1 << n:
         raise AssertionError(
             f"quotient map nullity {len(pair_coeffs)} != 2^{n}"
         )
     basis: list[BitVector] = []
     zero = BitVector.zeros(1 << n)
+    combine = BitMatrix.from_rows(ker).transpose().mul_vector
     for coeff in pair_coeffs:
-        d1 = zero
-        d2 = zero
-        for i in coeff.support():
-            if i < K:
-                d1 = d1 ^ ker[i]
-            else:
-                d2 = d2 ^ ker[i - K]
+        d1 = combine(BitVector.from_int(K, coeff & ((1 << K) - 1)))
+        d2 = combine(BitVector.from_int(K, coeff >> K))
         c1 = gf2.solve_preimage(M, d2 ^ reversal(d1))
         c2 = gf2.solve_preimage(M, d1 ^ reversal(d2))
         if c1 is None or c2 is None:
@@ -233,10 +229,8 @@ def image_element(
     the recursion."""
     if any(a.length != M.cols for a in (a1, a2, a3, a4)):
         raise ValueError("blocks must have length 2^n")
-    u = reversal(a1 ^ a4)
-    v = reversal(a2 ^ a3)
-    cross14 = a1 ^ a4
-    cross23 = a2 ^ a3
+    cross14, cross23 = a1 ^ a4, a2 ^ a3
+    u, v = reversal(cross14), reversal(cross23)
     return QuadSplit((
         M.mul_vector(a1) ^ u ^ cross23,
         M.mul_vector(a2) ^ v ^ cross14,

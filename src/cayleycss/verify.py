@@ -602,8 +602,7 @@ def local_sum_exhaustive() -> tuple[bool, str]:
     in_ball = cayley.ball_vertices(m, S, 0, 2)
 
     codewords_checked = 0
-    rows = gf2.int_echelon(M.row(i).to_int() for i in range(M.rows))
-    span = list(gf2.gray_span([r for r, _ in rows]))
+    span = list(gf2.gray_span([r for r, _ in gf2.row_basis(M).values()]))
     assert len(span) == 256
 
     for value in span:

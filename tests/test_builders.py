@@ -1,7 +1,7 @@
 """Matrix builders that set bits from coordinates, each against the dense
 code it replaced: a rows x cols uint8 array filled entry by entry and
-packed with ``from_dense``, or a word loop over the pivots.  Results
-must be equal bit for bit.
+packed with ``from_dense``, or dense Gauss-Jordan for the kernel basis.
+Results must be equal bit for bit.
 """
 
 import itertools
@@ -50,18 +50,26 @@ def zeros(rows: int, cols: int) -> BitMatrix:
 
 
 def oracle_kernel_basis(M: BitMatrix) -> list[BitVector]:
-    ech = gf2._echelon(M)
-    rref = gf2._rref(ech.basis.copy(), ech.pivots)
-    basis = []
-    for f in sorted(set(range(M.cols)) - set(ech.pivots)):
-        words = np.zeros(M.words.shape[1], dtype=np.uint64)
-        words[f >> 6] |= np.uint64(1 << (f & 63))
-        fb = (rref[:, f >> 6] >> np.uint64(f & 63)) & np.uint64(1)
-        for r in np.nonzero(fb)[0]:
-            c = ech.pivots[int(r)]
-            words[c >> 6] |= np.uint64(1 << (c & 63))
-        basis.append(BitVector(M.cols, words))
-    return basis
+    """Gauss-Jordan on the dense matrix; one vector per free column f,
+    with ones at f and at the pivot of every row with a one at f."""
+    dense = M.to_dense().copy()
+    pivots = []
+    for c in range(M.cols):
+        r = len(pivots)
+        hits = np.flatnonzero(dense[r:, c])
+        if hits.size == 0:
+            continue
+        dense[[r, r + hits[0]]] = dense[[r + hits[0], r]]
+        others = dense[:, c].astype(bool)
+        others[r] = False
+        dense[others] ^= dense[r]
+        pivots.append(c)
+    return [
+        BitVector.from_support(
+            M.cols, [f] + [c for r, c in enumerate(pivots) if dense[r, f]]
+        )
+        for f in sorted(set(range(M.cols)) - set(pivots))
+    ]
 
 
 # -- builders --------------------------------------------------------------
@@ -93,7 +101,7 @@ def test_torus_adjacency_matches_dense_builder(n):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(matrices())
-def test_kernel_basis_matches_word_loop(dense):
+def test_kernel_basis_matches_gauss_jordan(dense):
     M = BitMatrix.from_dense(dense)
     assert gf2.kernel_basis(M) == oracle_kernel_basis(M)
 

@@ -613,14 +613,30 @@ def test_verify_cover_above_sweep_guard_exits_4_before_any_suite(
     assert err.count("\n") == 1 and "guard" in err
 
 
+@pytest.mark.parametrize("suite", ["dimension", "all"])
 def test_verify_above_size_guard_exits_4_before_any_suite(capsys,
-                                                          monkeypatch):
+                                                          monkeypatch, suite):
     monkeypatch.setattr(verify, "run_suite", refuse_work)
-    code, out, err = run_cli(capsys, "verify", "--suite", "dimension",
+    code, out, err = run_cli(capsys, "verify", "--suite", suite,
                              "--n", "17")
     assert code == 4
     assert out == ""
     assert err.count("\n") == 1 and "guard" in err
+
+
+# Suites outside verify.SIZED_SUITES build nothing of size n, so the
+# matrix guard does not apply to them.
+@pytest.mark.parametrize("suite, n", [("algebra", "17"),
+                                      ("local-sum", "3..20")])
+def test_size_free_suites_run_past_the_size_guard(capsys, suite, n):
+    assert suite not in verify.SIZED_SUITES
+    names = []
+    for arg in ("3..13", n):
+        code, report = run_report(capsys, "verify", "--suite", suite,
+                                  "--n", arg)
+        assert code == 0
+        names.append([c["name"] for c in report["checks"]])
+    assert names[0] == names[1] and names[0]
 
 
 # Kernel dimension 10: each U block of the n = 5 tower, and its halved

@@ -23,7 +23,7 @@ from cayleycss.cover import (
     lift_ball_word,
     sphere_orthogonality_profile,
 )
-from cayleycss.gf2 import BitVector
+from cayleycss.gf2 import BitMatrix, BitVector
 from cayleycss.smallcode import build_parity_check
 
 
@@ -387,11 +387,14 @@ def test_decompositions_share_one_sphere_system_per_ball():
     assert decompose_as_sphere_sum(m, c, 0, 2) == {1, 2}
     system = cover._sphere_system(m, 0, 2)
     assert system is cover._sphere_system(m, 0, 2)
-    outer, candidates, basis = system
+    outer, candidates, spheres = system
     assert isinstance(outer, frozenset) and outer == set(
         ball(m, S, 0, 2).support()
     )
     assert candidates == tuple(ball(m, S, 0, 1).support())
-    assert isinstance(basis, tuple)
+    assert isinstance(spheres, BitMatrix)
+    assert [spheres.transpose().row(i) for i in range(len(candidates))] == [
+        sphere(m, S, t) for t in candidates
+    ]
     # Another center is another system.
     assert decompose_as_sphere_sum(m, sphere(m, S, 5), 5, 2) == {5}

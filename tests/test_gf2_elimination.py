@@ -1,12 +1,16 @@
-"""Property tests for the word-block elimination kernel.
+"""Property tests for the XOR basis behind ``gf2``'s matrix functions.
 
-The oracle below is the column-at-a-time pivot loop the kernel replaced:
-one pass per column, a scan of every remaining row, and a full-width
-XOR per pivot.  Pivots, the reduced row echelon form, ``reduce``
-residuals, the kernel basis and the pinned-free-variable preimage are
-canonical functions of the row space, so the kernel must reproduce the
-oracle's results exactly.
+The oracles below are the column-at-a-time pivot loop on packed words
+(one pass per column, a scan of every remaining row, a full-width XOR
+per pivot) and Gauss-Jordan on the dense [M | b].  Rank, row-space
+membership, the reduced kernel basis and the pinned-free-variable
+preimage are canonical functions of the matrix, so ``rank``,
+``in_row_space``, ``kernel_basis`` and ``solve_preimage`` must
+reproduce the oracles exactly.  Sizes straddle the 64-bit word
+boundaries (63, 64, 65, 128) and include 0-row and 0-column matrices.
 """
+
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -14,16 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleycss import gf2
-from cayleycss.gf2 import BitMatrix, BitVector, RowEchelonCache
+from cayleycss.gf2 import BitMatrix, BitVector
 
-# -- oracle: the column-at-a-time loop -----------------------------------
+# -- oracles: the column-at-a-time loop ------------------------------------
 
 
-def oracle_echelon(M: BitMatrix) -> RowEchelonCache:
+def oracle_echelon(M: BitMatrix) -> tuple[list[int], np.ndarray]:
+    """Pivot columns and echelon rows."""
     work = M.words.copy()
     pivots = []
     r = 0
     for c in range(M.cols):
+        if r == M.rows:
+            break
         wi = c >> 6
         bit = np.uint64(1 << (c & 63))
         hits = np.nonzero(work[r:, wi] & bit)[0]
@@ -37,36 +44,35 @@ def oracle_echelon(M: BitMatrix) -> RowEchelonCache:
             work[r + 1:][below] ^= work[r]
         pivots.append(c)
         r += 1
-        if r == M.rows:
-            break
-    return RowEchelonCache(pivots, work[: len(pivots)].copy())
+    return pivots, work[: len(pivots)].copy()
 
 
-def oracle_rref(ech: RowEchelonCache) -> np.ndarray:
-    basis = ech.basis.copy()
-    for r in range(ech.rank - 1, 0, -1):
-        c = ech.pivots[r]
+def oracle_rref(pivots: list[int], basis: np.ndarray) -> np.ndarray:
+    basis = basis.copy()
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
         above = (basis[:r, c >> 6] & np.uint64(1 << (c & 63))) != 0
         if above.any():
             basis[:r][above] ^= basis[r]
     return basis
 
 
-def oracle_reduce(ech: RowEchelonCache, words: np.ndarray) -> np.ndarray:
-    out = words.copy()
-    for r, c in enumerate(ech.pivots):
+def oracle_in_row_space(M: BitMatrix, v: BitVector) -> bool:
+    pivots, basis = oracle_echelon(M)
+    out = v.words.copy()
+    for r, c in enumerate(pivots):
         if (out[c >> 6] >> np.uint64(c & 63)) & np.uint64(1):
-            out ^= ech.basis[r]
-    return out
+            out ^= basis[r]
+    return not out.any()
 
 
 def oracle_kernel(M: BitMatrix) -> list[int]:
-    ech = oracle_echelon(M)
-    rref = oracle_rref(ech)
+    pivots, basis = oracle_echelon(M)
+    rref = oracle_rref(pivots, basis)
     out = []
-    for f in sorted(set(range(M.cols)) - set(ech.pivots)):
+    for f in sorted(set(range(M.cols)) - set(pivots)):
         value = 1 << f
-        for r, c in enumerate(ech.pivots):
+        for r, c in enumerate(pivots):
             if (int(rref[r, f >> 6]) >> (f & 63)) & 1:
                 value |= 1 << c
         out.append(value)
@@ -80,6 +86,8 @@ def oracle_solve(M: BitMatrix, b: BitVector) -> int | None:
     r = 0
     pivots = []
     for c in range(M.cols):
+        if r == M.rows:
+            break
         hits = np.nonzero(dense[r:, c])[0]
         if hits.size == 0:
             continue
@@ -90,8 +98,6 @@ def oracle_solve(M: BitMatrix, b: BitVector) -> int | None:
         dense[others] ^= dense[r]
         pivots.append(c)
         r += 1
-        if r == M.rows:
-            break
     if dense[r:, -1].any():
         return None
     return sum(1 << c for i, c in enumerate(pivots) if dense[i, -1])
@@ -99,9 +105,9 @@ def oracle_solve(M: BitMatrix, b: BitVector) -> int | None:
 
 # -- strategies ------------------------------------------------------------
 
-#: Sizes biased to the 64-bit word boundaries.
+#: Sizes biased to the 64-bit word boundaries, empty included.
 SIZES = st.one_of(
-    st.sampled_from([1, 63, 64, 65, 127, 128, 129]), st.integers(1, 140)
+    st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129]), st.integers(1, 140)
 )
 
 
@@ -147,6 +153,29 @@ def vector(rng, length) -> BitVector:
     )
 
 
+def assert_matches_oracles(M: BitMatrix, rng) -> None:
+    """rank, kernel_basis, in_row_space and solve_preimage of M against
+    the oracles, on random words and on words of the row space and of
+    the column space."""
+    pivots, _ = oracle_echelon(M)
+    assert gf2.rank(M) == len(pivots)
+    kernel = [v.to_int() for v in gf2.kernel_basis(M)]
+    assert kernel == oracle_kernel(M)
+    assert gf2.rank(M) + len(kernel) == M.cols
+    for _ in range(4):
+        for v in (vector(rng, M.cols),
+                  M.transpose().mul_vector(vector(rng, M.rows))):
+            assert gf2.in_row_space(M, v) == oracle_in_row_space(M, v)
+        reachable = M.mul_vector(vector(rng, M.cols))
+        assert gf2.in_row_space(M.transpose(), reachable)
+        for b in (reachable, vector(rng, M.rows)):
+            x = gf2.solve_preimage(M, b)
+            assert (None if x is None else x.to_int()) == oracle_solve(M, b)
+            if x is not None:
+                assert M.mul_vector(x) == b
+        assert gf2.solve_preimage(M, reachable) is not None
+
+
 # -- properties ------------------------------------------------------------
 
 
@@ -155,70 +184,55 @@ def vector(rng, length) -> BitVector:
 def test_kernel_matches_column_loop(dense, seed):
     M = BitMatrix.from_dense(dense)
     assert np.array_equal(M.to_dense(), dense)
-    ech = gf2._echelon(M)
-    want = oracle_echelon(M)
-    assert ech.pivots == want.pivots
-    assert gf2.rank(M) == want.rank
-    assert np.array_equal(gf2._rref(ech.basis.copy(), ech.pivots), oracle_rref(want))
-    rng = np.random.default_rng(seed)
-    for _ in range(4):
-        v = vector(rng, M.cols)
-        residual = ech.reduce(v.words)
-        assert np.array_equal(residual, oracle_reduce(want, v.words))
-        assert not any(residual[c >> 6] >> np.uint64(c & 63) & np.uint64(1)
-                       for c in ech.pivots)
-    kernel = [v.to_int() for v in gf2.kernel_basis(M)]
-    assert kernel == oracle_kernel(M)
-    assert gf2.rank(M) + len(kernel) == M.cols
+    assert_matches_oracles(M, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("cols", [0, 1, 63, 64, 65, 128])
+@pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 128])
+def test_word_boundary_shapes_match_the_oracles(rows, cols):
+    rng = np.random.default_rng(rows * 1000 + cols)
+    for density in (0.05, 0.5):
+        M = BitMatrix.from_dense(rng.random((rows, cols)) < density)
+        assert_matches_oracles(M, rng)
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(matrices(), st.integers(0, 2**32 - 1))
-def test_solver_matches_gauss_jordan(dense, seed):
+@given(matrices())
+def test_row_basis_is_keyed_by_leading_bit(dense):
+    # Each row has its key as leading bit length and is the XOR of the
+    # matrix rows its mask names; the cached mapping is read-only.
     M = BitMatrix.from_dense(dense)
-    rng = np.random.default_rng(seed)
-    reachable = M.mul_vector(vector(rng, M.cols))
-    for b in (reachable, vector(rng, M.rows)):
-        x = gf2.solve_preimage(M, b)
-        want = oracle_solve(M, b)
-        assert (None if x is None else x.to_int()) == want
-        if x is not None:
-            assert M.mul_vector(x) == b
-    assert gf2.solve_preimage(M, reachable) is not None
+    basis = gf2.row_basis(M)
+    assert isinstance(basis, MappingProxyType)
+    assert len(basis) == len(oracle_echelon(M)[0])
+    rows = [M.row(i).to_int() for i in range(M.rows)]
+    for lead, (row, mask) in basis.items():
+        assert row.bit_length() == lead > 0
+        assert 0 < mask < 1 << M.rows
+        xor = 0
+        for i, r in enumerate(rows):
+            if mask >> i & 1:
+                xor ^= r
+        assert xor == row
+    with pytest.raises(TypeError):
+        basis[0] = (0, 0)
 
 
-@settings(max_examples=60, deadline=None, database=None)
-@given(matrices(), st.integers(0, 2**32 - 1))
-def test_blockwise_reduce_matches_per_pivot_loop(dense, seed):
-    # A cache built directly from pivots and rows, as the oracle builds
-    # it, reduces through its fully reduced rows exactly as the
-    # per-pivot loop does, on random words and on row-space words
-    # (residual zero).
-    M = BitMatrix.from_dense(dense)
-    ech = oracle_echelon(M)
-    rng = np.random.default_rng(seed)
-    for _ in range(4):
-        for v in (vector(rng, M.cols),
-                  M.transpose().mul_vector(vector(rng, M.rows))):
-            want = oracle_reduce(ech, v.words)
-            assert np.array_equal(ech.reduce(v.words), want)
-        assert not ech.reduce(v.words).any()
-
-
-# -- the fully reduced rows are built once, and never for the rank ---------
+# -- each basis is built once, and the rank builds no column basis ---------
 
 
 @pytest.fixture
-def rref_calls(monkeypatch):
-    """The list of row counts ``gf2._rref`` was called with."""
+def eliminations(monkeypatch):
+    """The number of inputs of every ``gf2.int_echelon`` call."""
     calls = []
-    real = gf2._rref
+    real = gf2.int_echelon
 
-    def spy(basis, pivots):
-        calls.append(len(pivots))
-        return real(basis, pivots)
+    def spy(vectors, *args):
+        vectors = list(vectors)
+        calls.append(len(vectors))
+        return real(vectors, *args)
 
-    monkeypatch.setattr(gf2, "_rref", spy)
+    monkeypatch.setattr(gf2, "int_echelon", spy)
     return calls
 
 
@@ -227,13 +241,16 @@ def random_matrix(rows, cols, seed=0):
     return BitMatrix.from_dense(rng.integers(0, 2, (rows, cols)))
 
 
-def test_rank_leaves_the_reduced_rows_unbuilt(rref_calls):
+def test_rank_builds_no_column_basis(eliminations):
     M = random_matrix(90, 130)
-    assert gf2.rank(M) == oracle_echelon(M).rank
-    assert rref_calls == []
+    assert gf2.rank(M) == len(oracle_echelon(M)[0])
+    assert eliminations == [90]
+    assert M._col_basis is None
 
 
-def test_membership_and_kernels_reduce_the_rows_once(rref_calls):
+def test_membership_kernels_and_solves_eliminate_once_each(eliminations):
+    # The rows once for membership, the 130 columns once for the kernel
+    # and every solve.
     M = random_matrix(90, 130)
     rng = np.random.default_rng(1)
     for i in range(10):
@@ -242,24 +259,31 @@ def test_membership_and_kernels_reduce_the_rows_once(rref_calls):
             assert gf2.in_row_space(M, v)
         else:
             v = vector(rng, M.cols)
-            want = not oracle_reduce(oracle_echelon(M), v.words).any()
-            assert gf2.in_row_space(M, v) == want
+            assert gf2.in_row_space(M, v) == oracle_in_row_space(M, v)
     first = [v.to_int() for v in gf2.kernel_basis(M)]
     assert first == oracle_kernel(M)
     assert [v.to_int() for v in gf2.kernel_basis(M)] == first
-    assert rref_calls == [gf2.rank(M)]
+    b = M.mul_vector(vector(rng, M.cols))
+    assert M.mul_vector(gf2.solve_preimage(M, b)) == b
+    assert eliminations == [90, 130]
 
 
 @pytest.mark.parametrize("rows", [0, 5])
-@pytest.mark.parametrize("cols", [1, 64, 70])
-def test_reduce_without_pivots_returns_its_input(rows, cols):
-    # An all-zero matrix and a 0-row matrix have no pivots.
+@pytest.mark.parametrize("cols", [0, 1, 64, 70])
+def test_matrix_without_pivots(rows, cols):
+    # An all-zero matrix and a 0-row matrix have an empty basis: only
+    # zero is in the row space, and the kernel is every unit vector.
     M = BitMatrix(rows, cols, np.zeros((rows, (cols + 63) // 64),
                                        dtype=np.uint64))
-    ech = gf2._echelon(M)
-    assert ech.rank == 0
+    assert gf2.rank(M) == 0 and not gf2.row_basis(M)
+    assert [v.to_int() for v in gf2.kernel_basis(M)] == [
+        1 << c for c in range(cols)
+    ]
     rng = np.random.default_rng(cols)
-    for v in (BitVector.zeros(cols), vector(rng, cols),
-              BitVector.from_support(cols, [cols - 1])):
-        assert np.array_equal(ech.reduce(v.words), v.words)
+    for v in (BitVector.zeros(cols), vector(rng, cols)):
         assert gf2.in_row_space(M, v) == v.is_zero()
+    assert gf2.solve_preimage(M, BitVector.zeros(rows)) == BitVector.zeros(
+        cols
+    )
+    if rows:
+        assert gf2.solve_preimage(M, BitVector.from_int(rows, 1)) is None

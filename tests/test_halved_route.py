@@ -19,6 +19,8 @@ from cayleycss.cayley import GeneratorSet, adjacency_matrix
 from cayleycss.css import WordClass
 from cayleycss.gf2 import BitMatrix, BitVector
 
+from test_cli import TWO_BLOCKS_OF_DIM_15
+
 
 def full_matrix(m, S):
     """The oracle M of the graph, never read from a code's blocks."""
@@ -238,6 +240,31 @@ def test_the_budget_is_charged_per_block_not_on_the_whole_kernel():
     assert report.witness.support() == [1, 4]
 
 
+@pytest.mark.parametrize("S, value, support", [
+    (repetition.generators(5), 4, [5, 6, 9, 10]),
+    (GeneratorSet.from_strings(5, TWO_BLOCKS_OF_DIM_15.split(",")), 2,
+     [1, 2]),
+], ids=["tower-n5", "two-blocks"])
+def test_a_matrix_both_blocks_share_is_searched_once(monkeypatch, S, value,
+                                                     support):
+    # The two blocks of a bipartite code hold one U: one search, whose
+    # witness is lifted through both classes, the least lifted word
+    # reported (the golden reports of test_cli).
+    calls = []
+    real = gf2.min_weight_in_span_minus_subspace
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+    monkeypatch.setattr(gf2, "min_weight_in_span_minus_subspace", spy)
+    code = css.build_css(5, S)
+    U = code.blocks[0][0]
+    assert code.blocks[1][0] is U
+    report = css.distance_exact(code)
+    assert calls == [U.cols - gf2.rank(U)]
+    assert (report.value, report.witness.support()) == (value, support)
+
+
 # -- classification ------------------------------------------------------
 
 
@@ -323,14 +350,15 @@ def halved_calls(monkeypatch):
 
 @pytest.fixture
 def eliminated_shapes(monkeypatch):
-    """The shape of every matrix eliminated."""
+    """The shape of every matrix whose rows are eliminated: M itself for
+    its row basis, its transpose for its column basis."""
     shapes = []
-    real = gf2._eliminate
+    real = gf2._int_rows
 
-    def spy(work):
-        shapes.append(work.shape)
-        return real(work)
-    monkeypatch.setattr(gf2, "_eliminate", spy)
+    def spy(M):
+        shapes.append((M.rows, M.cols))
+        return real(M)
+    monkeypatch.setattr(gf2, "_int_rows", spy)
     return shapes
 
 
@@ -363,10 +391,11 @@ def test_codes_from_a_matrix_never_build_the_halved_block(halved_calls):
 
 
 def test_params_eliminates_the_halved_block_once(eliminated_shapes):
-    # The code's rank eliminates U(9); the witness is certified without
-    # a matrix, so no lower level's U and no M is eliminated.
+    # The code's rank eliminates the rows of U(9); the witness is
+    # certified without a matrix, so no lower level's U, no M and no
+    # column basis is eliminated.
     assert cli.main(["params", "--family", "repetition", "--n", "9"]) == 0
-    assert eliminated_shapes == [(256, 4)]
+    assert eliminated_shapes == [(256, 256)]
 
 
 #: Generator sets over F_2^5 with kernel dimension 20 and K = 8, so
@@ -382,18 +411,19 @@ MIXED_GENS = "00100,00101,10100,10010,01010,01101"
 ])
 def test_exact_distance_eliminates_the_halved_block_once(
         eliminated_shapes, argv, capsys):
-    # rank, kernel and the exact walk share U's echelon; M (32 rows) is
-    # never eliminated.
+    # U's rows once for the rank, its columns once for the kernel that
+    # both blocks' one exact walk shares; M (32 rows) is never
+    # eliminated.
     assert cli.main(["params", *argv]) == 0
     assert '"method": "exact"' in capsys.readouterr().out
-    assert eliminated_shapes == [(16, 1)]
+    assert eliminated_shapes == [(16, 16), (16, 16)]
 
 
 def test_exact_distance_of_a_mixed_set_eliminates_m_once(
         eliminated_shapes, capsys):
     assert cli.main(["params", "--m", "5", "--gens", MIXED_GENS]) == 0
     assert '"method": "exact"' in capsys.readouterr().out
-    assert eliminated_shapes == [(32, 1)]
+    assert eliminated_shapes == [(32, 32), (32, 32)]
 
 
 def test_tower_params_and_witness_build_no_adjacency_matrix(monkeypatch,
@@ -420,7 +450,7 @@ def test_witness_builds_and_eliminates_no_matrix(monkeypatch, capsys, n):
             calls.append(name)
             return real(*args)
         monkeypatch.setattr(module, name, record)
-    spy(gf2, "_eliminate")
+    spy(gf2, "int_echelon")
     for name in ("_build_halved", "_build_adjacency"):
         spy(cayley, name)
     assert cli.main(["witness", "--n", str(n)]) == 0

@@ -1,7 +1,6 @@
 """Property tests for the integer XOR-basis core in ``gf2``.
 
 ``int_echelon``, ``int_reduce`` and ``gray_span`` are checked against
-the packed elimination (``gf2.rank``, ``gf2.in_row_space``) and against
 brute-force subset XORs; ``min_weight_in_span_minus_subspace`` against
 the set difference of two brute-force spans, minimised by
 (weight, value).  Inputs are biased to the 64-bit word boundaries and
@@ -16,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayleycss import gf2
-from cayleycss.gf2 import BitMatrix, BitVector
+from cayleycss.gf2 import BitVector
 
 #: Widths biased to the 64-bit word boundaries, plus small widths where
 #: weight ties are common.
@@ -66,12 +65,9 @@ def masked_xor(vectors: list[int], mask: int) -> int:
     return reduce(xor, (v for i, v in enumerate(vectors) if mask >> i & 1), 0)
 
 
-def packed_rank(width: int, vectors: list[int]) -> int:
-    if not vectors:
-        return 0
-    return gf2.rank(BitMatrix.from_rows(
-        [BitVector.from_int(width, v) for v in vectors]
-    ))
+def span_rank(vectors: list[int]) -> int:
+    """log2 of the number of subset XORs."""
+    return len(subset_xors(vectors)).bit_length() - 1
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -79,13 +75,41 @@ def packed_rank(width: int, vectors: list[int]) -> int:
 def test_int_echelon_rows_rank_and_masks(data):
     width = data.draw(WIDTHS)
     vectors = data.draw(int_vectors(width))
-    basis = gf2.int_echelon(vectors)
-    assert len(basis) == packed_rank(width, vectors)
-    leads = [row.bit_length() for row, _ in basis]
-    assert leads == sorted(set(leads), reverse=True) and 0 not in leads
-    for row, mask in basis:
+    dependencies = []
+    basis = gf2.int_echelon(vectors, dependencies)
+    assert len(basis) == span_rank(vectors)
+    for lead, (row, mask) in basis.items():
+        assert row.bit_length() == lead > 0
         assert 0 < mask < 1 << len(vectors)
         assert row == masked_xor(vectors, mask)
+    # One dependency per input that reduces to zero, in input order:
+    # that input's own bit is the highest in its mask.
+    assert len(dependencies) == len(vectors) - len(basis)
+    tops = [mask.bit_length() for mask in dependencies]
+    assert tops == sorted(set(tops))
+    for mask in dependencies:
+        assert masked_xor(vectors, mask) == 0
+    assert gf2.int_echelon(vectors) == basis
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_int_echelon_extends_a_basis_in_place(data):
+    # Extending the basis of the first vectors, masks cleared, with the
+    # rest gives the rank of all of them and the dependencies of the
+    # rest modulo the span of the first.
+    width = data.draw(WIDTHS)
+    first = data.draw(int_vectors(width))
+    rest = data.draw(int_vectors(width))
+    start = {k: (row, 0) for k, (row, _) in gf2.int_echelon(first).items()}
+    dependencies = []
+    basis = gf2.int_echelon(rest, dependencies, start)
+    assert basis is start
+    assert len(basis) == span_rank(first + rest)
+    span = subset_xors(first)
+    for mask in dependencies:
+        assert masked_xor(rest, mask) in span
+    assert len(dependencies) == len(rest) - (len(basis) - span_rank(first))
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -101,12 +125,7 @@ def test_int_reduce_residual_and_mask(data):
     else:
         v = data.draw(st.integers(0, (1 << width) - 1))
     residual, mask = gf2.int_reduce(basis, v)
-    if vectors:
-        M = BitMatrix.from_rows([BitVector.from_int(width, u) for u in vectors])
-        in_span = gf2.in_row_space(M, BitVector.from_int(width, v))
-    else:
-        in_span = v == 0
-    assert (residual == 0) == in_span
+    assert (residual == 0) == (v in subset_xors(vectors))
     assert v ^ residual == masked_xor(vectors, mask)
     # A starting mask is carried through by XOR.
     assert gf2.int_reduce(basis, v, 1 << 40) == (residual, mask ^ 1 << 40)
@@ -117,7 +136,7 @@ def test_int_reduce_residual_and_mask(data):
 def test_gray_span_walks_the_span(data):
     width = data.draw(WIDTHS)
     vectors = data.draw(int_vectors(width))
-    rows = [row for row, _ in gf2.int_echelon(vectors)]
+    rows = [row for row, _ in gf2.int_echelon(vectors).values()]
     walk = list(gf2.gray_span(rows))
     assert len(walk) == 1 << len(rows)
     assert len(set(walk)) == len(walk)

@@ -38,7 +38,7 @@ def random_kernel_word(rng, kernel):
 # -- recursion -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", range(4, 11))
+@pytest.mark.parametrize("n", range(4, 14))
 def test_recursive_build_matches_direct(n):
     assert build_recursive(n) == matrix(n)
 
@@ -47,7 +47,7 @@ def test_recursive_build_guards():
     with pytest.raises(ValueError):
         build_recursive(3)
     with pytest.raises(SizeGuardError):
-        build_recursive(12)
+        build_recursive(17)
 
 
 @pytest.mark.parametrize("size", [2, 8, 64])
@@ -117,35 +117,39 @@ def test_kernel_dimension_formula():
 
 def test_tower_matrix_is_shared_and_eliminated_once():
     # The tower code's check matrix is the halved block U, one object
-    # for both blocks, eliminated once for the code.
+    # for both blocks: its rows are eliminated once for the code's rank
+    # and its columns once for both blocks' kernels.
     n = 7
     code = css.build_css(n, repetition.generators(n))
     (U, _), (B, _) = code.blocks
     assert B is U and U == repetition.halved(n)
-    assert U._ech is None
+    assert U._row_basis is None and U._col_basis is None
     assert code.rank == 2 * gf2.rank(U)
-    echelon = U._ech
-    assert echelon is not None
+    rows = U._row_basis
+    assert rows is not None and U._col_basis is None
     kernel = [gf2.kernel_basis(B) for B, _ in code.blocks]
     assert sum(map(len, kernel)) == code.N - code.rank
-    assert U._ech is echelon
+    columns = U._col_basis
+    assert columns is not None
+    assert gf2.kernel_basis(U) == kernel[0]
+    assert U._row_basis is rows and U._col_basis is columns
 
 
 def test_recursive_kernel_basis_eliminates_the_level_matrix_once(
         monkeypatch):
-    # M(7) (128 x 128, two words a row) is eliminated once for its rank,
-    # kernel and every solve; no augmented [M | I] (128 x 4 words) is.
-    # The residual map (144 columns) and the independence check of the
-    # level-9 words are the only other eliminations.
+    # M(7) (128 x 128) has its columns eliminated once for the kernel
+    # and every solve, and its rows once, which the pair coefficients
+    # extend without building a residual matrix; the independence check
+    # of the level-9 words is the only other matrix eliminated.
     shapes = []
-    real = gf2._eliminate
+    real = gf2._int_rows
 
-    def spy(work):
-        shapes.append(work.shape)
-        return real(work)
-    monkeypatch.setattr(gf2, "_eliminate", spy)
+    def spy(M):
+        shapes.append((M.rows, M.cols))
+        return real(M)
+    monkeypatch.setattr(gf2, "_int_rows", spy)
     basis = kernel_basis_recursive(7)
-    assert shapes == [(128, 2), (128, 3), (len(basis), 8)]
+    assert shapes == [(128, 128), (128, 128), (len(basis), 512)]
 
 
 # -- image parametrization and normal forms --------------------------------

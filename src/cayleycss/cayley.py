@@ -262,11 +262,11 @@ def algebra_nilpotency_check(
         rows = rows.reshape(-1, len(group.moduli))
     batch = rows.shape[:-2]
     rows = rows.reshape(math.prod(batch), *rows.shape[-2:])
-    major = np.moveaxis(rows, -1, 0)  # (r, B, k): one slice per coordinate
-    diffs = group.index(major[:, :, :, None] - major[:, :, None, :], axis=0)
-    bins = diffs.reshape(len(rows), -1) + (
-        np.arange(len(rows)) * group.order
-    )[:, None]
+    # Coordinate-major, batch innermost: one contiguous (k, B) slice per
+    # coordinate, so every elementwise pass runs along the batch.
+    major = np.ascontiguousarray(rows.transpose(2, 1, 0))
+    diffs = group.index(major[:, :, None, :] - major[:, None, :, :], axis=0)
+    bins = diffs + np.arange(len(rows)) * group.order
     odd = np.bincount(bins.ravel(), minlength=len(rows) * group.order) & 1
     nonzero = odd.reshape(len(rows), group.order).any(axis=1)
     return ~nonzero.reshape(batch)[()]

@@ -1,8 +1,10 @@
-"""Dense bit-packed GF(2) linear algebra.
+"""Dense GF(2) linear algebra.
 
-Vectors and matrices are packed into 64-bit words, little-endian bit
-order within words: bit ``i`` of a vector lives in word ``i // 64`` at
-position ``i % 64``.  All serialization uses this layout.
+A vector is one Python int, bit ``i`` its position ``i``.  A matrix
+keeps its rows packed into 64-bit words, little-endian bit order within
+words: bit ``i`` of a row lives in word ``i // 64`` at position
+``i % 64``.  All serialization uses this layout, and a vector's
+``words`` view packs it the same way.
 
 Elimination is one XOR basis of Python integers keyed by leading bit,
 ``int_echelon``.  A matrix caches two, built on first use: its rows
@@ -57,48 +59,28 @@ def _n_words(length: int) -> int:
     return (length + WORD_BITS - 1) // WORD_BITS
 
 
-def _pack(bits: np.ndarray, length: int) -> np.ndarray:
-    """The packed words of a 0/1 array of ``length`` entries."""
-    buf = np.zeros(_n_words(length) * 8, dtype=np.uint8)
-    buf[: (length + 7) // 8] = np.packbits(bits, bitorder="little")
-    return buf.view(np.uint64)
-
-
-def _unpack(words: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` bits of packed words as a 0/1 array."""
-    return np.unpackbits(words.view(np.uint8), bitorder="little", count=count)
+#: Byte b with its eight bits in reverse order, at index b.
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class BitVector:
-    """An immutable GF(2) vector packed into 64-bit words."""
+    """An immutable GF(2) vector of ``length`` bits held as one Python
+    int ``value``.  ``words`` is a read-only packed copy, for NumPy."""
 
-    __slots__ = ("length", "words")
+    __slots__ = ("length", "value")
 
     def __init__(self, length: int, words: np.ndarray):
         if words.shape != (_n_words(length),) or words.dtype != np.uint64:
             raise ValueError("payload shape/dtype mismatch")
-        words = words.copy()
-        if length % WORD_BITS and words.size:  # clear the padding bits
-            words[-1] &= np.uint64((1 << length % WORD_BITS) - 1)
-        words.setflags(write=False)
-        self.length = length
-        self.words = words
-
-    @classmethod
-    def _wrap(cls, length: int, words: np.ndarray) -> "BitVector":
-        """A vector over ``words`` without a copy: the caller passes
-        words that nothing else writes to, with zero padding bits."""
-        v = object.__new__(cls)
-        words.setflags(write=False)
-        v.length = length
-        v.words = words
-        return v
+        # tobytes reads any strides; the mask clears the padding bits.
+        value = int.from_bytes(words.tobytes(), "little")
+        self.length, self.value = length, value & (1 << length) - 1
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zeros(cls, length: int) -> "BitVector":
-        return cls._wrap(length, np.zeros(_n_words(length), dtype=np.uint64))
+        return cls.from_int(length, 0)
 
     @classmethod
     def from_support(cls, length: int, positions: Iterable[int]) -> "BitVector":
@@ -117,81 +99,101 @@ class BitVector:
         words = np.zeros(_n_words(length), dtype=np.uint64)
         np.bitwise_xor.at(words, pos >> 6,
                           np.uint64(1) << (pos & 63).astype(np.uint64))
-        return cls._wrap(length, words)
+        return cls(length, words)
 
     @classmethod
     def from_int(cls, length: int, value: int) -> "BitVector":
         if value < 0 or value >> length:
             raise ValueError("integer value does not fit the stated length")
-        buf = value.to_bytes(_n_words(length) * 8, "little")
-        return cls._wrap(length, np.frombuffer(buf, dtype=np.uint64))
+        v = object.__new__(cls)
+        v.length, v.value = length, value
+        return v
+
+    @classmethod
+    def _from_bits(cls, bits: np.ndarray) -> "BitVector":
+        """The vector of a 0/1 array, the inverse of ``_bits``."""
+        packed = np.packbits(bits, bitorder="little").tobytes()
+        return cls.from_int(bits.size, int.from_bytes(packed, "little"))
 
     @classmethod
     def concat(cls, parts: Sequence["BitVector"]) -> "BitVector":
         value = length = 0
         for p in parts:
-            value, length = value | p.to_int() << length, length + p.length
+            value, length = value | p.value << length, length + p.length
         return cls.from_int(length, value)
 
     # -- queries -------------------------------------------------------
 
+    @property
+    def words(self) -> np.ndarray:
+        buf = self.value.to_bytes(_n_words(self.length) * 8, "little")
+        return np.frombuffer(buf, dtype=np.uint64)  # read-only
+
     def to_int(self) -> int:
-        return int.from_bytes(self.words.tobytes(), "little")
+        return self.value
 
     def bit(self, i: int) -> int:
         if not 0 <= i < self.length:
             raise ValueError(f"index {i} out of range [0, {self.length})")
-        return int((self.words[i >> 6] >> np.uint64(i & 63)) & np.uint64(1))
+        return self.value >> i & 1
+
+    def _bits(self) -> np.ndarray:
+        """The vector as a 0/1 array of ``length`` entries."""
+        buf = self.value.to_bytes((self.length + 7) // 8, "little")
+        return np.unpackbits(np.frombuffer(buf, dtype=np.uint8),
+                             bitorder="little", count=self.length)
 
     def support(self) -> list[int]:
-        return np.flatnonzero(_unpack(self.words, self.length)).tolist()
+        return np.flatnonzero(self._bits()).tolist()
 
     @property
     def weight(self) -> int:
-        return int(np.bitwise_count(self.words).sum())
+        return self.value.bit_count()
 
     def is_zero(self) -> bool:
-        return not self.words.any()
+        return not self.value
 
     def take(self, positions: np.ndarray) -> "BitVector":
         """The vector whose bit k is bit ``positions[k]`` of this one."""
-        bits = _unpack(self.words, self.length)[positions]
-        return BitVector._wrap(bits.size, _pack(bits, bits.size))
+        return BitVector._from_bits(self._bits()[positions])
 
     def slice(self, start: int, stop: int) -> "BitVector":
         if not 0 <= start <= stop <= self.length:
             raise ValueError(
                 f"slice [{start}, {stop}) outside [0, {self.length})"
             )
-        value = self.to_int() >> start & ((1 << (stop - start)) - 1)
+        value = self.value >> start & (1 << (stop - start)) - 1
         return BitVector.from_int(stop - start, value)
 
     def reversed(self) -> "BitVector":
-        """Bit reversal: position p maps to length-1-p."""
-        bits = _unpack(self.words, self.length)[::-1]
-        return BitVector._wrap(self.length, _pack(bits, self.length))
+        """Bit reversal: position p maps to length-1-p.  The bytes and the
+        bits of each byte are reversed, then the leading padding dropped."""
+        nbytes = (self.length + 7) // 8
+        flipped = self.value.to_bytes(nbytes, "big").translate(_REVERSED_BYTE)
+        value = int.from_bytes(flipped, "little") >> 8 * nbytes - self.length
+        return BitVector.from_int(self.length, value)
 
     # -- algebra -------------------------------------------------------
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.length != other.length:
             raise ValueError("length mismatch in XOR")
-        return BitVector._wrap(self.length, self.words ^ other.words)
+        return BitVector.from_int(self.length, self.value ^ other.value)
 
     def dot(self, other: "BitVector") -> int:
         if self.length != other.length:
             raise ValueError("length mismatch in dot product")
-        return int(np.bitwise_count(self.words & other.words).sum()) & 1
+        return (self.value & other.value).bit_count() & 1
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitVector)
             and self.length == other.length
-            and bool(np.array_equal(self.words, other.words))
+            and self.value == other.value
         )
 
     def __hash__(self) -> int:
-        return hash((self.length, self.words.tobytes()))
+        return hash((self.length, self.value))
 
     def __len__(self) -> int:
         return self.length
@@ -271,7 +273,10 @@ class BitMatrix:
         cols = rows[0].length
         if any(r.length != cols for r in rows):
             raise ValueError("rows have unequal lengths")
-        return cls(len(rows), cols, np.vstack([r.words for r in rows]))
+        nw = _n_words(cols)
+        buf = b"".join(r.value.to_bytes(nw * 8, "little") for r in rows)
+        words = np.frombuffer(buf, dtype=np.uint64).reshape(len(rows), nw)
+        return cls._wrap(len(rows), cols, words)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BitMatrix":
@@ -285,8 +290,7 @@ class BitMatrix:
     # -- queries -------------------------------------------------------
 
     def row(self, i: int) -> BitVector:
-        # The matrix words are read-only, so the row can share them.
-        return BitVector._wrap(self.cols, self.words[i])
+        return BitVector(self.cols, self.words[i])
 
     def to_dense(self) -> np.ndarray:
         return np.unpackbits(
@@ -329,10 +333,13 @@ class BitMatrix:
             raise ValueError(
                 f"vector length {v.length} != column count {self.cols}"
             )
-        # The XOR of a row's AND words has the parity of its shared ones.
-        shared = np.bitwise_xor.reduce(self.words & v.words, axis=1)
-        odd = np.bitwise_count(shared) & 1
-        return BitVector._wrap(self.rows, _pack(odd, self.rows))
+        # The XOR of a row's AND words has the parity of its shared ones;
+        # a zero word of v adds nothing.
+        shared = np.zeros(self.rows, dtype=np.uint64)
+        for k, w in enumerate(v.words):
+            if w:
+                shared ^= self.words[:, k] & w
+        return BitVector._from_bits(np.bitwise_count(shared) & 1)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -561,7 +568,8 @@ def min_weight_in_span_minus_subspace(
 
     nw = _n_words(length)
     vectors = [
-        BitVector.from_int(length, v).words[:, None] for v in sub_ints + comp
+        np.frombuffer(v.to_bytes(nw * 8, "little"), np.uint64)[:, None]
+        for v in sub_ints + comp
     ]
     t = len(vectors)
     while (16 * nw) << t > MAX_TABLE_BYTES:

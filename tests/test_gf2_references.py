@@ -1,14 +1,16 @@
-"""The vectorized packing helpers and the table-driven distance walk of
-``gf2`` against the definitions they replaced.
+"""``BitVector``, the packed matrix constructors and the table-driven
+distance walk of ``gf2`` against plain definitions.
 
-The references below are the former implementations: ``BitVector``
-packing through 2^n-bit Python ints and a per-position loop, and the
+The references below are a per-position loop over Python ints for the
+vector operations, dense and list products for ``mul_vector``, and the
 inline two-level Gray walk of ``min_weight_in_span_minus_subspace``
 (the per-pivot ``reduce`` is ``oracle_reduce`` in
 test_gf2_elimination.py).  Widths sit on the 64-bit word boundaries
-(63, 64, 65 and 128), and inputs include non-contiguous arrays.
+(63, 64, 65 and 128) and the byte boundaries, and inputs include
+non-contiguous arrays and empty matrices.
 """
 
+import random
 from unittest import mock
 
 import numpy as np
@@ -275,3 +277,72 @@ def test_table_walk_breaks_ties_towards_the_least_value(t):
     assert table_walk(span, sub, t) == reference_walk(span, sub) == (1, 2)
     sub = [BitVector.from_support(width, [1, 5, 9])]
     assert table_walk(span, sub, t) == reference_walk(span, sub) == (1, 2)
+
+
+# -- the int representation at its edges ----------------------------------
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (0, 0), (0, 5), (5, 0), (0, 128), (128, 0),
+    (3, 63), (3, 64), (3, 65), (3, 128), (70, 65), (130, 128),
+])
+def test_mul_vector_edges_match_list_oracle(rows, cols):
+    rng = np.random.default_rng(rows * 1000 + cols)
+    dense = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+    M = BitMatrix.from_dense(dense)
+    table = dense.tolist()
+    for x in ([0] * cols, [1] * cols, rng.integers(0, 2, cols).tolist()):
+        v = BitVector.from_support(cols, [j for j, b in enumerate(x) if b])
+        got = M.mul_vector(v)
+        want = [sum(a * b for a, b in zip(row, x)) % 2 for row in table]
+        assert got.length == rows
+        assert [got.bit(i) for i in range(rows)] == want
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_reversed_matches_list_oracle(length):
+    rng = random.Random(length)
+    values = {0, (1 << length) - 1, rng.getrandbits(length)}
+    values |= {1 << p for p in (0, length - 1) if length}
+    for value in values:
+        bits = [value >> p & 1 for p in range(length)]
+        r = BitVector.from_int(length, value).reversed()
+        assert [r.bit(p) for p in range(length)] == bits[::-1]
+        assert r.reversed().to_int() == value
+        assert_canonical(r)
+
+
+@pytest.mark.parametrize("length", [1, 7, 63, 64, 65, 100, 128])
+def test_words_are_read_only_with_zero_padding(length):
+    # Every word all ones: the bits past the length are garbage.
+    n = gf2._n_words(length)
+    full = np.full(2 * n, np.iinfo(np.uint64).max, dtype=np.uint64)
+    for words in (full[:n].copy(), full[::2]):
+        v = BitVector(length, words)
+        words[...] = 0  # the vector keeps no reference to its input
+        assert v.to_int() == (1 << length) - 1
+        assert_canonical(v)
+        assert np.bitwise_count(v.words).sum() == length
+        with pytest.raises(ValueError):
+            v.words[0] = 0
+
+
+@pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 128])
+def test_equal_vectors_compare_and_hash_equal(length):
+    value = random.Random(length).getrandbits(length)
+    support = [p for p in range(length) if value >> p & 1]
+    garbage = ~np.uint64(0) << np.uint64(length % 64) if length % 64 else 0
+    words = np.repeat(BitVector.from_int(length, value).words, 2)[::2]
+    if words.size:
+        words[-1] |= garbage
+    built = [
+        BitVector.from_int(length, value),
+        BitVector.from_support(length, support),
+        BitVector.from_support(length, np.array(support * 3, np.int64)),
+        BitVector(length, words),
+    ]
+    assert all(v == built[0] for v in built)
+    assert len({hash(v) for v in built}) == 1
+    assert len(set(built)) == 1
+    assert BitVector.from_int(length + 1, value) != built[0]

@@ -1,5 +1,6 @@
 """Suite plumbing: every named suite runs and reports well-formed items."""
 
+import itertools
 import json
 import random
 import re
@@ -68,6 +69,37 @@ def test_exhaustive_check_fails_when_an_oracle_always_says_true(
     assert not item.ok
     # 64 of the 127 nonempty subsets of F_2^3 minus 0 have odd size.
     assert item.detail == "64 disagreements"
+    # Every even-size set is self-orthogonal, so at m = 4 exactly the
+    # 2^14 odd-size subsets of the 15 nonzero elements disagree, each
+    # once: a dropped or repeated set changes the count.
+    assert items["algebra/exhaustive-m4"].detail == "16384 disagreements"
+
+
+def test_exhaustive_sweep_gives_each_oracle_every_set_once(monkeypatch):
+    seen = {"pair-count": [], "matrix": [], "group-algebra": []}
+
+    def spy(owner, name, key):
+        honest = getattr(owner, name)
+
+        def recorded(m, sets):
+            if m == 4:
+                seen[key] += [tuple(S) for S in np.asarray(sets).tolist()]
+            return honest(m, sets)
+        monkeypatch.setattr(owner, name, recorded)
+
+    spy(verify, "check_self_orthogonal_combinatorial", "pair-count")
+    spy(verify, "_adjacency_rows", "matrix")
+    spy(cayley, "algebra_nilpotency_check_f2", "group-algebra")
+    (item,) = [c for c in verify.run_suite("algebra", [])
+               if c.name == "algebra/exhaustive-m4"]
+    assert item.ok
+    everything = {
+        S for k in range(1, 16)
+        for S in itertools.combinations(range(1, 16), k)
+    }
+    for key, sets in seen.items():
+        assert len(sets) == len(everything) == 2**15 - 1, key
+        assert set(sets) == everything, key
 
 
 def test_random_check_names_the_first_disagreement_in_draw_order(

@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import struct
 from itertools import chain
+from typing import Iterator
 
 import numpy as np
 
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, _row_blocks
 
 #: Binary header: magic, version, reserved, rows, cols (little endian).
 BIN_MAGIC = b"CAYM"
@@ -128,12 +129,14 @@ def read_mtx(text: str) -> BitMatrix:
     return BitMatrix.from_nonzero(rows, cols, ij[:, 0] - 1, ij[:, 1] - 1)
 
 
-def _bin_parts(M: BitMatrix) -> tuple[bytes, np.ndarray]:
-    """The ``bin`` header and the packed rows, which share the matrix
-    words unless a row ends before its last word's last byte."""
-    header = _BIN_HEADER.pack(BIN_MAGIC, BIN_VERSION, 0, M.rows, M.cols)
+def _bin_parts(M: BitMatrix) -> Iterator[bytes | np.ndarray]:
+    """The ``bin`` header, then the packed rows one row block at a time;
+    a block shares the matrix words unless a row ends before its last
+    word's last byte or the matrix has not packed them."""
+    yield _BIN_HEADER.pack(BIN_MAGIC, BIN_VERSION, 0, M.rows, M.cols)
     stride = (M.cols + 7) // 8
-    return header, np.ascontiguousarray(M.words.view(np.uint8)[:, :stride])
+    for block in _row_blocks(M):
+        yield np.ascontiguousarray(block.view(np.uint8)[:, :stride])
 
 
 def write_bin(M: BitMatrix) -> bytes:
@@ -155,9 +158,10 @@ def read_bin(blob: bytes) -> BitMatrix:
     body = body.reshape(rows, stride)
     if cols % 8 and (body[:, -1] >> cols % 8).any():
         raise ValueError("set bits beyond the last column")
-    # Each row's bytes, zero-padded to whole 64-bit words.
+    # Each row's bytes, zero-padded to whole 64-bit words in a fresh
+    # array; the bits past the last column were checked to be clear.
     words = np.pad(body, ((0, 0), (0, -stride % 8))).view(np.uint64)
-    return BitMatrix(rows, cols, words)
+    return BitMatrix._wrap(rows, cols, words)
 
 
 def write_json(M: BitMatrix) -> str:

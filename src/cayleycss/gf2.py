@@ -1,17 +1,21 @@
 """Dense GF(2) linear algebra.
 
 A vector is one Python int, bit ``i`` its position ``i``.  A matrix
-keeps its rows packed into 64-bit words, little-endian bit order within
+holds its rows packed into 64-bit words, little-endian bit order within
 words: bit ``i`` of a row lives in word ``i // 64`` at position
 ``i % 64``.  All serialization uses this layout, and a vector's
-``words`` view packs it the same way.
+``words`` view packs it the same way.  A matrix built from row-major
+coordinates packs its words only when they are first read; rank,
+row-space membership and the ``bin`` writer read it in row blocks of
+BLOCK_BYTES, so they never hold it packed whole.
 
 Elimination is one XOR basis of Python integers keyed by leading bit,
 ``int_echelon``.  A matrix caches two, built on first use: its rows
-give ``rank`` and ``in_row_space``, its columns ``solve_preimage`` and,
-as their dependencies in order, ``kernel_basis``.  Everything here is
-immutable after construction; the read-only bases are safe to share
-between threads.
+give ``rank`` and ``in_row_space`` and carry no masks, its columns
+``solve_preimage`` and, as their dependencies in order,
+``kernel_basis``.  Everything here is immutable after construction; the
+packed words and the bases are cached read-only on first use, so a
+matrix is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -57,6 +61,17 @@ class EmptyDifferenceError(GF2Error):
 
 def _n_words(length: int) -> int:
     return (length + WORD_BITS - 1) // WORD_BITS
+
+
+def _pack(rows: int, cols: int, rr: np.ndarray, cc: np.ndarray) -> np.ndarray:
+    """The rows x cols packed words with ones at (rr, cc), each inside
+    the matrix; a repeated coordinate sets its bit once, and no padding
+    bit is set."""
+    words = np.zeros((rows, _n_words(cols)), dtype=np.uint64)
+    flat = rr * words.shape[1] + cc // WORD_BITS
+    bits = np.uint64(1) << (cc % WORD_BITS).astype(np.uint64)
+    np.bitwise_or.at(words.reshape(-1), flat, bits)
+    return words
 
 
 #: Byte b with its eight bits in reverse order, at index b.
@@ -207,9 +222,18 @@ class BitVector:
 
 
 class BitMatrix:
-    """An immutable GF(2) matrix stored as packed rows."""
+    """An immutable GF(2) matrix stored as packed rows.
 
-    __slots__ = ("rows", "cols", "words", "_row_basis", "_col_basis",
+    A matrix built from row-major coordinates without repeats keeps the
+    coordinates and packs ``words`` from them on first read, caching
+    the result read-only as the bases are cached.  Two threads that
+    read it at once each pack the same words and one copy is kept, so a
+    matrix stays safe to share.  Rank, row-space membership and the
+    ``bin`` writer read it one row block at a time (``_row_blocks``)
+    and never pack it whole.
+    """
+
+    __slots__ = ("rows", "cols", "_words", "_row_basis", "_col_basis",
                  "_coords")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray):
@@ -228,11 +252,15 @@ class BitMatrix:
         M._hold(rows, cols, words)
         return M
 
-    def _hold(self, rows: int, cols: int, words: np.ndarray) -> None:
-        """Take ``words`` read-only as the payload, with no caches yet."""
-        words.setflags(write=False)
-        self.rows, self.cols, self.words = rows, cols, words
-        self._row_basis = self._col_basis = self._coords = None
+    def _hold(self, rows: int, cols: int, words: np.ndarray | None,
+              coords: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+        """Take ``words`` read-only as the payload, or else the row-major
+        ``coords`` to pack it from, with no caches yet."""
+        if words is not None:
+            words.setflags(write=False)
+        self.rows, self.cols, self._words = rows, cols, words
+        self._row_basis = self._col_basis = None
+        self._coords = coords
 
     # -- constructors --------------------------------------------------
 
@@ -245,25 +273,21 @@ class BitMatrix:
     def from_nonzero(cls, rows: int, cols: int, rr, cc) -> "BitMatrix":
         """The rows x cols matrix with ones at the coordinates (rr, cc),
         the inverse of ``nonzero()``, which returns them when they come
-        in row-major order without repeats.  The index arrays broadcast
-        against each other; a repeated coordinate sets its bit once, and
-        one outside the matrix raises ValueError."""
-        rr = np.asarray(rr, dtype=np.int64)
-        cc = np.asarray(cc, dtype=np.int64)
+        in row-major order without repeats; such a matrix packs its
+        words on first read.  The index arrays broadcast against each
+        other; a repeated coordinate sets its bit once, and one outside
+        the matrix raises ValueError."""
+        rr, cc = (np.asarray(a, dtype=np.int64) for a in (rr, cc))
+        rr, cc = (a.flatten() for a in np.broadcast_arrays(rr, cc))
         if not ((0 <= rr) & (rr < rows) & (0 <= cc) & (cc < cols)).all():
             raise ValueError(f"coordinate outside the {rows} x {cols} matrix")
-        words = np.zeros((rows, _n_words(cols)), dtype=np.uint64)
-        flat = rr * words.shape[1] + cc // WORD_BITS
-        bits = np.uint64(1) << (cc % WORD_BITS).astype(np.uint64)
-        np.bitwise_or.at(words.reshape(-1), flat, bits)
-        # Every column is below cols, so the padding bits stay clear.
-        M = cls._wrap(rows, cols, words)
-        key = (rr * cols + cc).ravel()
-        if (key[1:] > key[:-1]).all():  # row-major without repeats
-            rr, cc = (a.flatten() for a in np.broadcast_arrays(rr, cc))
-            rr.setflags(write=False)
-            cc.setflags(write=False)
-            M._coords = rr, cc
+        key = rr * cols + cc
+        if not (key[1:] > key[:-1]).all():  # not row-major without repeats
+            return cls._wrap(rows, cols, _pack(rows, cols, rr, cc))
+        rr.setflags(write=False)
+        cc.setflags(write=False)
+        M = object.__new__(cls)
+        M._hold(rows, cols, None, (rr, cc))
         return M
 
     @classmethod
@@ -288,6 +312,16 @@ class BitMatrix:
         return cls(rows, cols, packed.view(np.uint64))
 
     # -- queries -------------------------------------------------------
+
+    @property
+    def words(self) -> np.ndarray:
+        """The packed rows, read-only; packed from the coordinates on
+        the first read and kept."""
+        if self._words is None:
+            words = _pack(self.rows, self.cols, *self._coords)
+            words.setflags(write=False)
+            self._words = words
+        return self._words
 
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.words[i])
@@ -356,15 +390,41 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
+#: Bytes of packed words in one row block of ``_row_blocks``.  Rank on
+#: the 32768 x 32768 halved hypercube block at m = 16 (2-core Xeon, in
+#: process, halved_matrix and rank, four runs each) peaked at 91.5 /
+#: 91.7 / 94.0 / 103 / 125 MB with 64 KiB / 256 KiB / 1 / 4 / 16 MiB
+#: blocks, in 0.43-0.47 s at 64 KiB and 0.39-0.45 s from 256 KiB up.
+BLOCK_BYTES = 1 << 18
+
+
+def _row_blocks(M: BitMatrix) -> Iterator[np.ndarray]:
+    """M's packed words in blocks of consecutive rows, at most
+    BLOCK_BYTES each (but at least one row): slices of M's words when it
+    holds them, else each block packed from its own coordinates."""
+    step = max(BLOCK_BYTES // max(8 * _n_words(M.cols), 1), 1)
+    for start in range(0, M.rows, step):
+        stop = min(start + step, M.rows)
+        if M._words is not None:
+            yield M._words[start:stop]
+        else:
+            rr, cc = M._coords
+            lo, hi = np.searchsorted(rr, (start, stop))
+            yield _pack(stop - start, M.cols, rr[lo:hi] - start, cc[lo:hi])
+
+
 def _int_rows(M: BitMatrix) -> Iterator[int]:
-    """M's rows as integers, converted one at a time."""
-    return (int.from_bytes(w.tobytes(), "little") for w in M.words)
+    """M's rows as integers, converted one row block at a time."""
+    for block in _row_blocks(M):
+        yield from (int.from_bytes(w.tobytes(), "little") for w in block)
 
 
 def row_basis(M: BitMatrix) -> Mapping[int, tuple[int, int]]:
-    """The int_echelon basis of M's rows, built once and cached on M."""
+    """The int_echelon basis of M's rows with every mask 0, built once
+    and cached on M: rank and membership read no masks."""
     if M._row_basis is None:
-        M._row_basis = MappingProxyType(int_echelon(_int_rows(M)))
+        basis = int_echelon(_int_rows(M), masks=False)
+        M._row_basis = MappingProxyType(basis)
     return M._row_basis
 
 
@@ -436,10 +496,13 @@ def is_self_orthogonal(M: BitMatrix) -> bool:
     and the row loop runs otherwise.
     """
     limit = min(
-        M.rows * M.rows * M.words.shape[1] // PAIR_COST_IN_WORDS,
+        M.rows * M.rows * _n_words(M.cols) // PAIR_COST_IN_WORDS,
         MAX_SPARSE_PAIRS,
     )
-    nnz = int(np.bitwise_count(M.words).sum())
+    if M._coords is not None:
+        nnz = M._coords[0].size
+    else:
+        nnz = int(np.bitwise_count(M.words).sum())
     # sum_c deg(c)^2 >= nnz^2 / cols rules out dense inputs before their
     # coordinates are listed.
     if nnz * nnz <= limit * M.cols:
@@ -479,6 +542,7 @@ def int_echelon(
     vectors: Iterable[int],
     dependencies: list[int] | None = None,
     basis: dict[int, tuple[int, int]] | None = None,
+    masks: bool = True,
 ) -> dict[int, tuple[int, int]]:
     """Echelon basis of integers under XOR, as {leading bit length:
     (row, mask)}; bit i of mask is set when input i was XORed into the
@@ -488,10 +552,12 @@ def int_echelon(
     ``dependencies``, if given, receives the mask of every input that
     reduces to zero, in input order.  ``basis``, if given, is a basis
     to extend in place; its masks are XORed into those of the inputs.
+    With ``masks`` false every input's mask starts at 0, so no row
+    carries one.
     """
     basis = {} if basis is None else basis
     for i, v in enumerate(vectors):
-        v, mask = int_reduce(basis, v, 1 << i)
+        v, mask = int_reduce(basis, v, 1 << i if masks else 0)
         if v:
             basis[v.bit_length()] = v, mask
         elif dependencies is not None:

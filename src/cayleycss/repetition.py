@@ -185,12 +185,11 @@ def kernel_basis_recursive(n: int) -> list[BitVector]:
     ker = gf2.kernel_basis(M)
     K = len(ker)
     # Pair coefficients: the dependencies of ker and J ker on top of M's
-    # row basis, its masks cleared so only theirs remain.
-    rows = {k: (row, 0) for k, (row, _) in gf2.row_basis(M).items()}
+    # row basis, whose masks are 0, so only theirs remain.
     pair_coeffs = []
     gf2.int_echelon(
         (v.to_int() for v in ker + [reversal(v) for v in ker]),
-        pair_coeffs, rows,
+        pair_coeffs, dict(gf2.row_basis(M)),
     )
     if len(pair_coeffs) != 1 << n:
         raise AssertionError(

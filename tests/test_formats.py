@@ -1,6 +1,7 @@
 """Matrix serialization round trips and golden outputs."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,23 @@ def test_bin_rows_byte_aligned():
     blob = formats.write_bin(M)
     assert len(blob) == 16 + 9 * 2
     assert formats.read_bin(blob) == M
+
+
+@pytest.mark.parametrize("cols", [8192, 8190])
+def test_read_bin_pads_the_words_once(cols):
+    # 1024 rows of 1 KiB: the padded array is the matrix's own words, so
+    # reading allocates them once (not a second copy in BitMatrix).
+    rng = np.random.default_rng(cols)
+    M = BitMatrix.from_dense(rng.integers(0, 2, (1024, cols), dtype=np.uint8))
+    blob = formats.write_bin(M)
+    tracemalloc.start()
+    try:
+        back = formats.read_bin(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == M and not back.words.flags.writeable
+    assert peak < 1.5 * M.words.nbytes, f"peak {peak} bytes"
 
 
 def test_bin_rejects_bad_magic(tower_8x8):

@@ -199,21 +199,17 @@ def test_word_boundary_shapes_match_the_oracles(rows, cols):
 @settings(max_examples=60, deadline=None, database=None)
 @given(matrices())
 def test_row_basis_is_keyed_by_leading_bit(dense):
-    # Each row has its key as leading bit length and is the XOR of the
-    # matrix rows its mask names; the cached mapping is read-only.
+    # Each row has its key as leading bit length and lies in the row
+    # space; there are rank(M) of them, so they span it, no row carries
+    # a mask, and the cached mapping is read-only.
     M = BitMatrix.from_dense(dense)
     basis = gf2.row_basis(M)
     assert isinstance(basis, MappingProxyType)
     assert len(basis) == len(oracle_echelon(M)[0])
-    rows = [M.row(i).to_int() for i in range(M.rows)]
     for lead, (row, mask) in basis.items():
         assert row.bit_length() == lead > 0
-        assert 0 < mask < 1 << M.rows
-        xor = 0
-        for i, r in enumerate(rows):
-            if mask >> i & 1:
-                xor ^= r
-        assert xor == row
+        assert mask == 0
+        assert oracle_in_row_space(M, BitVector.from_int(M.cols, row))
     with pytest.raises(TypeError):
         basis[0] = (0, 0)
 
@@ -223,14 +219,15 @@ def test_row_basis_is_keyed_by_leading_bit(dense):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The number of inputs of every ``gf2.int_echelon`` call."""
+    """The number of inputs of every ``gf2.int_echelon`` call, and
+    whether it keeps dependency masks."""
     calls = []
     real = gf2.int_echelon
 
-    def spy(vectors, *args):
+    def spy(vectors, *args, **kwargs):
         vectors = list(vectors)
-        calls.append(len(vectors))
-        return real(vectors, *args)
+        calls.append((len(vectors), kwargs.get("masks", True)))
+        return real(vectors, *args, **kwargs)
 
     monkeypatch.setattr(gf2, "int_echelon", spy)
     return calls
@@ -242,15 +239,16 @@ def random_matrix(rows, cols, seed=0):
 
 
 def test_rank_builds_no_column_basis(eliminations):
+    # The 90 rows once, without masks.
     M = random_matrix(90, 130)
     assert gf2.rank(M) == len(oracle_echelon(M)[0])
-    assert eliminations == [90]
+    assert eliminations == [(90, False)]
     assert M._col_basis is None
 
 
 def test_membership_kernels_and_solves_eliminate_once_each(eliminations):
-    # The rows once for membership, the 130 columns once for the kernel
-    # and every solve.
+    # The rows once for membership, without masks, and the 130 columns
+    # once, with them, for the kernel and every solve.
     M = random_matrix(90, 130)
     rng = np.random.default_rng(1)
     for i in range(10):
@@ -265,7 +263,7 @@ def test_membership_kernels_and_solves_eliminate_once_each(eliminations):
     assert [v.to_int() for v in gf2.kernel_basis(M)] == first
     b = M.mul_vector(vector(rng, M.cols))
     assert M.mul_vector(gf2.solve_preimage(M, b)) == b
-    assert eliminations == [90, 130]
+    assert eliminations == [(90, False), (130, True)]
 
 
 @pytest.mark.parametrize("rows", [0, 5])

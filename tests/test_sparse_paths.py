@@ -415,6 +415,7 @@ def test_other_coordinates_take_the_computed_path(cols, kind):
     else:  # as verify.halved_block compares U with its transpose
         M = BitMatrix.from_nonzero(cols, 9, cc, rr)
         dense = dense.T
+    assert M._words is not None  # packed at once; a repeat sets one bit
     assert not kept(M)
     assert_nonzero_is_dense_nonzero(M)
     assert M == BitMatrix.from_dense(dense)

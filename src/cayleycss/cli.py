@@ -4,9 +4,9 @@ logical-witness reports as machine-readable JSON.
 
 Usage: ``cayley-css COMMAND [--opt value | --opt=value]...``.  Each
 option takes one value (given twice, the last counts) and is spelled in
-full.  An unknown command, an option the command does not take, a
-missing value, a non-integer or a bad choice prints one ``error:`` line
-and exits 2 before any work.
+full.  An unknown command, an option the command or its --family does
+not read, a missing value, a non-integer or a bad choice prints one
+``error:`` line and exits 2 before any work.
 
 Exit codes: 0 success, 2 precondition violation, 3 verification
 failure, 4 enumeration/size budget exceeded.
@@ -282,17 +282,20 @@ def cmd_witness(args, started: float) -> int:
     return EXIT_OK
 
 
-# Option: (converter or tuple of choices, commands that take it or None
-# for all, default, help).  Command c runs cmd_c.
+# Option: (converter or tuple of choices, the commands that read it or
+# None for all, default, help).  Command c runs cmd_c.
 OPTIONS = {
-    "--m": (int, None, None, "group dimension"),
+    "--m": (int, ("build", "params", "verify", "cover"), None,
+            "group dimension"),
     # --n stays a string so verify can take a range like "3..13".
-    "--n": (str, None, None, "family parameter (verify: range LO..HI)"),
-    "--gens": (lambda t: t.split(","), None, None,
-               "comma-separated generator bitstrings, x1 first"),
-    "--family": (("repetition", "hypercube", "custom", "z2n-torus"), None,
-                 "custom", "generator family"),
-    "--exact-budget": (int, None, gf2.DEFAULT_ENUMERATION_BUDGET,
+    "--n": (str, ("build", "params", "verify", "witness"), None,
+            "family parameter (verify: range LO..HI)"),
+    "--gens": (lambda t: t.split(","), ("build", "params", "verify", "cover"),
+               None, "comma-separated generator bitstrings, x1 first"),
+    "--family": (("repetition", "hypercube", "custom", "z2n-torus"),
+                 ("build", "params"), "custom", "generator family"),
+    "--exact-budget": (int, ("params", "verify"),
+                       gf2.DEFAULT_ENUMERATION_BUDGET,
                        "max kernel dimension of a block for exact distance"),
     "--seed": (int, None, DEFAULT_SEED, "seed of the randomized checks"),
     "--threads": (int, None, None, "threads for the suites of verify "
@@ -355,17 +358,26 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 def check_options(args) -> None:
     """Refuse malformed or out-of-range options before any work."""
-    if args.n is not None and args.command != "verify":
+    if getattr(args, "n", None) is not None and args.command != "verify":
         try:
             args.n = int(args.n)
         except ValueError:
             raise CliError(f"--n must be an integer, got {args.n!r}") from None
+    if hasattr(args, "family"):  # build and params: what the family reads
+        reads = {"repetition": "n", "custom": "m gens", "z2n-torus": "n",
+                 "hypercube": "m" if args.n is None else "n"}[args.family]
+        said = "--" + reads.replace(" ", " and --")
+        for name in ("n", "m", "gens"):
+            if getattr(args, name) is not None and name not in reads.split():
+                raise CliError(f"--family {args.family} reads {said}, "
+                               f"not --{name}")
     if args.threads < 1:
         raise CliError(f"--threads must be at least 1, got {args.threads}")
-    if not 0 <= args.exact_budget <= gf2.MAX_ENUMERATION_BUDGET:
+    budget = getattr(args, "exact_budget", 0)
+    if not 0 <= budget <= gf2.MAX_ENUMERATION_BUDGET:
         raise CliError(
             f"--exact-budget must be between 0 and "
-            f"{gf2.MAX_ENUMERATION_BUDGET}, got {args.exact_budget}"
+            f"{gf2.MAX_ENUMERATION_BUDGET}, got {budget}"
         )
     if getattr(args, "radius", None) is not None and args.radius < 0:
         raise CliError(f"--radius must be at least 0, got {args.radius}")

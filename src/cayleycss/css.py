@@ -181,9 +181,8 @@ def distance_exact(
     searches = {}  # id(B): the one search of a matrix blocks share
     for B, pos in searched:
         if id(B) not in searches:
-            rows = [B.row(i) for i in range(B.rows)]
             searches[id(B)] = gf2.min_weight_in_span_minus_subspace(
-                gf2.kernel_basis(B), rows, budget
+                gf2.column_basis(B)[1], gf2.row_basis(B), B.cols, budget
             )
         weight, witness = searches[id(B)]
         if pos is not None:

@@ -4,18 +4,19 @@ A vector is one Python int, bit ``i`` its position ``i``.  A matrix
 holds its rows packed into 64-bit words, little-endian bit order within
 words: bit ``i`` of a row lives in word ``i // 64`` at position
 ``i % 64``.  All serialization uses this layout, and a vector's
-``words`` view packs it the same way.  A matrix built from row-major
-coordinates packs its words only when they are first read; rank,
-row-space membership and the ``bin`` writer read it in row blocks of
-BLOCK_BYTES, so they never hold it packed whole.
+``words`` view packs it the same way.  A matrix built from coordinates
+packs its words only when they are first read; rank, membership, the
+column basis (of the lazy transpose) and the ``bin`` writer read it in
+row blocks of BLOCK_BYTES, so they never hold it packed whole.
 
 Elimination is one XOR basis of Python integers keyed by leading bit,
 ``int_echelon``.  A matrix caches two, built on first use: its rows
 give ``rank`` and ``in_row_space`` and carry no masks, its columns
 ``solve_preimage`` and, as their dependencies in order,
-``kernel_basis``.  Everything here is immutable after construction; the
-packed words and the bases are cached read-only on first use, so a
-matrix is safe to share between threads.
+``kernel_basis``; the distance engine reads both as ints.  Everything
+here is immutable after construction; the packed words and the bases
+are cached read-only on first use, so a matrix is safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -224,43 +225,39 @@ class BitVector:
 class BitMatrix:
     """An immutable GF(2) matrix stored as packed rows.
 
-    A matrix built from row-major coordinates without repeats keeps the
-    coordinates and packs ``words`` from them on first read, caching
-    the result read-only as the bases are cached.  Two threads that
-    read it at once each pack the same words and one copy is kept, so a
-    matrix stays safe to share.  Rank, row-space membership and the
-    ``bin`` writer read it one row block at a time (``_row_blocks``)
-    and never pack it whole.
+    A matrix built from coordinates keeps them, sorted row-major without
+    repeats, and packs ``words`` from them on first read, caching the
+    result read-only as the bases are cached.  Two threads that read it
+    at once each pack the same words and one copy is kept, so a matrix
+    stays safe to share.  Rank, the column basis (through the lazy
+    transpose), row-space membership and the ``bin`` writer read it one
+    row block at a time (``_row_blocks``) and never pack it whole.
     """
 
     __slots__ = ("rows", "cols", "_words", "_row_basis", "_col_basis",
                  "_coords")
 
-    def __init__(self, rows: int, cols: int, words: np.ndarray):
+    def __new__(cls, rows: int, cols: int, words: np.ndarray) -> "BitMatrix":
         if words.shape != (rows, _n_words(cols)) or words.dtype != np.uint64:
             raise ValueError("payload shape/dtype mismatch")
         words = words.copy()
         if cols % WORD_BITS and words.size:  # clear the padding bits
             words[:, -1] &= np.uint64((1 << cols % WORD_BITS) - 1)
-        self._hold(rows, cols, words)
+        return cls._wrap(rows, cols, words)
 
     @classmethod
-    def _wrap(cls, rows: int, cols: int, words: np.ndarray) -> "BitMatrix":
-        """A matrix over ``words`` without a copy: the caller passes
-        words that nothing else writes to, with zero padding bits."""
+    def _wrap(cls, rows: int, cols: int, words: np.ndarray | None,
+              coords: tuple[np.ndarray, np.ndarray] | None = None
+              ) -> "BitMatrix":
+        """A matrix over ``words`` without a copy (words that nothing
+        else writes to, with zero padding bits), or else over the sorted
+        row-major ``coords`` to pack them from; read-only, no caches."""
         M = object.__new__(cls)
-        M._hold(rows, cols, words)
+        for a in (words,) if coords is None else coords:
+            a.setflags(write=False)
+        M.rows, M.cols, M._words, M._coords = rows, cols, words, coords
+        M._row_basis = M._col_basis = None
         return M
-
-    def _hold(self, rows: int, cols: int, words: np.ndarray | None,
-              coords: tuple[np.ndarray, np.ndarray] | None = None) -> None:
-        """Take ``words`` read-only as the payload, or else the row-major
-        ``coords`` to pack it from, with no caches yet."""
-        if words is not None:
-            words.setflags(write=False)
-        self.rows, self.cols, self._words = rows, cols, words
-        self._row_basis = self._col_basis = None
-        self._coords = coords
 
     # -- constructors --------------------------------------------------
 
@@ -272,23 +269,18 @@ class BitMatrix:
     @classmethod
     def from_nonzero(cls, rows: int, cols: int, rr, cc) -> "BitMatrix":
         """The rows x cols matrix with ones at the coordinates (rr, cc),
-        the inverse of ``nonzero()``, which returns them when they come
-        in row-major order without repeats; such a matrix packs its
-        words on first read.  The index arrays broadcast against each
-        other; a repeated coordinate sets its bit once, and one outside
-        the matrix raises ValueError."""
+        the inverse of ``nonzero()``: the broadcast index arrays, sorted
+        row-major with a repeat once, are kept and the words packed on
+        first read.  A coordinate outside the matrix raises ValueError."""
         rr, cc = (np.asarray(a, dtype=np.int64) for a in (rr, cc))
         rr, cc = (a.flatten() for a in np.broadcast_arrays(rr, cc))
         if not ((0 <= rr) & (rr < rows) & (0 <= cc) & (cc < cols)).all():
             raise ValueError(f"coordinate outside the {rows} x {cols} matrix")
         key = rr * cols + cc
-        if not (key[1:] > key[:-1]).all():  # not row-major without repeats
-            return cls._wrap(rows, cols, _pack(rows, cols, rr, cc))
-        rr.setflags(write=False)
-        cc.setflags(write=False)
-        M = object.__new__(cls)
-        M._hold(rows, cols, None, (rr, cc))
-        return M
+        if not (key[1:] > key[:-1]).all():  # sort, and keep a repeat once
+            key.sort()
+            rr, cc = np.divmod(key[np.append(True, key[1:] != key[:-1])], cols)
+        return cls._wrap(rows, cols, None, (rr, cc))
 
     @classmethod
     def from_rows(cls, rows: Sequence[BitVector]) -> "BitMatrix":
@@ -428,7 +420,7 @@ def row_basis(M: BitMatrix) -> Mapping[int, tuple[int, int]]:
     return M._row_basis
 
 
-def _column_basis(M: BitMatrix) -> tuple[Mapping, tuple[int, ...]]:
+def column_basis(M: BitMatrix) -> tuple[Mapping, tuple[int, ...]]:
     """The int_echelon basis of M's columns and the dependency masks of
     the columns it leaves out, built once and cached on M."""
     if M._col_basis is None:
@@ -450,7 +442,7 @@ def kernel_basis(M: BitMatrix) -> list[BitVector]:
     of the columns before it: that column and the columns independent of
     their predecessors that sum to it, the reduced kernel basis of
     Gauss-Jordan elimination, vector for vector."""
-    return [BitVector.from_int(M.cols, k) for k in _column_basis(M)[1]]
+    return [BitVector.from_int(M.cols, k) for k in column_basis(M)[1]]
 
 
 def in_row_space(M: BitMatrix, v: BitVector) -> bool:
@@ -470,7 +462,7 @@ def solve_preimage(M: BitMatrix, b: BitVector) -> BitVector | None:
     """
     if b.length != M.rows:
         raise ValueError(f"vector length {b.length} != row count {M.rows}")
-    residual, x = int_reduce(_column_basis(M)[0], b.to_int())
+    residual, x = int_reduce(column_basis(M)[0], b.to_int())
     return None if residual else BitVector.from_int(M.cols, x)
 
 
@@ -598,44 +590,41 @@ MAX_TABLE_BYTES = 1 << 20
 
 
 def min_weight_in_span_minus_subspace(
-    span_basis: Sequence[BitVector],
-    sub_basis: Sequence[BitVector],
+    span_basis: Sequence[int],
+    sub_basis: Mapping[int, tuple[int, int]],
+    length: int,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> tuple[int, BitVector]:
     """Minimum Hamming weight over span(K) \\ span(I), with a witness.
 
-    The words are the XOR combinations of a subspace basis followed by
-    a complement basis.  A table holds all 2^T combinations of the first
-    T of these vectors (T bounded by MAX_TABLE_BYTES), built by
-    doubling, so its rows [0, 2^s) for the s subspace vectors among them
-    are subspace words.  A Gray code over the other vectors XORs one
-    offset into the whole table per step and takes the popcount and
-    minimum in NumPy; while the offset has no complement part, the
-    subspace rows are left out.  Ties on weight break towards the
-    numerically least witness, which makes the result independent of
-    the enumeration order.
+    K is ``span_basis``, independent ints of ``length`` bits; I is the
+    int_echelon basis ``sub_basis`` of a subspace of span(K), such as a
+    matrix's cached row basis (masks unread).  The one elimination
+    extends a copy of I by K: the residuals of the K vectors that join
+    it complete I's rows to a basis of span(K).  A table holds all 2^T
+    combinations of the first T of these vectors (T bounded by
+    MAX_TABLE_BYTES), built by doubling, so its rows [0, 2^s) for the s
+    subspace vectors among them are subspace words.  A Gray code over
+    the other vectors XORs one offset into the whole table per step and
+    takes the popcount and minimum in NumPy; while the offset has no
+    complement part, the subspace rows are left out.  Ties on weight
+    break towards the numerically least witness, which makes the result
+    independent of the enumeration order.
     """
-    length = span_basis[0].length if span_basis else 0
-    sub_ints = [b for b, _ in int_echelon(v.to_int() for v in sub_basis)
-                .values()]
-    span_ints = [b for b, _ in int_echelon(v.to_int() for v in span_basis)
-                 .values()]
-    dim_span = len(span_ints)
-    if dim_span > budget:
-        raise DimensionBudgetError(dim_span, budget)
-    s = len(sub_ints)
-    joint = int_echelon(sub_ints + span_ints)
-    if len(joint) > dim_span:
+    if len(span_basis) > budget:
+        raise DimensionBudgetError(len(span_basis), budget)
+    s = len(sub_basis)
+    joint = int_echelon(span_basis, basis=dict(sub_basis), masks=False)
+    if len(joint) > len(span_basis):
         raise ValueError("subspace basis is not contained in the span")
-    # Complement basis: the rows that took in some span vector.
-    comp = [b for b, mask in joint.values() if mask >> s]
-    if not comp:
+    rows = [b for b, _ in joint.values()]  # I's rows, then the complement
+    if len(rows) == s:
         raise EmptyDifferenceError("span and subspace coincide")
 
     nw = _n_words(length)
     vectors = [
         np.frombuffer(v.to_bytes(nw * 8, "little"), np.uint64)[:, None]
-        for v in sub_ints + comp
+        for v in rows
     ]
     t = len(vectors)
     while (16 * nw) << t > MAX_TABLE_BYTES:
@@ -643,13 +632,12 @@ def min_weight_in_span_minus_subspace(
     # Word-major, so each word of the 2^t combinations is contiguous.
     table = np.zeros((nw, 1), dtype=np.uint64)
     for v in vectors[:t]:
-        table = np.hstack([table, table ^ v])
+        table = np.concatenate((table, table ^ v), axis=1)
     subspace_rows = 1 << min(s, t)
     rest = vectors[t:]
     # Offsets i < 2^q have no complement part: q subspace vectors remain.
     q = max(s - t, 0)
-    best_w = length + 1
-    best_v = 0
+    best_w, best_v = length + 1, 0
     offset = np.zeros((nw, 1), dtype=np.uint64)
     for i in range(1 << len(rest)):
         if i:
@@ -662,8 +650,8 @@ def min_weight_in_span_minus_subspace(
         if nw > 1:
             w = w.sum(axis=0, dtype=np.int32)
         if in_subspace:
-            w[:subspace_rows] = np.iinfo(w.dtype).max
-        low = int(w.min())
+            w[:subspace_rows] = length + 1  # heavier than any word
+        low = int(np.minimum.reduce(w))
         if low > best_w:
             continue
         # The least value among the ties: the most significant word decides.

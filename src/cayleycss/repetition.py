@@ -197,10 +197,12 @@ def kernel_basis_recursive(n: int) -> list[BitVector]:
         )
     basis: list[BitVector] = []
     zero = BitVector.zeros(1 << n)
-    combine = BitMatrix.from_rows(ker).transpose().mul_vector
     for coeff in pair_coeffs:
-        d1 = combine(BitVector.from_int(K, coeff & ((1 << K) - 1)))
-        d2 = combine(BitVector.from_int(K, coeff >> K))
+        d = [0, 0]  # d1, d2: the kernel words at coeff's low, high K bits
+        for k in range(2 * K):
+            if coeff >> k & 1:
+                d[k >= K] ^= ker[k % K].value
+        d1, d2 = (BitVector.from_int(1 << n, v) for v in d)
         c1 = gf2.solve_preimage(M, d2 ^ reversal(d1))
         c2 = gf2.solve_preimage(M, d1 ^ reversal(d2))
         if c1 is None or c2 is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import gf2
 from .gf2 import DimensionBudgetError, gray_span
 from .cayley import format_small_word
 
@@ -79,7 +80,7 @@ def enumerate_codewords(code: ClassicalCode) -> list[int]:
 
 @lru_cache(maxsize=64)
 def min_distance(code: ClassicalCode) -> int | None:
-    """Minimum weight over nonzero codewords, exhaustively.
+    """Minimum weight over nonzero codewords, by the distance engine.
 
     Returns None when the code has no nonzero codeword (dimension 0);
     never a sentinel integer.  Cached, so that the CLI's sweep guard and
@@ -88,8 +89,6 @@ def min_distance(code: ClassicalCode) -> int | None:
     basis = code.codeword_basis()
     if not basis:
         return None
-    if len(basis) > MAX_ENUMERATION_DIMENSION:
-        raise DimensionBudgetError(len(basis), MAX_ENUMERATION_DIMENSION)
-    words = gray_span(basis)
-    next(words)  # zero comes first
-    return min(v.bit_count() for v in words)
+    return gf2.min_weight_in_span_minus_subspace(
+        basis, {}, code.length, MAX_ENUMERATION_DIMENSION
+    )[0]

@@ -363,8 +363,8 @@ def halved_block(n: int) -> tuple[bool, str]:
     a bipartite ``css.CssCode`` rest on.  Every one of U, at (i, j),
     must join e_i and o_j by a generator, and U must hold 2^(n-1) |S|
     ones, one per edge of the graph, so that it is all of M's
-    even-to-odd part; then U = U^T is compared directly.  M itself is
-    not built.  U . U^T = 0 is tested up to n = 9."""
+    even-to-odd part; then U = U^T compares the row-major coordinates
+    U and U^T keep.  M is not built.  U . U^T = 0 is tested to n = 9."""
     S = repetition.generators(n)
     U = repetition.halved(n)
     evens, odds = cayley.class_vertices(n)
@@ -374,7 +374,7 @@ def halved_block(n: int) -> tuple[bool, str]:
     edges = len(odds) * len(S.elements)
     if len(r) != edges or not is_generator[evens[r] ^ odds[c]].all():
         return False, "M is not the lift of U"
-    if BitMatrix.from_nonzero(U.cols, U.rows, c, r) != U:
+    if not np.array_equal(U.transpose().nonzero(), (r, c)):
         return False, "U != U^T"
     if n > 9:
         return True, (

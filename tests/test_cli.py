@@ -267,10 +267,19 @@ def test_threads_below_one_exits_before_work(capsys, monkeypatch, threads):
     "params --family bogus --n 3",
     "cover --m 5 --gens 11111 stray",
     "params --family repetition --n 7 --exact 3",
+    "params --family repetition --n 5 --m 7 --gens 1111111",
+    "params --family hypercube --n 4 --m 6",
+    "params --family custom --m 4 --gens 1100,0011 --n 9",
+    "witness --n 5 --family custom",
+    "build --family z2n-torus --n 3 --m 4 --out t.mtx",
+    "cover --m 5 --gens 11111 --n 3",
+    "witness --n 5 --exact-budget 4",
 ], ids=["no-command", "unknown-command", "option-of-another-command",
         "missing-value", "missing-text-value", "option-as-value",
         "non-integer", "bad-choice", "stray-positional",
-        "abbreviated-option"])
+        "abbreviated-option", "repetition-with-m-and-gens",
+        "hypercube-with-n-and-m", "custom-with-n", "witness-with-family",
+        "torus-with-m", "cover-with-n", "witness-with-budget"])
 def test_malformed_argv_exits_2_before_work(capsys, monkeypatch, line):
     for command in ("build", "params", "verify", "cover", "witness"):
         monkeypatch.setattr(cli, f"cmd_{command}", refuse_work)
@@ -320,23 +329,32 @@ def reference_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--m", type=int, help="group dimension")
-        p.add_argument("--n", help="family parameter (verify: range LO..HI)")
-        p.add_argument(
-            "--gens",
-            type=lambda t: t.split(","),
-            help="comma-separated generator bitstrings, x1 first",
-        )
-        p.add_argument(
-            "--family",
-            choices=("repetition", "hypercube", "custom", "z2n-torus"),
-            default="custom",
-        )
-        p.add_argument(
-            "--exact-budget", type=int,
-            default=gf2.DEFAULT_ENUMERATION_BUDGET,
-            help="max kernel dimension for exhaustive distance search",
-        )
+        # Each command takes only the options it reads, and every
+        # command --seed, --threads and --out.
+        command = p.prog.split()[-1]
+        if command != "witness":
+            p.add_argument("--m", type=int, help="group dimension")
+        if command != "cover":
+            p.add_argument("--n",
+                           help="family parameter (verify: range LO..HI)")
+        if command != "witness":
+            p.add_argument(
+                "--gens",
+                type=lambda t: t.split(","),
+                help="comma-separated generator bitstrings, x1 first",
+            )
+        if command in ("build", "params"):
+            p.add_argument(
+                "--family",
+                choices=("repetition", "hypercube", "custom", "z2n-torus"),
+                default="custom",
+            )
+        if command in ("params", "verify"):
+            p.add_argument(
+                "--exact-budget", type=int,
+                default=gf2.DEFAULT_ENUMERATION_BUDGET,
+                help="max kernel dimension for exhaustive distance search",
+            )
         p.add_argument("--seed", type=int, default=cli.DEFAULT_SEED)
         p.add_argument(
             "--threads", default=os.environ.get("CAYLEY_CSS_THREADS", "1")
@@ -542,8 +560,10 @@ def test_verify_all_names_skipped_sizes_per_suite(capsys):
 
 
 def test_runs_do_not_import_numpy_ma():
-    # numpy.ma loads lazily (np.unique, for one) and costs 15-20 ms in
-    # every fresh process; none of these runs needs it.
+    # numpy.ma loads lazily and costs 15-20 ms in every fresh process;
+    # none of these runs needs it.  On NumPy 2.4, np.unique loads it
+    # unless it is asked for counts, so the kept coordinates are sorted
+    # and de-duplicated without it.
     script = (
         "import contextlib, io, sys\n"
         "from cayleycss import cli\n"

@@ -232,16 +232,17 @@ def test_min_weight_matches_oracle():
         length = rng.randint(6, 16)
         sub_ints = [rng.getrandbits(length) for _ in range(3)]
         extra = [rng.getrandbits(length) for _ in range(4)]
-        span_vecs = [
-            BitVector.from_int(length, v) for v in sub_ints + extra
-        ]
-        sub_vecs = [BitVector.from_int(length, v) for v in sub_ints]
+        span_basis = [b for b, _ in
+                      gf2.int_echelon(sub_ints + extra).values()]
+        sub_basis = gf2.int_echelon(sub_ints)
         diff = xor_span(sub_ints + extra) - xor_span(sub_ints)
         if not diff:
             with pytest.raises(EmptyDifferenceError):
-                min_weight_in_span_minus_subspace(span_vecs, sub_vecs)
+                min_weight_in_span_minus_subspace(span_basis, sub_basis,
+                                                  length)
             continue
-        w, witness = min_weight_in_span_minus_subspace(span_vecs, sub_vecs)
+        w, witness = min_weight_in_span_minus_subspace(span_basis, sub_basis,
+                                                       length)
         best = min(diff, key=lambda v: (v.bit_count(), v))
         assert (w, witness.to_int()) == (best.bit_count(), best)
         checked += 1
@@ -249,16 +250,18 @@ def test_min_weight_matches_oracle():
 
 
 def test_min_weight_budget_and_empty_difference():
-    vs = [BitVector.from_support(40, [i]) for i in range(30)]
+    units = [1 << i for i in range(30)]
     with pytest.raises(DimensionBudgetError) as err:
-        min_weight_in_span_minus_subspace(vs, [], budget=26)
+        min_weight_in_span_minus_subspace(units, {}, 40, budget=26)
     assert err.value.dimension == 30
     with pytest.raises(EmptyDifferenceError):
-        min_weight_in_span_minus_subspace(vs[:4], vs[:4])
+        min_weight_in_span_minus_subspace(units[:4],
+                                          gf2.int_echelon(units[:4]), 40)
+    with pytest.raises(EmptyDifferenceError):
+        min_weight_in_span_minus_subspace([], {}, 40)
 
 
 def test_min_weight_subspace_containment_enforced():
-    a = [BitVector.from_support(3, [0])]
-    b = [BitVector.from_support(3, [1])]
     with pytest.raises(ValueError):
-        min_weight_in_span_minus_subspace(a, b)
+        min_weight_in_span_minus_subspace([0b001], gf2.int_echelon([0b010]),
+                                          3)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleycss import gf2
+from cayleycss import css, gf2, repetition
 from cayleycss.gf2 import BitMatrix, BitVector
 
 # -- oracles: the column-at-a-time loop ------------------------------------
@@ -264,6 +264,18 @@ def test_membership_kernels_and_solves_eliminate_once_each(eliminations):
     b = M.mul_vector(vector(rng, M.cols))
     assert M.mul_vector(gf2.solve_preimage(M, b)) == b
     assert eliminations == [(90, False), (130, True)]
+
+
+def test_exact_distance_reads_the_cached_bases(eliminations):
+    # U's rows and columns once each, then one extension of a copy of
+    # the row basis by the kernel: the search packs no word of U.
+    code = repetition.build_code(5)
+    report = css.distance_exact(code)
+    assert (report.value, report.witness.weight) == (4, 4)
+    assert len(eliminations) <= 3
+    U = code.blocks[0][0]
+    assert all(B is U for B, _ in code.blocks)
+    assert U._words is None
 
 
 @pytest.mark.parametrize("rows", [0, 5])

@@ -167,18 +167,13 @@ def test_mul_vector_matches_dense_product(rows, cols, seed):
 # -- reference: the inline two-level Gray walk ----------------------------
 
 
-def reference_walk(span_basis, sub_basis):
+def reference_walk(width, span, sub):
     """A Gray code over the complement coefficients, and inside each of
     its steps one over the subspace coefficients; (weight, value)."""
-    length = span_basis[0].length
-    sub_ints = [b for b, _ in
-                gf2.int_echelon(v.to_int() for v in sub_basis).values()]
-    span_ints = [b for b, _ in
-                 gf2.int_echelon(v.to_int() for v in span_basis).values()]
-    s = len(sub_ints)
-    joint = gf2.int_echelon(sub_ints + span_ints)
+    s = len(sub)
+    joint = gf2.int_echelon(sub + span)
     comp = [b for b, mask in joint.values() if mask >> s]
-    best_w = length + 1
+    best_w = width + 1
     best_v = 0
     outer = 0
     for i in range(1, 1 << len(comp)):
@@ -188,19 +183,21 @@ def reference_walk(span_basis, sub_basis):
         if w < best_w or (w == best_w and v < best_v):
             best_w, best_v = w, v
         for j in range(1, 1 << s):
-            v ^= sub_ints[(j & -j).bit_length() - 1]
+            v ^= sub[(j & -j).bit_length() - 1]
             w = v.bit_count()
             if w < best_w or (w == best_w and v < best_v):
                 best_w, best_v = w, v
     return best_w, best_v
 
 
-def table_walk(span_vs, sub_vs, t):
-    """The engine with its table held to 2^t combinations."""
-    width = span_vs[0].length
+def table_walk(width, span, sub, t):
+    """The engine with its table held to 2^t combinations, on the span
+    ints and the int_echelon basis of the subspace ints."""
     cap = (16 * gf2._n_words(width)) << t
     with mock.patch.object(gf2, "MAX_TABLE_BYTES", cap):
-        weight, witness = gf2.min_weight_in_span_minus_subspace(span_vs, sub_vs)
+        weight, witness = gf2.min_weight_in_span_minus_subspace(
+            span, gf2.int_echelon(sub), width
+        )
     return weight, witness.to_int()
 
 
@@ -236,9 +233,7 @@ def mixed(rng, vs):
 def case(width, s, c, seed, sparse=False):
     rng = np.random.default_rng(seed)
     vs = independent(rng, width, s + c, sparse)
-    span = [BitVector.from_int(width, v) for v in mixed(rng, vs)]
-    sub = [BitVector.from_int(width, v) for v in mixed(rng, vs[:s])]
-    return span, sub
+    return mixed(rng, vs), mixed(rng, vs[:s])
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -247,7 +242,7 @@ def case(width, s, c, seed, sparse=False):
 def test_table_walk_matches_gray_walk(width, s, c, data, seed, sparse):
     span, sub = case(width, s, c, seed, sparse)
     t = data.draw(st.integers(0, s + c))
-    assert table_walk(span, sub, t) == reference_walk(span, sub)
+    assert table_walk(width, span, sub, t) == reference_walk(width, span, sub)
 
 
 @pytest.mark.parametrize("width", [63, 64, 65, 128])
@@ -263,7 +258,8 @@ def test_table_walk_at_table_boundaries(width, s, c, t):
     for seed in range(3):
         for sparse in (False, True):
             span, sub = case(width, s, c, seed, sparse)
-            assert table_walk(span, sub, t) == reference_walk(span, sub)
+            assert (table_walk(width, span, sub, t)
+                    == reference_walk(width, span, sub))
 
 
 @pytest.mark.parametrize("t", range(6))
@@ -271,12 +267,10 @@ def test_table_walk_breaks_ties_towards_the_least_value(t):
     # The weight-1 words e1 = (e1 + e3) + e3, e3, e5, e9 and e64 tie,
     # spread over the table and the offsets; the least value, e1, wins.
     width = 65
-    span = [BitVector.from_support(width, [p]) for p in (9, 5, 3, 64)]
-    span.append(BitVector.from_support(width, [1, 3]))
-    sub = [BitVector.from_support(width, [1, 3])]
-    assert table_walk(span, sub, t) == reference_walk(span, sub) == (1, 2)
-    sub = [BitVector.from_support(width, [1, 5, 9])]
-    assert table_walk(span, sub, t) == reference_walk(span, sub) == (1, 2)
+    span = [1 << p for p in (9, 5, 3, 64)] + [1 << 1 | 1 << 3]
+    for sub in ([1 << 1 | 1 << 3], [1 << 1 | 1 << 5 | 1 << 9]):
+        assert (table_walk(width, span, sub, t)
+                == reference_walk(width, span, sub) == (1, 2))
 
 
 # -- the int representation at its edges ----------------------------------

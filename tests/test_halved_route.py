@@ -74,6 +74,13 @@ def lifted_kernel_and_rows(code):
     return kernel, rows
 
 
+def search_full_matrix(M):
+    """The engine on M's own kernel and row basis, never on U."""
+    return gf2.min_weight_in_span_minus_subspace(
+        gf2.column_basis(M)[1], gf2.row_basis(M), M.cols
+    )
+
+
 def translate(w, t):
     """The word moved by the graph automorphism v -> v + t."""
     return BitVector.from_support(w.length, [v ^ t for v in w.support()])
@@ -138,10 +145,7 @@ def test_random_odd_weight_sets_agree_with_the_full_matrix(drawn, seed):
     dim = len(kernel)
     if 0 < code.K and dim <= ORACLE_DISTANCE_DIMENSION:
         report = css.distance_exact(code)
-        weight, witness = gf2.min_weight_in_span_minus_subspace(
-            gf2.kernel_basis(M), [M.row(i) for i in range(M.rows)]
-        )
-        assert (report.value, report.witness) == (weight, witness)
+        assert (report.value, report.witness) == search_full_matrix(M)
     rng = random.Random(seed)
     words = [random_word(rng, N), M.mul_vector(random_word(rng, N))]
     value = 0
@@ -166,10 +170,7 @@ def test_exact_distance_matches_the_walk_over_m(seed):
             break
     M = full_matrix(5, S)
     report = css.distance_exact(code)
-    weight, witness = gf2.min_weight_in_span_minus_subspace(
-        gf2.kernel_basis(M), [M.row(i) for i in range(M.rows)]
-    )
-    assert (report.value, report.witness) == (weight, witness)
+    assert (report.value, report.witness) == search_full_matrix(M)
 
 
 #: Self-orthogonal blocks of known distance: a trivial one (kernel equals
@@ -212,7 +213,10 @@ def test_exact_distance_of_two_different_blocks(first, first_pos, second,
     assert gf2.is_self_orthogonal(first) and gf2.is_self_orthogonal(second)
     report = css.distance_exact(code)
     kernel, rows = lifted_kernel_and_rows(code)
-    weight, witness = gf2.min_weight_in_span_minus_subspace(kernel, rows)
+    weight, witness = gf2.min_weight_in_span_minus_subspace(
+        [v.to_int() for v in kernel],
+        gf2.int_echelon(r.to_int() for r in rows), code.N,
+    )
     assert (report.value, report.witness) == (weight, witness)
     assert (report.value, report.witness.support()) == (value, support)
     assert css.classify_word(code, report.witness) is WordClass.LOGICAL

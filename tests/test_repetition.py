@@ -1,5 +1,6 @@
 """The basis-plus-all-ones tower: recursion, kernels, witnesses."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -150,6 +151,23 @@ def test_recursive_kernel_basis_eliminates_the_level_matrix_once(
     monkeypatch.setattr(gf2, "_int_rows", spy)
     basis = kernel_basis_recursive(7)
     assert shapes == [(128, 128), (128, 128), (len(basis), 512)]
+
+
+@pytest.mark.parametrize("n, count, digest", [
+    (3, 20, "7fcb65db64764a32ccfb8584e6c80f6e23c49ae9a75dd128cccfd7496630802c"),
+    (5, 72, "90f26053207afed3fd8a9258e6d1c2ac451e017c58c67c5e7b758f22cb49d033"),
+    (7, 272, "561945912a4a4e4f5a59a967822a2051d3a0aaffcad896e795a53e0a953e540e"),
+])
+def test_recursive_kernel_words_are_pinned_vector_for_vector(n, count,
+                                                             digest):
+    # The SHA-256 of the words, in order, as combining the pair
+    # coefficients through the transposed kernel matrix gave them: (d1,
+    # d2) and (d2, d1) both lift to kernel words, so only the words
+    # themselves show which half of a coefficient is d1.
+    basis = kernel_basis_recursive(n)
+    blob = b"".join(v.to_int().to_bytes((4 << n) // 8, "little")
+                    for v in basis)
+    assert (len(basis), hashlib.sha256(blob).hexdigest()) == (count, digest)
 
 
 # -- image parametrization and normal forms --------------------------------

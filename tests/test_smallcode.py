@@ -1,6 +1,9 @@
 """Classical codes with parity check [I_m | P(W)]."""
 
 import itertools
+import random
+from functools import reduce
+from operator import xor
 
 import numpy as np
 import pytest
@@ -80,6 +83,53 @@ def test_min_distance():
     assert min_distance(code) == 6
     code2 = build_parity_check(3, (0b011,))
     assert min_distance(code2) == 3
+
+
+def gray_loop_min_distance(code) -> int:
+    """The Gray loop min_distance ran before it called the distance
+    engine, kept as its oracle: every nonzero codeword in turn, one
+    basis XOR per step, and the least weight among them."""
+    basis = code.codeword_basis()
+    v, best = 0, code.length
+    for i in range(1, 1 << len(basis)):
+        v ^= basis[(i & -i).bit_length() - 1]
+        best = min(best, v.bit_count())
+    return best
+
+
+def fewest_basis_words(code, d) -> int:
+    """The fewest codeword basis words whose XOR has weight d."""
+    basis = code.codeword_basis()
+    return next(k for k in range(1, len(basis) + 1)
+                if any(reduce(xor, c).bit_count() == d
+                       for c in itertools.combinations(basis, k)))
+
+
+@pytest.mark.parametrize("w", range(1, 13))
+def test_min_distance_matches_the_gray_loop(w):
+    # Six random codes, and from w = 3 on one whose lightest codewords
+    # all combine three or more basis words: W holds W_0 + W_1, so
+    # (W_0, W_1, W_0 + W_1) sum to a weight-3 codeword.
+    rng = random.Random(w)
+    codes = []
+    while len(codes) < 6:
+        m = rng.randint(4 if w < 12 else 5, 9)
+        extra = [v for v in range(1 << m) if v.bit_count() >= 2]
+        codes.append(build_parity_check(m, rng.sample(extra, w)))
+    while w >= 3 and len(codes) < 7:
+        m = rng.randint(7, 10)
+        W = rng.sample([v for v in range(1 << m) if v.bit_count() >= 3],
+                       w - 1)
+        try:
+            code = build_parity_check(m, W + [W[0] ^ W[1]])
+        except InvalidGeneratorError:
+            continue
+        if fewest_basis_words(code, gray_loop_min_distance(code)) >= 3:
+            codes.append(code)
+    for code in codes:
+        d = gray_loop_min_distance(code)
+        assert min_distance.__wrapped__(code) == d
+        assert min_distance(code) == d
 
 
 def test_invalid_generators():

@@ -404,21 +404,34 @@ def test_row_major_coordinates_are_kept_as_nonzero(cols, rows, density):
 
 @pytest.mark.parametrize("kind", ["unsorted", "repeated", "transposed"])
 @pytest.mark.parametrize("cols", [63, 64, 65, 128])
-def test_other_coordinates_take_the_computed_path(cols, kind):
+def test_other_coordinates_are_sorted_and_kept(cols, kind):
+    # Any coordinate list is kept, sorted row-major with a repeat once,
+    # as read-only arrays that nonzero() hands out; nothing is packed
+    # until the words are read.
     rng = np.random.default_rng(cols)
     dense = (rng.random((9, cols)) < 0.3).astype(np.uint8)
     rr, cc = np.nonzero(dense)
     if kind == "unsorted":
-        M = BitMatrix.from_nonzero(9, cols, rr[::-1], cc[::-1])
+        order = rng.permutation(rr.size)
+        rr, cc = rr[order], cc[order]
     elif kind == "repeated":
-        M = BitMatrix.from_nonzero(9, cols, rr.repeat(2), cc.repeat(2))
+        take = np.concatenate([np.arange(rr.size),
+                               rng.integers(0, rr.size, 40)])
+        rr, cc = rr[take], cc[take]
     else:  # as verify.halved_block compares U with its transpose
-        M = BitMatrix.from_nonzero(cols, 9, cc, rr)
+        rr, cc = cc, rr
         dense = dense.T
-    assert M._words is not None  # packed at once; a repeat sets one bit
-    assert not kept(M)
-    assert_nonzero_is_dense_nonzero(M)
+    M = BitMatrix.from_nonzero(*dense.shape, rr, cc)
+    assert M._words is None
+    assert kept(M)
+    for a, b in zip(M.nonzero(), np.nonzero(dense)):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+        with pytest.raises(ValueError):
+            a[...] = 0
+    assert rr.flags.writeable and cc.flags.writeable  # the caller's own
+    assert M._words is None  # still unpacked after nonzero()
     assert M == BitMatrix.from_dense(dense)
+    assert M._words is not None and not M._words.flags.writeable
 
 
 def test_tower_builds_and_readbacks_keep_their_coordinates():

@@ -46,13 +46,13 @@ DEFAULT_SEED = 20240901
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_PRECONDITION):
-        super().__init__(message)
-        self.code = code
+    """A malformed or inconsistent option: exit 2."""
 
 
 def parse_n_range(text: str) -> list[int]:
-    """Parse "3..13" or a single "5" into a list of integers."""
+    """Parse "3..13" or a single "5" into the tower sizes it names,
+    refusing sizes outside 3..MAX_WITNESS_DIMENSION from its two ends
+    before the list is built."""
     parts = text.split("..", 1)
     try:
         lo, hi = int(parts[0]), int(parts[-1])
@@ -62,6 +62,13 @@ def parse_n_range(text: str) -> list[int]:
         ) from None
     if lo > hi:
         raise CliError(f"empty range {text!r}")
+    if lo < 3:
+        raise CliError(f"the tower starts at n = 3, got --n {text}")
+    if hi > repetition.MAX_WITNESS_DIMENSION:
+        raise SizeGuardError(
+            f"--n {text} exceeds the n <= "
+            f"{repetition.MAX_WITNESS_DIMENSION} guard"
+        )
     return list(range(lo, hi + 1))
 
 
@@ -167,8 +174,6 @@ def cover_code(args) -> ClassicalCode:
 
 def cmd_verify(args, started: float) -> int:
     ns = parse_n_range(args.n) if args.n else list(range(3, 14))
-    if ns[0] < 3:
-        raise CliError(f"the tower starts at n = 3, got --n {args.n}")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     # Only the sized suites build anything of size n.
     sized = any(name in verify.SIZED_SUITES for name in names)
@@ -390,7 +395,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return globals()[f"cmd_{args.command}"](args, time.perf_counter())
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_PRECONDITION
     except (gf2.DimensionBudgetError, SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

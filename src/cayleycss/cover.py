@@ -93,8 +93,8 @@ class CoverMap:
         self.m = code.m
         self.n = code.length
         self.columns = tuple(1 << i for i in range(code.m)) + code.W
-        self._domain = GeneratorSet.canonical(self.n)
-        self._target = GeneratorSet(self.m, self.columns)
+        self.domain = GeneratorSet.canonical(self.n)
+        self.target = GeneratorSet(self.m, self.columns)
 
     @cached_property
     def codewords(self) -> tuple[int, ...]:
@@ -112,12 +112,6 @@ class CoverMap:
         """floor((d-2)/2), the largest r with 2r + 1 < d: the proven
         ball-isomorphism radius, induced edges included."""
         return (self.classical_distance - 2) // 2
-
-    def domain_generators(self) -> GeneratorSet:
-        return self._domain
-
-    def target_generators(self) -> GeneratorSet:
-        return self._target
 
     def project(self, x: int) -> int:
         """Group homomorphism F_2^(m+w) -> F_2^m via the columns."""
@@ -156,8 +150,7 @@ def certify_ball_isomorphism(
 
     Returns the lexicographically first collision pair on failure.
     """
-    dom = cm.domain_generators()
-    domain_ball = sorted(ball_vertices(cm.n, dom, center, r))
+    domain_ball = sorted(ball_vertices(cm.n, cm.domain, center, r))
     images: dict[int, int] = {}
     for v in domain_ball:
         img = cm.project(v)
@@ -166,9 +159,7 @@ def certify_ball_isomorphism(
                 center, r, images[img], v, "vertex-collision"
             )
         images[img] = v
-    target_ball = ball_vertices(
-        cm.m, cm.target_generators(), cm.project(center), r
-    )
+    target_ball = ball_vertices(cm.m, cm.target, cm.project(center), r)
     if set(images) != target_ball:
         # Surjectivity cannot fail for a covering map with injective
         # restriction, but check it rather than trust it.
@@ -234,7 +225,7 @@ def certify_all_centers(
     which names the same counterexample the center-by-center loop does.
     """
     # The target ball around t is t ^ target, by BFS in the target graph.
-    target = list(ball_vertices(cm.m, cm.target_generators(), 0, r))
+    target = list(ball_vertices(cm.m, cm.target, 0, r))
     if ball_volume(cm.n, r) != len(target):
         # No hypercube ball maps onto its target ball, the one at 0
         # included.

@@ -461,9 +461,9 @@ def torus_adjacency(n: int) -> BitMatrix:
 
 
 def suite_algebra(
-    ns: Iterable[int] = (), seed: int = 20240901, samples: int = 100, **_
+    ns: Iterable[int] = (), seed: int = 20240901, **_
 ) -> list[CheckItem]:
-    items = []
+    items, samples = [], 100
 
     def exhaustive(m):
         # Every size, odd ones too: an odd-size set is never
@@ -573,14 +573,13 @@ def non_lift_example() -> tuple[bool, str]:
     m = 5
     code = build_parity_check(m, ((1 << m) - 1,))
     cm = cover.CoverMap(code)
-    target_gens = cm.target_generators()
     c = BitVector.from_support(
         1 << m, [v for v in range(1 << m) if v.bit_count() == 2]
     )
-    if cover.sphere_orthogonality_profile(m, target_gens, c):
+    if cover.sphere_orthogonality_profile(m, cm.target, c):
         return False, "weight-2 shell is not in the dual code"
     lifted = cover.lift_ball_word(cm, c, 0, 2)
-    probe = cayley.sphere(cm.n, cm.domain_generators(), 0b000111)
+    probe = cayley.sphere(cm.n, cm.domain, 0b000111)
     overlap = sum(probe.bit(v) for v in lifted.support())
     return (
         overlap == 3,

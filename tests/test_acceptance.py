@@ -7,7 +7,6 @@ enumeration (n <= 5) and certified by weight-exact logical witnesses
 above that.
 """
 
-import itertools
 import random
 import time
 
@@ -145,28 +144,6 @@ def test_09_in_ball_decomposition_is_exactly_the_codeword_test():
     elapsed = time.perf_counter() - t0
     assert ok, detail
     assert elapsed < 1, f"exhaustive sweep took {elapsed:.2f} s"
-
-
-def test_10_self_orthogonality_three_way_agreement():
-    for m in (2, 3, 4):
-        nonzero = range(1, 1 << m)
-        for size in range(2, (1 << m), 2):
-            combos = list(itertools.combinations(nonzero, size))
-            agree = verify.three_way_agreement(m, combos)
-            assert agree.all(), (
-                f"disagreement at m={m}, S={combos[agree.argmin()]}"
-            )
-    rng = random.Random(77)
-    for m in (5, 6):
-        for _ in range(100):
-            size = 2 * rng.randint(1, 8)
-            combo = tuple(rng.sample(range(1, 1 << m), size))
-            assert verify.three_way_agreement(m, [combo]).all()
-    for n in (2, 3, 4):
-        group, terms = verify.torus_example_generators(n)
-        from cayleycss.cayley import algebra_nilpotency_check
-
-        assert algebra_nilpotency_check(group, terms)
 
 
 def test_11_halved_codes():

@@ -659,6 +659,22 @@ def test_size_free_suites_run_past_the_size_guard(capsys, suite, n):
     assert names[0] == names[1] and names[0]
 
 
+# No command builds past n = MAX_WITNESS_DIMENSION, so --n is refused
+# above it from the two ends of the range, before the list of sizes is
+# built: 3..10000000000 names 10^10 of them.
+@pytest.mark.parametrize("n_range", ["3..24", "3..300000", "3..10000000000"])
+def test_verify_above_the_witness_cap_exits_4_at_once(capsys, monkeypatch,
+                                                      n_range):
+    monkeypatch.setattr(verify, "run_suite", refuse_work)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--suite", "local-sum",
+                             "--n", n_range)
+    assert time.perf_counter() - started < 0.5
+    assert code == 4
+    assert out == ""
+    assert err == f"error: --n {n_range} exceeds the n <= 23 guard\n"
+
+
 # Kernel dimension 10: each U block of the n = 5 tower, and its halved
 # code.  The budget is charged per block.
 @pytest.mark.parametrize("suite, budget, dim, threads", [

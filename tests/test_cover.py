@@ -7,7 +7,7 @@ from array import array
 
 import pytest
 
-from cayleycss import cover, verify
+from cayleycss import cli, cover, gf2, verify
 from cayleycss.cayley import GeneratorSet, SizeGuardError, ball, sphere
 from cayleycss.cover import (
     BallCollision,
@@ -24,7 +24,7 @@ from cayleycss.cover import (
     sphere_orthogonality_profile,
 )
 from cayleycss.gf2 import BitMatrix, BitVector
-from cayleycss.smallcode import build_parity_check
+from cayleycss.smallcode import build_parity_check, min_distance
 
 
 @pytest.fixture
@@ -290,6 +290,23 @@ def test_sweep_size_guard(monkeypatch):
         check_sweep_length(long)
 
 
+def test_cover_never_calls_the_distance_engine(monkeypatch, capsys):
+    # The classical distance comes from the codeword walk; the quantum
+    # distance engine is for CSS blocks only.
+    def refuse_engine(*_):
+        raise AssertionError("the cover path called the distance engine")
+
+    monkeypatch.setattr(gf2, "min_weight_in_span_minus_subspace",
+                        refuse_engine)
+    min_distance.cache_clear()
+    assert cli.main(["cover", "--m", "5", "--gens", "11111"]) == 0
+    assert '"classical_distance": 6' in capsys.readouterr().out
+    # The lightest codeword sums all three basis words: weight 1 in
+    # F_2^7 and three unit bits.
+    cm = CoverMap(build_parity_check(7, (0b1110000, 0b0001110, 0b1111111)))
+    assert cm.classical_distance == 4
+
+
 def test_lift_at_safe_radius_for_odd_distance():
     cm = CoverMap(build_parity_check(4, (0b1111,)))
     assert (cm.classical_distance, cm.safe_radius) == (5, 1)
@@ -331,7 +348,7 @@ def test_non_liftable_word_example():
 def test_sphere_orthogonality_profile():
     m = 5
     cm = CoverMap(build_parity_check(m, (0b11111,)))
-    S = cm.target_generators()
+    S = cm.target
     shell2 = BitVector.from_support(
         1 << m, [v for v in range(32) if v.bit_count() == 2]
     )

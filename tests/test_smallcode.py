@@ -8,8 +8,9 @@ from operator import xor
 import numpy as np
 import pytest
 
-from cayleycss.gf2 import BitMatrix, BitVector
+from cayleycss.gf2 import BitMatrix, BitVector, DimensionBudgetError
 from cayleycss.smallcode import (
+    MAX_ENUMERATION_DIMENSION,
     InvalidGeneratorError,
     build_parity_check,
     enumerate_codewords,
@@ -85,16 +86,14 @@ def test_min_distance():
     assert min_distance(code2) == 3
 
 
-def gray_loop_min_distance(code) -> int:
-    """The Gray loop min_distance ran before it called the distance
-    engine, kept as its oracle: every nonzero codeword in turn, one
-    basis XOR per step, and the least weight among them."""
-    basis = code.codeword_basis()
-    v, best = 0, code.length
-    for i in range(1, 1 << len(basis)):
-        v ^= basis[(i & -i).bit_length() - 1]
-        best = min(best, v.bit_count())
-    return best
+def syndrome_oracle_distance(code) -> int:
+    """The least weight over every nonzero word of F_2^(m+w) whose
+    syndrome under parity_check is zero, all 2^(m+w) words at once."""
+    n = code.length
+    bits = np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1
+    H = parity_check(code).to_dense().astype(np.int64)
+    zero = ~(bits @ H.T % 2).any(axis=1)
+    return int(bits[zero].sum(axis=1).min())
 
 
 def fewest_basis_words(code, d) -> int:
@@ -105,31 +104,43 @@ def fewest_basis_words(code, d) -> int:
                        for c in itertools.combinations(basis, k)))
 
 
-@pytest.mark.parametrize("w", range(1, 13))
-def test_min_distance_matches_the_gray_loop(w):
-    # Six random codes, and from w = 3 on one whose lightest codewords
-    # all combine three or more basis words: W holds W_0 + W_1, so
-    # (W_0, W_1, W_0 + W_1) sum to a weight-3 codeword.
+@pytest.mark.parametrize("w", range(1, 11))
+def test_min_distance_matches_the_syndrome_oracle(w):
+    # Six random codes of length m + w <= 14, and for 3 <= w <= 8 one
+    # whose lightest codewords all combine three or more basis words:
+    # W holds W_0 + W_1, so (W_0, W_1, W_0 + W_1) sum to a weight-3
+    # codeword.
     rng = random.Random(w)
     codes = []
     while len(codes) < 6:
-        m = rng.randint(4 if w < 12 else 5, 9)
+        m = rng.randint(4, 14 - w)
         extra = [v for v in range(1 << m) if v.bit_count() >= 2]
         codes.append(build_parity_check(m, rng.sample(extra, w)))
-    while w >= 3 and len(codes) < 7:
-        m = rng.randint(7, 10)
+    while 3 <= w <= 8 and len(codes) < 7:
+        m = rng.randint(6, 14 - w)
         W = rng.sample([v for v in range(1 << m) if v.bit_count() >= 3],
                        w - 1)
         try:
             code = build_parity_check(m, W + [W[0] ^ W[1]])
         except InvalidGeneratorError:
             continue
-        if fewest_basis_words(code, gray_loop_min_distance(code)) >= 3:
+        if fewest_basis_words(code, syndrome_oracle_distance(code)) >= 3:
             codes.append(code)
     for code in codes:
-        d = gray_loop_min_distance(code)
+        assert code.length <= 14
+        d = syndrome_oracle_distance(code)
         assert min_distance.__wrapped__(code) == d
         assert min_distance(code) == d
+
+
+def test_walks_refuse_dimension_25_before_any_step():
+    W = [v for v in range(1 << 5) if v.bit_count() >= 2][:25]
+    code = build_parity_check(5, W)
+    for walk in (enumerate_codewords, min_distance.__wrapped__):
+        with pytest.raises(DimensionBudgetError) as exc:
+            walk(code)
+        assert (exc.value.dimension, exc.value.budget) == (
+            25, MAX_ENUMERATION_DIMENSION)
 
 
 def test_invalid_generators():

@@ -34,6 +34,8 @@ from math import comb
 from operator import xor
 from typing import Iterable, Optional
 
+import numpy as np
+
 # ``ball`` stays bound here: the benchmark tracer's self-test reads it.
 from .cayley import GeneratorSet, SizeGuardError, ball, ball_vertices, sphere
 from .gf2 import BitMatrix, BitVector, solve_preimage
@@ -355,5 +357,9 @@ def _sphere_system(
     S = GeneratorSet.canonical(m)
     outer = frozenset(ball_vertices(m, S, center, r))
     candidates = tuple(sorted(ball_vertices(m, S, center, max(r - 1, 0))))
-    spheres = BitMatrix.from_rows([sphere(m, S, t) for t in candidates])
-    return outer, candidates, spheres.transpose()
+    # Column j holds the sphere around candidate j: rows t_j ^ s, s in S.
+    t = np.array(candidates)[:, None]
+    spheres = BitMatrix.from_nonzero(
+        1 << m, t.size, t ^ np.array(S.elements), np.arange(t.size)[:, None]
+    )
+    return outer, candidates, spheres

@@ -130,9 +130,8 @@ def read_mtx(text: str) -> BitMatrix:
 
 
 def _bin_parts(M: BitMatrix) -> Iterator[bytes | np.ndarray]:
-    """The ``bin`` header, then the packed rows one row block at a time;
-    a block shares the matrix words unless a row ends before its last
-    word's last byte or the matrix has not packed them."""
+    """The ``bin`` header, then the rows packed one row block at a time,
+    each row cut to its ``(cols + 7) // 8`` bytes."""
     yield _BIN_HEADER.pack(BIN_MAGIC, BIN_VERSION, 0, M.rows, M.cols)
     stride = (M.cols + 7) // 8
     for block in _row_blocks(M):
@@ -144,6 +143,9 @@ def write_bin(M: BitMatrix) -> bytes:
 
 
 def read_bin(blob: bytes) -> BitMatrix:
+    """The matrix of a ``bin`` blob: its rows, padded to whole 64-bit
+    words, are read into coordinates; a set bit past the last column,
+    a bad header or a payload of the wrong length raises ValueError."""
     if len(blob) < _BIN_HEADER.size:
         raise ValueError("binary matrix header is truncated")
     magic, version, _, rows, cols = _BIN_HEADER.unpack_from(blob)
@@ -158,10 +160,8 @@ def read_bin(blob: bytes) -> BitMatrix:
     body = body.reshape(rows, stride)
     if cols % 8 and (body[:, -1] >> cols % 8).any():
         raise ValueError("set bits beyond the last column")
-    # Each row's bytes, zero-padded to whole 64-bit words in a fresh
-    # array; the bits past the last column were checked to be clear.
     words = np.pad(body, ((0, 0), (0, -stride % 8))).view(np.uint64)
-    return BitMatrix._wrap(rows, cols, words)
+    return BitMatrix._from_words(rows, cols, words)
 
 
 def write_json(M: BitMatrix) -> str:

@@ -1,22 +1,21 @@
-"""Dense GF(2) linear algebra.
+"""GF(2) linear algebra.
 
-A vector is one Python int, bit ``i`` its position ``i``.  A matrix
-holds its rows packed into 64-bit words, little-endian bit order within
-words: bit ``i`` of a row lives in word ``i // 64`` at position
-``i % 64``.  All serialization uses this layout, and a vector's
-``words`` view packs it the same way.  A matrix built from coordinates
-packs its words only when they are first read; rank, membership, the
-column basis (of the lazy transpose) and the ``bin`` writer read it in
-row blocks of BLOCK_BYTES, so they never hold it packed whole.
+A vector is one Python int, bit ``i`` its position ``i``.  A matrix is
+the coordinates of its ones, sorted row-major without repeats.  Packed
+words, where anything reads them, hold a row little-endian: bit ``i``
+lives in word ``i // 64`` at position ``i % 64``.  All serialization
+uses this layout, and the ``words`` view of a vector or a matrix packs
+it the same way.  Rank, membership, the column basis (of the
+transpose) and the ``bin`` writer pack a matrix in row blocks of
+BLOCK_BYTES, so they never hold it packed whole.
 
 Elimination is one XOR basis of Python integers keyed by leading bit,
 ``int_echelon``.  A matrix caches two, built on first use: its rows
 give ``rank`` and ``in_row_space`` and carry no masks, its columns
 ``solve_preimage`` and, as their dependencies in order,
 ``kernel_basis``; the distance engine reads both as ints.  Everything
-here is immutable after construction; the packed words and the bases
-are cached read-only on first use, so a matrix is safe to share
-between threads.
+here is immutable after construction and the bases are cached
+read-only, so a matrix is safe to share between threads.
 """
 
 from __future__ import annotations
@@ -223,41 +222,37 @@ class BitVector:
 
 
 class BitMatrix:
-    """An immutable GF(2) matrix stored as packed rows.
+    """An immutable GF(2) matrix held as the coordinates of its ones,
+    sorted row-major without repeats, in two read-only index arrays.
 
-    A matrix built from coordinates keeps them, sorted row-major without
-    repeats, and packs ``words`` from them on first read, caching the
-    result read-only as the bases are cached.  Two threads that read it
-    at once each pack the same words and one copy is kept, so a matrix
-    stays safe to share.  Rank, the column basis (through the lazy
-    transpose), row-space membership and the ``bin`` writer read it one
-    row block at a time (``_row_blocks``) and never pack it whole.
+    ``nonzero()`` hands them out; every other view is built from them on
+    each call.  Rank, the column basis (through the transpose),
+    row-space membership and the ``bin`` writer pack them one row block
+    at a time (``_row_blocks``), so nothing packs the matrix whole but
+    a read of ``words``.
     """
 
-    __slots__ = ("rows", "cols", "_words", "_row_basis", "_col_basis",
-                 "_coords")
-
-    def __new__(cls, rows: int, cols: int, words: np.ndarray) -> "BitMatrix":
-        if words.shape != (rows, _n_words(cols)) or words.dtype != np.uint64:
-            raise ValueError("payload shape/dtype mismatch")
-        words = words.copy()
-        if cols % WORD_BITS and words.size:  # clear the padding bits
-            words[:, -1] &= np.uint64((1 << cols % WORD_BITS) - 1)
-        return cls._wrap(rows, cols, words)
+    __slots__ = ("rows", "cols", "_coords", "_row_basis", "_col_basis")
 
     @classmethod
-    def _wrap(cls, rows: int, cols: int, words: np.ndarray | None,
-              coords: tuple[np.ndarray, np.ndarray] | None = None
-              ) -> "BitMatrix":
-        """A matrix over ``words`` without a copy (words that nothing
-        else writes to, with zero padding bits), or else over the sorted
-        row-major ``coords`` to pack them from; read-only, no caches."""
-        M = object.__new__(cls)
-        for a in (words,) if coords is None else coords:
-            a.setflags(write=False)
-        M.rows, M.cols, M._words, M._coords = rows, cols, words, coords
-        M._row_basis = M._col_basis = None
-        return M
+    def _from_words(cls, rows: int, cols: int, words: np.ndarray
+                    ) -> "BitMatrix":
+        """The matrix of packed words with zero padding bits: each
+        nonzero word peels its lowest bit into its row-major slot, one
+        bit per pass."""
+        wr, wc = np.nonzero(words)
+        w = words[wr, wc]
+        count = np.bitwise_count(w).astype(np.int64)
+        slot = np.cumsum(count) - count  # where each word's next bit goes
+        base = wc * WORD_BITS
+        cc = np.empty(count.sum(), dtype=np.int64)
+        while w.size:
+            low = w & -w
+            cc[slot] = base + np.bitwise_count(low - np.uint64(1))
+            w ^= low
+            more = w != 0
+            w, slot, base = w[more], slot[more] + 1, base[more]
+        return cls.from_nonzero(rows, cols, np.repeat(wr, count), cc)
 
     # -- constructors --------------------------------------------------
 
@@ -270,8 +265,8 @@ class BitMatrix:
     def from_nonzero(cls, rows: int, cols: int, rr, cc) -> "BitMatrix":
         """The rows x cols matrix with ones at the coordinates (rr, cc),
         the inverse of ``nonzero()``: the broadcast index arrays, sorted
-        row-major with a repeat once, are kept and the words packed on
-        first read.  A coordinate outside the matrix raises ValueError."""
+        row-major with a repeat once, are kept read-only.  A coordinate
+        outside the matrix raises ValueError."""
         rr, cc = (np.asarray(a, dtype=np.int64) for a in (rr, cc))
         rr, cc = (a.flatten() for a in np.broadcast_arrays(rr, cc))
         if not ((0 <= rr) & (rr < rows) & (0 <= cc) & (cc < cols)).all():
@@ -280,7 +275,12 @@ class BitMatrix:
         if not (key[1:] > key[:-1]).all():  # sort, and keep a repeat once
             key.sort()
             rr, cc = np.divmod(key[np.append(True, key[1:] != key[:-1])], cols)
-        return cls._wrap(rows, cols, None, (rr, cc))
+        rr.setflags(write=False)
+        cc.setflags(write=False)
+        M = object.__new__(cls)
+        M.rows, M.cols, M._coords = rows, cols, (rr, cc)
+        M._row_basis = M._col_basis = None
+        return M
 
     @classmethod
     def from_rows(cls, rows: Sequence[BitVector]) -> "BitMatrix":
@@ -292,91 +292,68 @@ class BitMatrix:
         nw = _n_words(cols)
         buf = b"".join(r.value.to_bytes(nw * 8, "little") for r in rows)
         words = np.frombuffer(buf, dtype=np.uint64).reshape(len(rows), nw)
-        return cls._wrap(len(rows), cols, words)
+        return cls._from_words(len(rows), cols, words)
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BitMatrix":
-        dense = np.ascontiguousarray(np.asarray(dense, dtype=np.uint8) & 1)
-        rows, cols = dense.shape
-        packed = np.packbits(dense, axis=1, bitorder="little")
-        pad = _n_words(cols) * 8 - packed.shape[1]
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-        return cls(rows, cols, packed.view(np.uint64))
+        dense = np.asarray(dense, dtype=np.uint8) & 1
+        return cls.from_nonzero(*dense.shape, *np.nonzero(dense))
 
     # -- queries -------------------------------------------------------
 
     @property
     def words(self) -> np.ndarray:
-        """The packed rows, read-only; packed from the coordinates on
-        the first read and kept."""
-        if self._words is None:
-            words = _pack(self.rows, self.cols, *self._coords)
-            words.setflags(write=False)
-            self._words = words
-        return self._words
+        """The packed rows, read-only, packed afresh on every read."""
+        words = _pack(self.rows, self.cols, *self._coords)
+        words.setflags(write=False)
+        return words
 
     def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.words[i])
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range [0, {self.rows})")
+        rr, cc = self._coords
+        lo, hi = rr.searchsorted(i), rr.searchsorted(i + 1)
+        return BitVector.from_int(
+            self.cols, sum(1 << c for c in cc[lo:hi].tolist())
+        )
 
     def to_dense(self) -> np.ndarray:
-        return np.unpackbits(
-            self.words.view(np.uint8), axis=1, bitorder="little",
-            count=self.cols,
-        )
+        dense = np.zeros((self.rows, self.cols), dtype=np.uint8)
+        dense[self._coords] = 1
+        return dense
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column indices of the set bits in row-major order,
-        equal to ``np.nonzero(self.to_dense())``, as read-only arrays:
-        the coordinates ``from_nonzero`` kept, or else each nonzero word
-        peels its lowest bit into its row-major slot, one bit per pass.
-        """
-        if self._coords is not None:
-            return self._coords
-        wr, wc = np.nonzero(self.words)
-        w = self.words[wr, wc]
-        count = np.bitwise_count(w).astype(np.int64)
-        slot = np.cumsum(count) - count  # where each word's next bit goes
-        base = wc * WORD_BITS
-        cc = np.empty(count.sum(), dtype=np.int64)
-        while w.size:
-            low = w & -w
-            cc[slot] = base + np.bitwise_count(low - np.uint64(1))
-            w ^= low
-            more = w != 0
-            w, slot, base = w[more], slot[more] + 1, base[more]
-        rr = np.repeat(wr, count)
-        rr.setflags(write=False)
-        cc.setflags(write=False)
-        return rr, cc
+        equal to ``np.nonzero(self.to_dense())``: the kept read-only
+        arrays."""
+        return self._coords
 
     def transpose(self) -> "BitMatrix":
-        rr, cc = self.nonzero()
+        rr, cc = self._coords
         return BitMatrix.from_nonzero(self.cols, self.rows, cc, rr)
 
     def mul_vector(self, v: BitVector) -> BitVector:
-        """M . v^T, a vector indexed by rows."""
+        """M . v^T, a vector indexed by rows: the parity of each row's
+        ones that meet a one of v."""
         if v.length != self.cols:
             raise ValueError(
                 f"vector length {v.length} != column count {self.cols}"
             )
-        # The XOR of a row's AND words has the parity of its shared ones;
-        # a zero word of v adds nothing.
-        shared = np.zeros(self.rows, dtype=np.uint64)
-        for k, w in enumerate(v.words):
-            if w:
-                shared ^= self.words[:, k] & w
-        return BitVector._from_bits(np.bitwise_count(shared) & 1)
+        rr, cc = self._coords
+        hits = np.bincount(rr[v._bits().view(bool)[cc]], minlength=self.rows)
+        return BitVector._from_bits(hits & 1)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and bool(np.array_equal(self.words, other.words))
+            and all(map(np.array_equal, self._coords, other._coords))
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.words.tobytes()))
+        return hash((self.rows, self.cols,
+                     *(a.tobytes() for a in self._coords)))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
@@ -391,18 +368,15 @@ BLOCK_BYTES = 1 << 18
 
 
 def _row_blocks(M: BitMatrix) -> Iterator[np.ndarray]:
-    """M's packed words in blocks of consecutive rows, at most
-    BLOCK_BYTES each (but at least one row): slices of M's words when it
-    holds them, else each block packed from its own coordinates."""
+    """M's rows packed in blocks of consecutive rows, at most
+    BLOCK_BYTES each (but at least one row), each block packed from its
+    own coordinates."""
+    rr, cc = M.nonzero()
     step = max(BLOCK_BYTES // max(8 * _n_words(M.cols), 1), 1)
     for start in range(0, M.rows, step):
         stop = min(start + step, M.rows)
-        if M._words is not None:
-            yield M._words[start:stop]
-        else:
-            rr, cc = M._coords
-            lo, hi = np.searchsorted(rr, (start, stop))
-            yield _pack(stop - start, M.cols, rr[lo:hi] - start, cc[lo:hi])
+        lo, hi = np.searchsorted(rr, (start, stop))
+        yield _pack(stop - start, M.cols, rr[lo:hi] - start, cc[lo:hi])
 
 
 def _int_rows(M: BitMatrix) -> Iterator[int]:
@@ -491,20 +465,14 @@ def is_self_orthogonal(M: BitMatrix) -> bool:
         M.rows * M.rows * _n_words(M.cols) // PAIR_COST_IN_WORDS,
         MAX_SPARSE_PAIRS,
     )
-    if M._coords is not None:
-        nnz = M._coords[0].size
-    else:
-        nnz = int(np.bitwise_count(M.words).sum())
-    # sum_c deg(c)^2 >= nnz^2 / cols rules out dense inputs before their
-    # coordinates are listed.
-    if nnz * nnz <= limit * M.cols:
-        rows, cols = M.nonzero()
-        deg = np.bincount(cols, minlength=M.cols)
-        if int(deg @ deg) <= limit:
-            return _sparse_self_orthogonal(rows, cols, deg, M.rows)
+    rows, cols = M.nonzero()
+    deg = np.bincount(cols, minlength=M.cols)
+    if int(deg @ deg) <= limit:
+        return _sparse_self_orthogonal(rows, cols, deg, M.rows)
+    words = M.words
     for i in range(M.rows):
         parities = (
-            np.bitwise_count(M.words & M.words[i][None, :]).sum(axis=1) & 1
+            np.bitwise_count(words & words[i][None, :]).sum(axis=1) & 1
         )
         if parities.any():
             return False

@@ -90,8 +90,10 @@ def build_recursive(n: int) -> BitMatrix:
     half = 1 << (n - 1)
     J = reversal_matrix(half).words
     # The coordinates of M + J and of I + J, XORed on packed words.
-    a, b = BitMatrix(half, half, matrix(n - 1).words ^ J).nonzero()
-    c, d = BitMatrix(half, half, BitMatrix.identity(half).words ^ J).nonzero()
+    (a, b), (c, d) = (
+        BitMatrix._from_words(half, half, A.words ^ J).nonzero()
+        for A in (matrix(n - 1), BitMatrix.identity(half))
+    )
     return BitMatrix.from_nonzero(
         2 * half, 2 * half,
         np.concatenate([a, c, c + half, a + half]),
@@ -325,30 +327,29 @@ def cyclic_shift(n: int, v: np.ndarray) -> np.ndarray:
 
 
 def certify_logical(
-    n: int, w: BitVector, partner=("cyclic-shift", cyclic_shift),
-    support: np.ndarray | None = None,
+    n: int, w: BitVector, support: np.ndarray | None = None
 ) -> dict:
     """Prove w logical in the level-n tower with no matrix, or raise
-    AssertionError: w and its partner z, the image of w under the named
-    vertex map, lie in ker M, and |w & z| is odd.  M is symmetric, so
-    its row space is orthogonal to ker M and misses w.
+    AssertionError: w and its partner z, the image of w under
+    ``cyclic_shift``, lie in ker M, and |w & z| is odd.  M is symmetric,
+    so its row space is orthogonal to ker M and misses w.
 
     M v = 0 iff every vertex is hit an even number of times by x + s, x
     in supp v and s in S; ``from_support`` forms those parities in one
     pass, as a position listed twice cancels.  ``support``, if given, is
     w's support, so w need not be unpacked."""
-    name, vertex_map = partner
 
     def in_kernel(x: np.ndarray) -> bool:
         hits = (x[:, None] ^ np.array(generators(n).elements)).ravel()
         return BitVector.from_support(1 << n, hits).is_zero()
 
     x = np.array(w.support() if support is None else support, np.int64)
-    z = BitVector.from_support(w.length, vertex_map(n, x))
+    shifted = cyclic_shift(n, x)
+    z = BitVector.from_support(w.length, shifted)
     cert = {
         "in_kernel": in_kernel(x),
-        "partner": name,
-        "partner_in_kernel": in_kernel(vertex_map(n, x)),
+        "partner": "cyclic-shift",
+        "partner_in_kernel": in_kernel(shifted),
         "overlap": (w.weight + z.weight - (w ^ z).weight) // 2,
     }
     if not (cert["in_kernel"] and cert["partner_in_kernel"]

@@ -56,22 +56,17 @@ class CheckItem:
         }
 
 
-def _run(name: str, fn: Callable[[], tuple[bool, str]]) -> CheckItem:
+def _run(name: str, fn: Callable[[], tuple[bool, str]],
+         n: Optional[int] = None) -> CheckItem:
+    """Run one check of tower size ``n``, if any (see ``skipped_sizes``)."""
     start = time.perf_counter()
     try:
         ok, detail = fn()
     except gf2.DimensionBudgetError:
         raise  # a budget overrun ends the run (exit 4), not a failed claim
     except Exception as exc:  # a crash is a failed check, not a crash run
-        return CheckItem(name, False, time.perf_counter() - start, repr(exc))
-    return CheckItem(name, ok, time.perf_counter() - start, detail)
-
-
-def _sized(n: int, name: str, fn) -> CheckItem:
-    """``_run`` for a check of the size-n tower (see ``skipped_sizes``)."""
-    item = _run(name, fn)
-    item.n = n
-    return item
+        ok, detail = False, repr(exc)
+    return CheckItem(name, ok, time.perf_counter() - start, detail, n)
 
 
 #: The suites with checks of one tower size, each mapped to whether
@@ -110,31 +105,33 @@ def suite_recursion(ns: Iterable[int], seed: int, **_) -> list[CheckItem]:
     items = []
     for n in ns:
         if 4 <= n <= repetition.MAX_RECURSIVE_DIMENSION:
-            items.append(_sized(
-                n, f"recursion/block-assembly-n{n}",
+            items.append(_run(
+                f"recursion/block-assembly-n{n}",
                 lambda n=n: (
                     repetition.build_recursive(n) == repetition.matrix(n),
                     "block assembly equals direct construction",
                 ),
+                n,
             ))
     for s in (2, 8, 64, 1 << 10):
         def involution(s=s):
             J = repetition.reversal_matrix(s)
             i, j = J.nonzero()
-            JJ = np.zeros_like(J.words)  # row i: XOR of rows j, J[i, j] = 1
-            np.bitwise_xor.at(JJ, i, J.words[j])
-            ok = BitMatrix(s, s, JJ) == BitMatrix.identity(s)
+            words = J.words
+            JJ = np.zeros_like(words)  # row i: XOR of rows j, J[i, j] = 1
+            np.bitwise_xor.at(JJ, i, words[j])
+            ok = np.array_equal(JJ, BitMatrix.identity(s).words)
             return ok, "J^2 = I" if ok else "J^2 != I"
         items.append(_run(f"recursion/reversal-involution-{s}", involution))
     for t in (5, 7):
         if t in ns:
-            items.append(_sized(
-                t, f"recursion/image-parametrization-n{t}",
-                lambda t=t: image_parametrization(t),
+            items.append(_run(
+                f"recursion/image-parametrization-n{t}",
+                lambda t=t: image_parametrization(t), t,
             ))
-            items.append(_sized(
-                t, f"recursion/normal-form-n{t}",
-                lambda t=t: normal_forms(t, 16, seed),
+            items.append(_run(
+                f"recursion/normal-form-n{t}",
+                lambda t=t: normal_forms(t, 16, seed), t,
             ))
     return items
 
@@ -237,7 +234,7 @@ def suite_dimension(ns: Iterable[int], seed: int, **_) -> list[CheckItem]:
             N, K, _ = repetition.parameters(n)
             want = (N + K) // 2
             return dim == want, f"dim ker = {dim}, expected {want}"
-        items.append(_sized(n, f"dimension/kernel-n{n}", check))
+        items.append(_run(f"dimension/kernel-n{n}", check, n))
     for n in _odd(ns):
         if 5 <= n <= 9:
             def check(n=n):
@@ -248,12 +245,12 @@ def suite_dimension(ns: Iterable[int], seed: int, **_) -> list[CheckItem]:
                     len(basis) == want,
                     f"recursive basis size {len(basis)}, expected {want}",
                 )
-            items.append(_sized(n, f"dimension/recursive-basis-n{n}", check))
+            items.append(_run(f"dimension/recursive-basis-n{n}", check, n))
     for t in (5, 7):
         if t in ns:
-            items.append(_sized(
-                t, f"dimension/characterize-n{t}",
-                lambda t=t: kernel_characterize_agreement(t, 200, seed),
+            items.append(_run(
+                f"dimension/characterize-n{t}",
+                lambda t=t: kernel_characterize_agreement(t, 200, seed), t,
             ))
     return items
 
@@ -278,7 +275,7 @@ def suite_distance(ns: Iterable[int], budget: int, **_) -> list[CheckItem]:
                     report.value == claimed,
                     f"exact D = {report.value}, expected {claimed}",
                 )
-            items.append(_sized(n, f"distance/exact-n{n}", check))
+            items.append(_run(f"distance/exact-n{n}", check, n))
         elif n <= MAX_DISTANCE_CHECK_DIMENSION:
             def check(n=n):
                 # min_weight_witness certifies the word logical.
@@ -288,11 +285,11 @@ def suite_distance(ns: Iterable[int], budget: int, **_) -> list[CheckItem]:
                     upper == claimed,
                     f"witness upper bound {upper}, claimed {claimed}",
                 )
-            items.append(_sized(n, f"distance/witness-n{n}", check))
+            items.append(_run(f"distance/witness-n{n}", check, n))
             if n >= 9:
-                items.append(_sized(
-                    n, f"distance/lower-bound-n{n}",
-                    lambda n=n: lower_bound(n),
+                items.append(_run(
+                    f"distance/lower-bound-n{n}",
+                    lambda n=n: lower_bound(n), n,
                 ))
     return items
 
@@ -324,12 +321,13 @@ def suite_conjugation(ns: Iterable[int], **_) -> list[CheckItem]:
     items = []
     for n in _odd(ns):
         if n <= 9:
-            items.append(_sized(
-                n, f"conjugation/n{n}",
+            items.append(_run(
+                f"conjugation/n{n}",
                 lambda n=n: (
                     repetition.conjugation_check(n),
                     "J M J = M with kernel and row space stable",
                 ),
+                n,
             ))
     return items
 
@@ -340,8 +338,8 @@ def suite_conjugation(ns: Iterable[int], **_) -> list[CheckItem]:
 def suite_bipartite(ns: Iterable[int], budget: int, **_) -> list[CheckItem]:
     items = []
     for n in _odd(ns):
-        items.append(_sized(
-            n, f"bipartite/halved-block-n{n}", lambda n=n: halved_block(n)
+        items.append(_run(
+            f"bipartite/halved-block-n{n}", lambda n=n: halved_block(n), n
         ))
     for n in _odd(ns):
         if n in (3, 5):
@@ -352,7 +350,7 @@ def suite_bipartite(ns: Iterable[int], budget: int, **_) -> list[CheckItem]:
                 report = css.distance_exact(code, budget)
                 got = (code.N, code.K, report.value)
                 return got == want, f"halved parameters {got}, expected {want}"
-            items.append(_sized(n, f"bipartite/halved-params-n{n}", check))
+            items.append(_run(f"bipartite/halved-params-n{n}", check, n))
     return items
 
 
@@ -363,8 +361,8 @@ def halved_block(n: int) -> tuple[bool, str]:
     a bipartite ``css.CssCode`` rest on.  Every one of U, at (i, j),
     must join e_i and o_j by a generator, and U must hold 2^(n-1) |S|
     ones, one per edge of the graph, so that it is all of M's
-    even-to-odd part; then U = U^T compares the row-major coordinates
-    U and U^T keep.  M is not built.  U . U^T = 0 is tested to n = 9."""
+    even-to-odd part; then U = U^T compares the coordinates U and U^T
+    keep.  M is not built.  U . U^T = 0 is tested to n = 9."""
     S = repetition.generators(n)
     U = repetition.halved(n)
     evens, odds = cayley.class_vertices(n)
@@ -374,7 +372,7 @@ def halved_block(n: int) -> tuple[bool, str]:
     edges = len(odds) * len(S.elements)
     if len(r) != edges or not is_generator[evens[r] ^ odds[c]].all():
         return False, "M is not the lift of U"
-    if not np.array_equal(U.transpose().nonzero(), (r, c)):
+    if U.transpose() != U:
         return False, "U != U^T"
     if n > 9:
         return True, (

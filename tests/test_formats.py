@@ -68,9 +68,10 @@ def test_bin_rows_byte_aligned():
 
 
 @pytest.mark.parametrize("cols", [8192, 8190])
-def test_read_bin_pads_the_words_once(cols):
-    # 1024 rows of 1 KiB: the padded array is the matrix's own words, so
-    # reading allocates them once (not a second copy in BitMatrix).
+def test_read_bin_peels_the_words_into_coordinates(cols):
+    # 1024 rows of 1 KiB, half ones: reading holds the padded words
+    # once, and the coordinates peeled from them are copied once more
+    # as from_nonzero keeps them.
     rng = np.random.default_rng(cols)
     M = BitMatrix.from_dense(rng.integers(0, 2, (1024, cols), dtype=np.uint8))
     blob = formats.write_bin(M)
@@ -80,8 +81,11 @@ def test_read_bin_pads_the_words_once(cols):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert back == M and not back.words.flags.writeable
-    assert peak < 1.5 * M.words.nbytes, f"peak {peak} bytes"
+    assert back == M
+    rr, cc = back.nonzero()
+    assert not rr.flags.writeable and not cc.flags.writeable
+    bound = M.words.nbytes + 2.5 * (rr.nbytes + cc.nbytes)
+    assert peak < bound, f"peak {peak} bytes"
 
 
 def test_bin_rejects_bad_magic(tower_8x8):

@@ -266,16 +266,18 @@ def test_membership_kernels_and_solves_eliminate_once_each(eliminations):
     assert eliminations == [(90, False), (130, True)]
 
 
-def test_exact_distance_reads_the_cached_bases(eliminations):
+def test_exact_distance_reads_the_cached_bases(eliminations, monkeypatch):
     # U's rows and columns once each, then one extension of a copy of
-    # the row basis by the kernel: the search packs no word of U.
+    # the row basis by the kernel: the search never packs U whole.
+    def packed_whole(M):
+        raise AssertionError(f"{M!r} packed whole")
+    monkeypatch.setattr(BitMatrix, "words", property(packed_whole))
     code = repetition.build_code(5)
     report = css.distance_exact(code)
     assert (report.value, report.witness.weight) == (4, 4)
     assert len(eliminations) <= 3
     U = code.blocks[0][0]
     assert all(B is U for B, _ in code.blocks)
-    assert U._words is None
 
 
 @pytest.mark.parametrize("rows", [0, 5])
@@ -283,8 +285,7 @@ def test_exact_distance_reads_the_cached_bases(eliminations):
 def test_matrix_without_pivots(rows, cols):
     # An all-zero matrix and a 0-row matrix have an empty basis: only
     # zero is in the row space, and the kernel is every unit vector.
-    M = BitMatrix(rows, cols, np.zeros((rows, (cols + 63) // 64),
-                                       dtype=np.uint64))
+    M = BitMatrix.from_nonzero(rows, cols, [], [])
     assert gf2.rank(M) == 0 and not gf2.row_basis(M)
     assert [v.to_int() for v in gf2.kernel_basis(M)] == [
         1 << c for c in range(cols)

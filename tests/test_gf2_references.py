@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayleycss import gf2
+from cayleycss import formats, gf2
 from cayleycss.gf2 import BitMatrix, BitVector
 
 WIDTHS = st.sampled_from([63, 64, 65, 128])
@@ -65,7 +65,7 @@ def assert_canonical(v: BitVector):
 @st.composite
 def vectors(draw, width):
     """A width-bit vector, built contiguous, strided or as a matrix row
-    (a view into the matrix words)."""
+    (from the matrix's coordinates)."""
     value = draw(st.integers(0, (1 << width) - 1))
     how = draw(st.sampled_from(["int", "strided", "row"]))
     if how == "int":
@@ -134,7 +134,6 @@ def test_concat_matches_int_definition(widths, data):
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(0, 70), WIDTHS, st.integers(0, 2**32 - 1))
 def test_from_nonzero_matches_dense_reference(rows, cols, seed):
-    # from_nonzero wraps the words it builds without a copy.
     rng = np.random.default_rng(seed)
     nnz = int(rng.integers(0, 3 * cols))
     rr = rng.integers(0, max(rows, 1), nnz) if rows else np.zeros(0, int)
@@ -151,8 +150,10 @@ def test_from_nonzero_matches_dense_reference(rows, cols, seed):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(WIDTHS, WIDTHS, st.integers(0, 2**32 - 1))
+@given(WIDTHS, st.sampled_from([63, 64, 65, 128, 2048]),
+       st.integers(0, 2**32 - 1))
 def test_mul_vector_matches_dense_product(rows, cols, seed):
+    # 2048 is the width of M(11), the tower matrix the benchmark reads.
     rng = np.random.default_rng(seed)
     dense = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
     x = rng.integers(0, 2, cols)
@@ -162,6 +163,45 @@ def test_mul_vector_matches_dense_product(rows, cols, seed):
         1 << i for i, b in enumerate(dense.astype(np.int64) @ x % 2) if b
     )
     assert_canonical(got)
+
+
+def built_every_way(dense: np.ndarray) -> dict:
+    """The matrix of a 0/1 array from each constructor that can build
+    it, the transpose from the transposed array."""
+    rows, cols = dense.shape
+    strided = np.repeat(np.repeat(dense, 2, axis=0), 3, axis=1)[::2, ::3]
+    built = {
+        "from_nonzero": BitMatrix.from_nonzero(rows, cols, *np.nonzero(dense)),
+        "from_dense": BitMatrix.from_dense(strided),
+        "read_bin": formats.read_bin(
+            formats._BIN_HEADER.pack(formats.BIN_MAGIC, formats.BIN_VERSION,
+                                     0, rows, cols)
+            + np.packbits(dense, axis=1, bitorder="little").tobytes()
+        ),
+        "transpose": BitMatrix.from_dense(dense.T.copy()).transpose(),
+    }
+    if rows:
+        built["from_rows"] = BitMatrix.from_rows([
+            BitVector.from_support(cols, np.flatnonzero(r)) for r in dense
+        ])
+    return built
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 70), WIDTHS, st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       st.integers(0, 2**32 - 1))
+def test_every_constructor_keeps_the_dense_coordinates(rows, cols, density,
+                                                       seed):
+    rng = np.random.default_rng(seed)
+    dense = (rng.random((rows, cols)) < density).astype(np.uint8)
+    cases = [(name, M, dense) for name, M in built_every_way(dense).items()]
+    cases.append(("identity", BitMatrix.identity(cols),
+                  np.eye(cols, dtype=np.uint8)))
+    for name, M, want in cases:
+        for got, a, b in zip(M.nonzero(), np.nonzero(want),
+                             np.nonzero(M.to_dense())):
+            assert np.array_equal(got, a) and np.array_equal(got, b), name
+            assert got.dtype == a.dtype and not got.flags.writeable, name
 
 
 # -- reference: the inline two-level Gray walk ----------------------------

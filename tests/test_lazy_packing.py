@@ -1,12 +1,11 @@
-"""Property tests and guards for lazily packed matrices.
+"""Property tests and guards for matrices packed in row blocks.
 
-A matrix built from row-major coordinates without repeats packs its
-words on first read; rank, row-space membership and the ``bin`` writer
-read it in row blocks of ``gf2.BLOCK_BYTES``, packed from the
-coordinates of each block.  Everything they return must equal what an
-eagerly packed twin (``BitMatrix.from_dense``) returns.  The block size
-is shrunk to a few rows so that block edges fall inside the matrix and
-on rows with no ones.
+A matrix holds only its coordinates; rank, row-space membership and the
+``bin`` writer pack it in row blocks of ``gf2.BLOCK_BYTES``, each from
+its own coordinates.  Everything they return must equal what the rows
+of the dense array give, packed byte by byte with ``np.packbits``.  The
+block size is shrunk to a few rows so that block edges fall inside the
+matrix and on rows with no ones.
 """
 
 import os
@@ -25,19 +24,28 @@ from cayleycss import cli, formats, gf2, repetition
 from cayleycss.gf2 import BitMatrix, BitVector
 
 
-def lazy_twin(dense: np.ndarray) -> tuple[BitMatrix, BitMatrix]:
-    """The matrix of ``dense`` from its coordinates, still unpacked, and
-    from the dense array, packed at once."""
-    rows, cols = dense.shape
-    M = BitMatrix.from_nonzero(rows, cols, *np.nonzero(dense))
-    assert M._words is None
-    return M, BitMatrix.from_dense(dense)
+def dense_rows(dense: np.ndarray) -> list[int]:
+    """Each row of a 0/1 array as an int, bit j its column j."""
+    packed = np.packbits(dense, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def dense_bin(dense: np.ndarray) -> bytes:
+    """The ``bin`` blob of a 0/1 array: header, then each row's bytes."""
+    header = formats._BIN_HEADER.pack(
+        formats.BIN_MAGIC, formats.BIN_VERSION, 0, *dense.shape
+    )
+    return header + np.packbits(dense, axis=1, bitorder="little").tobytes()
 
 
 def random_vector(rng, length: int) -> BitVector:
     return BitVector.from_support(
         length, np.flatnonzero(rng.integers(0, 2, length))
     )
+
+
+def packed_whole(M):
+    raise AssertionError(f"{M!r} packed whole")
 
 
 @st.composite
@@ -54,39 +62,40 @@ def blocked_matrices(draw):
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(blocked_matrices())
-def test_row_blocks_match_an_eager_twin(case):
+def test_row_blocks_match_the_dense_rows(case):
     dense, block_rows, rng = case
     rows, cols = dense.shape
     block_bytes = block_rows * 8 * gf2._n_words(cols)
     with mock.patch.object(gf2, "BLOCK_BYTES", block_bytes):
-        check_against_twin(dense, rng)
+        check_against_dense(dense, rng)
 
 
-def check_against_twin(dense: np.ndarray, rng) -> None:
+def check_against_dense(dense: np.ndarray, rng) -> None:
     rows, cols = dense.shape
-    M, twin = lazy_twin(dense)
-    assert list(gf2._int_rows(M)) == list(gf2._int_rows(twin))
-    assert gf2.rank(M) == gf2.rank(twin)
-    for _ in range(3):
-        v = random_vector(rng, cols)
-        assert gf2.in_row_space(M, v) == gf2.in_row_space(twin, v)
-        v = twin.transpose().mul_vector(random_vector(rng, rows))
-        assert gf2.in_row_space(M, v)
-    assert formats.write_bin(M) == formats.write_bin(twin)
-    assert M._words is None  # nothing above packed the whole matrix
-    assert np.array_equal(M.words, twin.words)
-    assert not M.words.flags.writeable and M.words is M.words
-    # Once packed, the blocks are slices of the kept words.
-    assert list(gf2._int_rows(M)) == list(gf2._int_rows(twin))
-    assert formats.write_bin(M) == formats.write_bin(twin)
+    M = BitMatrix.from_nonzero(rows, cols, *np.nonzero(dense))
+    want = dense_rows(dense)
+    with mock.patch.object(BitMatrix, "words", property(packed_whole)):
+        assert list(gf2._int_rows(M)) == want
+        assert gf2.rank(M) == len(gf2.int_echelon(want, masks=False))
+        for _ in range(3):
+            v = random_vector(rng, cols)
+            member = not gf2.int_reduce(gf2.int_echelon(want), v.to_int())[0]
+            assert gf2.in_row_space(M, v) == member
+            v = M.transpose().mul_vector(random_vector(rng, rows))
+            assert gf2.in_row_space(M, v)
+        assert formats.write_bin(M) == dense_bin(dense)
+    words = M.words
+    assert [int.from_bytes(w.tobytes(), "little") for w in words] == want
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 64), (5, 0), (3, 65)])
-def test_empty_shapes_pack_to_the_twin(shape):
-    M, twin = lazy_twin(np.zeros(shape, dtype=np.uint8))
+def test_empty_shapes_pack_to_the_dense_rows(shape):
+    dense = np.zeros(shape, dtype=np.uint8)
+    M = BitMatrix.from_dense(dense)
     assert gf2.rank(M) == 0 and list(gf2._int_rows(M)) == [0] * shape[0]
-    assert formats.write_bin(M) == formats.write_bin(twin)
-    assert M.words.shape == twin.words.shape and M == twin
+    assert formats.write_bin(M) == dense_bin(dense)
+    assert M.words.shape == (shape[0], gf2._n_words(shape[1]))
+    assert not M.words.any()
 
 
 # -- regression guards -----------------------------------------------------
@@ -96,7 +105,8 @@ def test_empty_shapes_pack_to_the_twin(shape):
 def test_tower_exports_and_rank_pack_no_words(monkeypatch, tmp_path, fmt,
                                               capsys):
     # The text formats read the kept coordinates and bin packs one row
-    # block at a time, so the exported matrix never packs its words.
+    # block at a time, so nothing packs the exported matrix whole.
+    monkeypatch.setattr(BitMatrix, "words", property(packed_whole))
     built = []
     real = formats.write_matrix
 
@@ -108,12 +118,10 @@ def test_tower_exports_and_rank_pack_no_words(monkeypatch, tmp_path, fmt,
     assert cli.main(["build", "--family", "repetition", "--n", "9",
                      "--format", fmt, "--out", str(out)]) == 0
     (M,) = built
-    assert M._words is None
     assert formats.read_matrix(fmt, str(out)) == M
     U = repetition.halved(9)
     # The code is two copies of U's, so N - K = 2 * 2 rank(U).
     assert 4 * gf2.rank(U) == 512 - repetition.parameters(9)[1]
-    assert U._words is None
 
 
 def test_hypercube_m16_params_peak_rss():

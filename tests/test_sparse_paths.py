@@ -89,9 +89,10 @@ ORACLES = {
 
 
 def oracle_self_orthogonal(M: BitMatrix) -> bool:
+    words = M.words
     for i in range(M.rows):
         parities = (
-            np.bitwise_count(M.words & M.words[i][None, :]).sum(axis=1) & 1
+            np.bitwise_count(words & words[i][None, :]).sum(axis=1) & 1
         )
         if parities.any():
             return False
@@ -406,8 +407,8 @@ def test_row_major_coordinates_are_kept_as_nonzero(cols, rows, density):
 @pytest.mark.parametrize("cols", [63, 64, 65, 128])
 def test_other_coordinates_are_sorted_and_kept(cols, kind):
     # Any coordinate list is kept, sorted row-major with a repeat once,
-    # as read-only arrays that nonzero() hands out; nothing is packed
-    # until the words are read.
+    # as read-only arrays that nonzero() hands out; the words are packed
+    # from them afresh on every read.
     rng = np.random.default_rng(cols)
     dense = (rng.random((9, cols)) < 0.3).astype(np.uint8)
     rr, cc = np.nonzero(dense)
@@ -422,16 +423,16 @@ def test_other_coordinates_are_sorted_and_kept(cols, kind):
         rr, cc = cc, rr
         dense = dense.T
     M = BitMatrix.from_nonzero(*dense.shape, rr, cc)
-    assert M._words is None
     assert kept(M)
     for a, b in zip(M.nonzero(), np.nonzero(dense)):
         assert np.array_equal(a, b) and a.dtype == b.dtype
         with pytest.raises(ValueError):
             a[...] = 0
     assert rr.flags.writeable and cc.flags.writeable  # the caller's own
-    assert M._words is None  # still unpacked after nonzero()
     assert M == BitMatrix.from_dense(dense)
-    assert M._words is not None and not M._words.flags.writeable
+    words = M.words
+    assert not words.flags.writeable and M.words is not words
+    assert np.array_equal(words, M.words)
 
 
 def test_tower_builds_and_readbacks_keep_their_coordinates():

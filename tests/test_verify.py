@@ -309,7 +309,8 @@ ALL_CHECKS_3_TO_13 = sorted(
 def test_verify_all_check_names_are_pinned(monkeypatch, tmp_path):
     # Record each check without running it, so the guard stays fast.
     monkeypatch.setattr(
-        verify, "_run", lambda name, fn: verify.CheckItem(name, True, 0.0)
+        verify, "_run",
+        lambda name, fn, n=None: verify.CheckItem(name, True, 0.0, "", n),
     )
     out = tmp_path / "report.json"
     code = cli.main(["verify", "--suite", "all", "--n", "3..13",
@@ -323,7 +324,8 @@ def test_verify_all_check_names_are_pinned(monkeypatch, tmp_path):
 def test_sized_suites_table_matches_the_suites(monkeypatch):
     # Record each check without running it, over every size verify takes.
     monkeypatch.setattr(
-        verify, "_run", lambda name, fn: verify.CheckItem(name, True, 0.0)
+        verify, "_run",
+        lambda name, fn, n=None: verify.CheckItem(name, True, 0.0, "", n),
     )
     sized = {}
     for name in verify.SUITE_NAMES:
@@ -347,10 +349,7 @@ def test_halved_block_check_catches_a_broken_block(monkeypatch, n):
 
     def flipped(n):
         # One entry moved off U's symmetric pattern.
-        U = honest(n)
-        words = U.words.copy()
-        words[0, 0] ^= np.uint64(2)
-        return BitMatrix(U.rows, U.cols, words)
+        return _toggled(honest(n), (0, 1))
     monkeypatch.setattr(repetition, "halved", flipped)
     ok, detail = verify.halved_block(n)
     assert not ok and detail == "M is not the lift of U"

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gf2 import BitMatrix, _row_blocks
+from .gf2 import BitMatrix, _peel, _row_blocks
 
 #: Binary header: magic, version, reserved, rows, cols (little endian).
 BIN_MAGIC = b"CAYM"
@@ -87,17 +87,22 @@ def read_alist(text: str) -> BitMatrix:
     cols, rows = map(int, lines[0].split())
     if len(lines) < 4 + cols + rows:
         raise ValueError("alist file ends before its last list")
-    col_deg = np.array(lines[2].split(), dtype=np.int64)
-    if len(col_deg) != cols or len(lines[3].split()) != rows:
+    col_deg, row_deg = (np.array(lines[k].split(), dtype=np.int64)
+                        for k in (2, 3))
+    if len(col_deg) != cols or len(row_deg) != rows:
         raise ValueError("degree lists do not match the dimensions")
+    top = [int(d.max(initial=0)) for d in (col_deg, row_deg)]
+    if list(map(int, lines[1].split())) != top:
+        raise ValueError(f"max degree line is not {top[0]} {top[1]}")
     # Line j < cols lists column j, line cols + i lists row i; zeros pad.
     parts = [ln.split() for ln in lines[4:4 + cols + rows]]
     line = np.repeat(np.arange(cols + rows), [len(p) for p in parts])
     index = np.array(list(chain.from_iterable(parts)), dtype=np.int64)
     line, index = line[index != 0], index[index != 0] - 1
-    bad = np.flatnonzero(np.bincount(line, minlength=cols)[:cols] != col_deg)
+    deg = np.concatenate([col_deg, row_deg])
+    bad = np.flatnonzero(np.bincount(line, minlength=cols + rows) != deg)
     if bad.size:
-        raise ValueError(f"column {bad[0] + 1} degree mismatch")
+        raise ValueError(f"degree mismatch at the list on line {bad[0] + 5}")
     col = line < cols
     # The row lists come row-major, so M keeps them as its nonzero().
     M = BitMatrix.from_nonzero(rows, cols, line[~col] - cols, index[~col])
@@ -161,7 +166,7 @@ def read_bin(blob: bytes) -> BitMatrix:
     if cols % 8 and (body[:, -1] >> cols % 8).any():
         raise ValueError("set bits beyond the last column")
     words = np.pad(body, ((0, 0), (0, -stride % 8))).view(np.uint64)
-    return BitMatrix._from_words(rows, cols, words)
+    return BitMatrix.from_nonzero(rows, cols, *_peel(words))
 
 
 def write_json(M: BitMatrix) -> str:
@@ -183,12 +188,15 @@ def write_json(M: BitMatrix) -> str:
 
 def read_json(text: str) -> BitMatrix:
     payload = json.loads(text)
-    rows, cols = payload["rows"], payload["cols"]
-    support = payload["row_support"]
+    get = payload.get if isinstance(payload, dict) else {}.get
+    rows, cols, support = map(get, ("rows", "cols", "row_support"))
+    lists = type(support) is list and all(type(s) is list for s in support)
+    if not lists or not all(type(v) is int and v >= 0 for v in (rows, cols)):
+        raise ValueError("rows and cols must be counts, row_support lists")
     if len(support) != rows:
         raise ValueError(f"{len(support)} row_support lists for {rows} rows")
     cc = np.array(list(chain.from_iterable(support)))
-    if cc.size and cc.dtype.kind != "i":
+    if cc.ndim != 1 or cc.size and cc.dtype.kind != "i":
         raise ValueError("row_support holds a non-integer index")
     rr = np.repeat(np.arange(rows), [len(s) for s in support])
     return BitMatrix.from_nonzero(rows, cols, rr, cc)

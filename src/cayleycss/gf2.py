@@ -2,12 +2,12 @@
 
 A vector is one Python int, bit ``i`` its position ``i``.  A matrix is
 the coordinates of its ones, sorted row-major without repeats.  Packed
-words, where anything reads them, hold a row little-endian: bit ``i``
-lives in word ``i // 64`` at position ``i % 64``.  All serialization
-uses this layout, and the ``words`` view of a vector or a matrix packs
-it the same way.  Rank, membership, the column basis (of the
-transpose) and the ``bin`` writer pack a matrix in row blocks of
-BLOCK_BYTES, so they never hold it packed whole.
+words are private to elimination and the ``bin`` format: they hold a
+row little-endian, bit ``i`` in word ``i // 64`` at position
+``i % 64``.  Rank, membership, the column basis (of the transpose) and
+the ``bin`` writer pack a matrix in row blocks of BLOCK_BYTES
+(``_row_blocks``), so nothing holds it packed whole; ``_peel`` turns
+packed words back into coordinates for the ``bin`` reader.
 
 Elimination is one XOR basis of Python integers keyed by leading bit,
 ``int_echelon``.  A matrix caches two, built on first use: its rows
@@ -74,22 +74,34 @@ def _pack(rows: int, cols: int, rr: np.ndarray, cc: np.ndarray) -> np.ndarray:
     return words
 
 
+def _peel(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row-major coordinates of the set bits of packed words, the
+    inverse of ``_pack``: each nonzero word peels its lowest bit into
+    its row-major slot, one bit per pass."""
+    wr, wc = np.nonzero(words)
+    w = words[wr, wc]
+    count = np.bitwise_count(w).astype(np.int64)
+    slot = np.cumsum(count) - count  # where each word's next bit goes
+    base = wc * WORD_BITS
+    cc = np.empty(count.sum(), dtype=np.int64)
+    while w.size:
+        low = w & -w
+        cc[slot] = base + np.bitwise_count(low - np.uint64(1))
+        w ^= low
+        more = w != 0
+        w, slot, base = w[more], slot[more] + 1, base[more]
+    return np.repeat(wr, count), cc
+
+
 #: Byte b with its eight bits in reverse order, at index b.
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 class BitVector:
     """An immutable GF(2) vector of ``length`` bits held as one Python
-    int ``value``.  ``words`` is a read-only packed copy, for NumPy."""
+    int ``value``."""
 
     __slots__ = ("length", "value")
-
-    def __init__(self, length: int, words: np.ndarray):
-        if words.shape != (_n_words(length),) or words.dtype != np.uint64:
-            raise ValueError("payload shape/dtype mismatch")
-        # tobytes reads any strides; the mask clears the padding bits.
-        value = int.from_bytes(words.tobytes(), "little")
-        self.length, self.value = length, value & (1 << length) - 1
 
     # -- constructors --------------------------------------------------
 
@@ -111,10 +123,10 @@ class BitVector:
             bad = next(p for p in np.ravel(positions).tolist()
                        if not 0 <= p < length)
             raise ValueError(f"position {bad} out of range [0, {length})")
-        words = np.zeros(_n_words(length), dtype=np.uint64)
-        np.bitwise_xor.at(words, pos >> 6,
-                          np.uint64(1) << (pos & 63).astype(np.uint64))
-        return cls(length, words)
+        buf = np.zeros((length + 7) // 8, dtype=np.uint8)
+        np.bitwise_xor.at(buf, pos >> 3,
+                          np.uint8(1) << (pos & 7).astype(np.uint8))
+        return cls.from_int(length, int.from_bytes(buf.tobytes(), "little"))
 
     @classmethod
     def from_int(cls, length: int, value: int) -> "BitVector":
@@ -138,11 +150,6 @@ class BitVector:
         return cls.from_int(length, value)
 
     # -- queries -------------------------------------------------------
-
-    @property
-    def words(self) -> np.ndarray:
-        buf = self.value.to_bytes(_n_words(self.length) * 8, "little")
-        return np.frombuffer(buf, dtype=np.uint64)  # read-only
 
     def to_int(self) -> int:
         return self.value
@@ -228,31 +235,10 @@ class BitMatrix:
     ``nonzero()`` hands them out; every other view is built from them on
     each call.  Rank, the column basis (through the transpose),
     row-space membership and the ``bin`` writer pack them one row block
-    at a time (``_row_blocks``), so nothing packs the matrix whole but
-    a read of ``words``.
+    at a time (``_row_blocks``), so nothing packs the matrix whole.
     """
 
     __slots__ = ("rows", "cols", "_coords", "_row_basis", "_col_basis")
-
-    @classmethod
-    def _from_words(cls, rows: int, cols: int, words: np.ndarray
-                    ) -> "BitMatrix":
-        """The matrix of packed words with zero padding bits: each
-        nonzero word peels its lowest bit into its row-major slot, one
-        bit per pass."""
-        wr, wc = np.nonzero(words)
-        w = words[wr, wc]
-        count = np.bitwise_count(w).astype(np.int64)
-        slot = np.cumsum(count) - count  # where each word's next bit goes
-        base = wc * WORD_BITS
-        cc = np.empty(count.sum(), dtype=np.int64)
-        while w.size:
-            low = w & -w
-            cc[slot] = base + np.bitwise_count(low - np.uint64(1))
-            w ^= low
-            more = w != 0
-            w, slot, base = w[more], slot[more] + 1, base[more]
-        return cls.from_nonzero(rows, cols, np.repeat(wr, count), cc)
 
     # -- constructors --------------------------------------------------
 
@@ -268,11 +254,14 @@ class BitMatrix:
         row-major with a repeat once, are kept read-only.  A coordinate
         outside the matrix raises ValueError."""
         rr, cc = (np.asarray(a, dtype=np.int64) for a in (rr, cc))
-        rr, cc = (a.flatten() for a in np.broadcast_arrays(rr, cc))
+        rr, cc = np.broadcast_arrays(rr, cc)
         if not ((0 <= rr) & (rr < rows) & (0 <= cc) & (cc < cols)).all():
             raise ValueError(f"coordinate outside the {rows} x {cols} matrix")
-        key = rr * cols + cc
-        if not (key[1:] > key[:-1]).all():  # sort, and keep a repeat once
+        key = (rr * cols + cc).ravel()
+        if (key[1:] > key[:-1]).all():  # sorted without repeats: copy
+            del key  # first, so the key and the copies never coexist
+            rr, cc = rr.flatten(), cc.flatten()
+        else:  # sort, and keep a repeat once
             key.sort()
             rr, cc = np.divmod(key[np.append(True, key[1:] != key[:-1])], cols)
         rr.setflags(write=False)
@@ -283,30 +272,11 @@ class BitMatrix:
         return M
 
     @classmethod
-    def from_rows(cls, rows: Sequence[BitVector]) -> "BitMatrix":
-        if not rows:
-            raise ValueError("cannot build a matrix from zero rows")
-        cols = rows[0].length
-        if any(r.length != cols for r in rows):
-            raise ValueError("rows have unequal lengths")
-        nw = _n_words(cols)
-        buf = b"".join(r.value.to_bytes(nw * 8, "little") for r in rows)
-        words = np.frombuffer(buf, dtype=np.uint64).reshape(len(rows), nw)
-        return cls._from_words(len(rows), cols, words)
-
-    @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BitMatrix":
         dense = np.asarray(dense, dtype=np.uint8) & 1
         return cls.from_nonzero(*dense.shape, *np.nonzero(dense))
 
     # -- queries -------------------------------------------------------
-
-    @property
-    def words(self) -> np.ndarray:
-        """The packed rows, read-only, packed afresh on every read."""
-        words = _pack(self.rows, self.cols, *self._coords)
-        words.setflags(write=False)
-        return words
 
     def row(self, i: int) -> BitVector:
         if not 0 <= i < self.rows:
@@ -469,7 +439,7 @@ def is_self_orthogonal(M: BitMatrix) -> bool:
     deg = np.bincount(cols, minlength=M.cols)
     if int(deg @ deg) <= limit:
         return _sparse_self_orthogonal(rows, cols, deg, M.rows)
-    words = M.words
+    words = _pack(M.rows, M.cols, rows, cols)
     for i in range(M.rows):
         parities = (
             np.bitwise_count(words & words[i][None, :]).sum(axis=1) & 1

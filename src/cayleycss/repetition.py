@@ -88,11 +88,12 @@ def build_recursive(n: int) -> BitMatrix:
             f"recursive build capped at n <= {MAX_MATERIALIZED_DIMENSION}"
         )
     half = 1 << (n - 1)
-    J = reversal_matrix(half).words
-    # The coordinates of M + J and of I + J, XORed on packed words.
+    i = np.arange(half)
+    J = i * half + (half - 1 - i)
+    # The coordinates of M + J and of I + J, XORed as row-major keys.
     (a, b), (c, d) = (
-        BitMatrix._from_words(half, half, A.words ^ J).nonzero()
-        for A in (matrix(n - 1), BitMatrix.identity(half))
+        np.divmod(np.setxor1d(rr * half + cc, J, assume_unique=True), half)
+        for rr, cc in (matrix(n - 1).nonzero(), (i, i))
     )
     return BitMatrix.from_nonzero(
         2 * half, 2 * half,
@@ -219,7 +220,8 @@ def kernel_basis_recursive(n: int) -> list[BitVector]:
     for v in basis:
         if not big.mul_vector(v).is_zero():
             raise AssertionError("constructed word escapes the kernel")
-    if gf2.rank(BitMatrix.from_rows(basis)) != len(basis):
+    rank = len(gf2.int_echelon((v.value for v in basis), masks=False))
+    if rank != len(basis):
         raise AssertionError("constructed kernel words are dependent")
     return basis
 

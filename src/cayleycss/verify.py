@@ -117,10 +117,10 @@ def suite_recursion(ns: Iterable[int], seed: int, **_) -> list[CheckItem]:
         def involution(s=s):
             J = repetition.reversal_matrix(s)
             i, j = J.nonzero()
-            words = J.words
-            JJ = np.zeros_like(words)  # row i: XOR of rows j, J[i, j] = 1
-            np.bitwise_xor.at(JJ, i, words[j])
-            ok = np.array_equal(JJ, BitMatrix.identity(s).words)
+            rows = np.packbits(J.to_dense(), axis=1)
+            JJ = np.zeros_like(rows)  # row i: XOR of rows j, J[i, j] = 1
+            np.bitwise_xor.at(JJ, i, rows[j])
+            ok = np.array_equal(JJ, np.packbits(np.eye(s, dtype=np.uint8), 1))
             return ok, "J^2 = I" if ok else "J^2 != I"
         items.append(_run(f"recursion/reversal-involution-{s}", involution))
     for t in (5, 7):
@@ -150,7 +150,8 @@ def image_parametrization(t: int) -> tuple[bool, str]:
             words.append(repetition.image_element(M, *blocks))
     big = repetition.matrix(t)
     outside = sum(not gf2.in_row_space(big, c) for c in words)
-    got, want = gf2.rank(BitMatrix.from_rows(words)), gf2.rank(big)
+    got = len(gf2.int_echelon((v.value for v in words), masks=False))
+    want = gf2.rank(big)
     return outside == 0 and got == want, (
         f"{len(words)} unit-block image words, {outside} outside the row "
         f"space, rank {got}, expected {want}"
@@ -393,11 +394,11 @@ ORACLE_CHUNK = 256
 
 def _rows_self_orthogonal(rows) -> np.ndarray:
     """Independent matrix oracle: all pairs of adjacency rows share an
-    even number of ones.  ``rows`` is ``(..., R, W)`` packed ``uint64``
-    words (bit c of word w is column 64 w + c), one verdict per matrix
-    of the batch; the AND of every row pair is XORed in one word at a
-    time, and the popcount of the result has the parity of the shared
-    ones.  Holds 2 R^2 words per matrix."""
+    even number of ones.  ``rows`` is ``(..., R, W)`` packed words of
+    any unsigned width and bit order, one verdict per matrix of the
+    batch; the AND of every row pair is XORed in one word at a time,
+    and the popcount of the result has the parity of the shared ones.
+    Holds 2 R^2 words per matrix."""
     first, *rest = np.moveaxis(np.asarray(rows, dtype=np.uint64), -1, 0)
     shared = first[..., :, None] & first[..., None, :]
     for w in rest:
@@ -503,8 +504,9 @@ def suite_algebra(
         if not algebra_nilpotency_check(group, terms):
             return False, "generator sum square is nonzero"
         # Cross-check against the materialized adjacency matrix.
+        rows = np.packbits(torus_adjacency(n).to_dense(), axis=1)
         return (
-            bool(_rows_self_orthogonal(torus_adjacency(n).words)),
+            bool(_rows_self_orthogonal(rows)),
             "group algebra and adjacency matrix agree",
         )
 

@@ -797,7 +797,8 @@ def test_build_bin_matches_golden_bytes(capsys, tmp_path):
     assert blob[:4] == b"CAYM"
     M = adjacency_matrix(3, GeneratorSet.named("S3'"))
     assert blob[16:] == b"".join(
-        M.row(i).words.tobytes()[:(M.cols + 7) // 8] for i in range(8)
+        M.row(i).to_int().to_bytes((M.cols + 7) // 8, "little")
+        for i in range(8)
     )
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cayleycss import formats
+from cayleycss import formats, gf2
 from cayleycss.cayley import GeneratorSet, adjacency_matrix
 from cayleycss.gf2 import BitMatrix
 
@@ -84,7 +84,7 @@ def test_read_bin_peels_the_words_into_coordinates(cols):
     assert back == M
     rr, cc = back.nonzero()
     assert not rr.flags.writeable and not cc.flags.writeable
-    bound = M.words.nbytes + 2.5 * (rr.nbytes + cc.nbytes)
+    bound = 8 * M.rows * gf2._n_words(M.cols) + 2.5 * (rr.nbytes + cc.nbytes)
     assert peak < bound, f"peak {peak} bytes"
 
 
@@ -151,9 +151,11 @@ def test_malformed_input_cases_start_from_well_formed_files():
         alist_2x2("1", row1="-1"),
         alist_2x2("1", row1="3"),
         alist_2x2("1")[:-4],  # the last row list is missing
+        "2 2\n1 1\n1 1\n2 5\n1\n2\n1\n2\n",  # row degrees 2 5
+        alist_2x2("1").replace("1 1", "7 9", 1),  # max degrees 7 9
     ],
     ids=["zero", "negative", "past-end", "row-negative", "row-past-end",
-         "truncated"],
+         "truncated", "row-degrees", "max-degrees"],
 )
 def test_alist_rejects_bad_indices(text):
     with pytest.raises(ValueError):
@@ -169,14 +171,19 @@ def test_mtx_rejects_bad_indices(entry):
 
 
 @pytest.mark.parametrize(
-    "support",
-    [[[-1], []], [[2], []], [[0], [-3]], [[0]], [[0], [1], []], [[0.5], []]],
+    "text",
+    [json_2x2(s) for s in ([[-1], []], [[2], []], [[0], [-3]], [[0]],
+                           [[0], [1], []], [[0.5], []], [0, [1]],
+                           [[[0]], [[1]]])]
+    + ['{"rows": 2, "cols": 2}', "null", "[[0], [1]]",
+       '{"rows": 2, "cols": "2", "row_support": [[0], [1]]}'],
     ids=["negative", "past-end", "row-negative", "too-few-lists",
-         "too-many-lists", "non-integer"],
+         "too-many-lists", "non-integer", "int-row", "nested-row",
+         "missing-key", "null", "list", "string-cols"],
 )
-def test_json_rejects_bad_indices_and_list_counts(support):
+def test_json_rejects_bad_indices_and_list_counts(text):
     with pytest.raises(ValueError):
-        formats.read_json(json_2x2(support))
+        formats.read_json(text)
 
 
 @pytest.mark.parametrize(

@@ -100,7 +100,9 @@ def test_bitvector_slice_and_concat():
 
 def test_packed_bytes_little_endian():
     v = BitVector.from_support(12, [0, 8, 11])
-    assert v.words.tobytes()[:2] == bytes([0x01, 0x09])
+    assert v.to_int().to_bytes(2, "little") == bytes([0x01, 0x09])
+    rr, cc = np.zeros(3, dtype=np.int64), np.array([0, 8, 11])
+    assert gf2._pack(1, 12, rr, cc).tobytes()[:2] == bytes([0x01, 0x09])
 
 
 @pytest.mark.parametrize("rows", [63, 64, 65, 128])

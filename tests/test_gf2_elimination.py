@@ -23,9 +23,18 @@ from cayleycss.gf2 import BitMatrix, BitVector
 # -- oracles: the column-at-a-time loop ------------------------------------
 
 
+def packed(dense: np.ndarray) -> np.ndarray:
+    """The rows of a 0/1 array as little-endian 64-bit words, packed by
+    np.packbits: column c is bit c % 64 of word c // 64."""
+    pad = ((0, 0), (0, -dense.shape[1] % 64))
+    return np.packbits(np.pad(dense, pad), axis=1, bitorder="little").view(
+        "<u8"
+    )
+
+
 def oracle_echelon(M: BitMatrix) -> tuple[list[int], np.ndarray]:
     """Pivot columns and echelon rows."""
-    work = M.words.copy()
+    work = packed(M.to_dense())
     pivots = []
     r = 0
     for c in range(M.cols):
@@ -59,7 +68,9 @@ def oracle_rref(pivots: list[int], basis: np.ndarray) -> np.ndarray:
 
 def oracle_in_row_space(M: BitMatrix, v: BitVector) -> bool:
     pivots, basis = oracle_echelon(M)
-    out = v.words.copy()
+    out = np.frombuffer(
+        v.to_int().to_bytes(8 * gf2._n_words(v.length), "little"), "<u8"
+    ).copy()
     for r, c in enumerate(pivots):
         if (out[c >> 6] >> np.uint64(c & 63)) & np.uint64(1):
             out ^= basis[r]
@@ -268,10 +279,15 @@ def test_membership_kernels_and_solves_eliminate_once_each(eliminations):
 
 def test_exact_distance_reads_the_cached_bases(eliminations, monkeypatch):
     # U's rows and columns once each, then one extension of a copy of
-    # the row basis by the kernel: the search never packs U whole.
-    def packed_whole(M):
-        raise AssertionError(f"{M!r} packed whole")
-    monkeypatch.setattr(BitMatrix, "words", property(packed_whole))
+    # the row basis by the kernel: at one-row blocks the search packs U
+    # a row at a time, never whole.
+    real = gf2._pack
+
+    def pack(rows, *args):
+        assert rows <= 1, f"{rows} rows packed at once"
+        return real(rows, *args)
+    monkeypatch.setattr(gf2, "BLOCK_BYTES", 8)
+    monkeypatch.setattr(gf2, "_pack", pack)
     code = repetition.build_code(5)
     report = css.distance_exact(code)
     assert (report.value, report.witness.weight) == (4, 4)

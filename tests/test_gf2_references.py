@@ -1,5 +1,6 @@
-"""``BitVector``, the packed matrix constructors and the table-driven
-distance walk of ``gf2`` against plain definitions.
+"""``BitVector``, the matrix constructors, the private packing pair
+``_pack``/``_peel`` and the table-driven distance walk of ``gf2``
+against plain definitions.
 
 The references below are a per-position loop over Python ints for the
 vector operations, dense and list products for ``mul_vector``, and the
@@ -51,30 +52,44 @@ def reference_reversed(value, length):
     return sum(1 << (length - 1 - p) for p in range(length) if value >> p & 1)
 
 
-def strided_words(value, length):
-    """The words of ``value`` as a non-contiguous stride-2 view."""
-    return np.repeat(BitVector.from_int(length, value).words, 2)[::2]
+def strided(a) -> np.ndarray:
+    """An int64 array equal to ``a`` as a non-contiguous stride-2 view."""
+    return np.repeat(np.asarray(a, dtype=np.int64), 2)[::2]
+
+
+def support_of(value, length):
+    return [p for p in range(length) if value >> p & 1]
+
+
+def packed(dense: np.ndarray) -> np.ndarray:
+    """The rows of a 0/1 array as little-endian 64-bit words, packed by
+    np.packbits, with zero padding bits past the last column."""
+    pad = ((0, 0), (0, -dense.shape[1] % 64))
+    return np.packbits(np.pad(dense, pad), axis=1, bitorder="little").view(
+        "<u8"
+    )
 
 
 def assert_canonical(v: BitVector):
-    assert v.words.shape == (gf2._n_words(v.length),)
-    assert not v.words.flags.writeable
-    assert v.to_int() >> v.length == 0  # padding bits are zero
+    assert 0 <= v.to_int() and v.to_int() >> v.length == 0
 
 
 @st.composite
 def vectors(draw, width):
-    """A width-bit vector, built contiguous, strided or as a matrix row
-    (from the matrix's coordinates)."""
+    """A width-bit vector, built from its int, from strided support
+    positions or as a matrix row (from strided coordinates)."""
     value = draw(st.integers(0, (1 << width) - 1))
     how = draw(st.sampled_from(["int", "strided", "row"]))
     if how == "int":
         v = BitVector.from_int(width, value)
     elif how == "strided":
-        v = BitVector(width, strided_words(value, width))
+        v = BitVector.from_support(width, strided(support_of(value, width)))
     else:
-        other = BitVector.from_int(width, draw(st.integers(0, (1 << width) - 1)))
-        v = BitMatrix.from_rows([other, BitVector.from_int(width, value)]).row(1)
+        other = draw(st.integers(0, (1 << width) - 1))
+        cc = support_of(other, width) + support_of(value, width)
+        rr = np.repeat([0, 1], [len(cc) - value.bit_count(),
+                                value.bit_count()])
+        v = BitMatrix.from_nonzero(2, width, strided(rr), strided(cc)).row(1)
     return v, value
 
 
@@ -142,11 +157,14 @@ def test_from_nonzero_matches_dense_reference(rows, cols, seed):
     dense[rr, cc] = 1
     M = BitMatrix.from_nonzero(rows, cols, rr, cc)
     assert M == BitMatrix.from_dense(dense)
-    assert M.words.shape == (rows, gf2._n_words(cols))
-    assert not M.words.flags.writeable
+    assert M == BitMatrix.from_nonzero(rows, cols, strided(rr), strided(cc))
     # The padding bits past the last column are clear.
     assert all(M.row(i).to_int() >> cols == 0 for i in range(rows))
     assert np.array_equal(M.to_dense(), dense)
+    words = gf2._pack(rows, cols, *M.nonzero())
+    assert words.dtype == np.uint64 and np.array_equal(words, packed(dense))
+    for got, want in zip(gf2._peel(words), M.nonzero()):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -169,22 +187,21 @@ def built_every_way(dense: np.ndarray) -> dict:
     """The matrix of a 0/1 array from each constructor that can build
     it, the transpose from the transposed array."""
     rows, cols = dense.shape
-    strided = np.repeat(np.repeat(dense, 2, axis=0), 3, axis=1)[::2, ::3]
-    built = {
+    noncontiguous = np.repeat(np.repeat(dense, 2, 0), 3, 1)[::2, ::3]
+    return {
         "from_nonzero": BitMatrix.from_nonzero(rows, cols, *np.nonzero(dense)),
-        "from_dense": BitMatrix.from_dense(strided),
+        "from_dense": BitMatrix.from_dense(noncontiguous),
         "read_bin": formats.read_bin(
             formats._BIN_HEADER.pack(formats.BIN_MAGIC, formats.BIN_VERSION,
                                      0, rows, cols)
             + np.packbits(dense, axis=1, bitorder="little").tobytes()
         ),
         "transpose": BitMatrix.from_dense(dense.T.copy()).transpose(),
+        "strided": BitMatrix.from_nonzero(
+            rows, cols, *map(strided, np.nonzero(dense))
+        ),
+        "peel": BitMatrix.from_nonzero(rows, cols, *gf2._peel(packed(dense))),
     }
-    if rows:
-        built["from_rows"] = BitMatrix.from_rows([
-            BitVector.from_support(cols, np.flatnonzero(r)) for r in dense
-        ])
-    return built
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -347,34 +364,16 @@ def test_reversed_matches_list_oracle(length):
         assert_canonical(r)
 
 
-@pytest.mark.parametrize("length", [1, 7, 63, 64, 65, 100, 128])
-def test_words_are_read_only_with_zero_padding(length):
-    # Every word all ones: the bits past the length are garbage.
-    n = gf2._n_words(length)
-    full = np.full(2 * n, np.iinfo(np.uint64).max, dtype=np.uint64)
-    for words in (full[:n].copy(), full[::2]):
-        v = BitVector(length, words)
-        words[...] = 0  # the vector keeps no reference to its input
-        assert v.to_int() == (1 << length) - 1
-        assert_canonical(v)
-        assert np.bitwise_count(v.words).sum() == length
-        with pytest.raises(ValueError):
-            v.words[0] = 0
-
-
 @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 128])
 def test_equal_vectors_compare_and_hash_equal(length):
     value = random.Random(length).getrandbits(length)
-    support = [p for p in range(length) if value >> p & 1]
-    garbage = ~np.uint64(0) << np.uint64(length % 64) if length % 64 else 0
-    words = np.repeat(BitVector.from_int(length, value).words, 2)[::2]
-    if words.size:
-        words[-1] |= garbage
+    support = support_of(value, length)
     built = [
         BitVector.from_int(length, value),
         BitVector.from_support(length, support),
         BitVector.from_support(length, np.array(support * 3, np.int64)),
-        BitVector(length, words),
+        BitVector.from_support(length, strided(support)),
+        BitMatrix.from_nonzero(1, length, 0, strided(support)).row(0),
     ]
     assert all(v == built[0] for v in built)
     assert len({hash(v) for v in built}) == 1

@@ -2,10 +2,12 @@
 
 A matrix holds only its coordinates; rank, row-space membership and the
 ``bin`` writer pack it in row blocks of ``gf2.BLOCK_BYTES``, each from
-its own coordinates.  Everything they return must equal what the rows
-of the dense array give, packed byte by byte with ``np.packbits``.  The
-block size is shrunk to a few rows so that block edges fall inside the
-matrix and on rows with no ones.
+its own coordinates (``gf2._pack``), and the ``bin`` reader peels packed
+words back into coordinates (``gf2._peel``).  Everything they return
+must equal what the rows of the dense array give, packed byte by byte
+with ``np.packbits``.  The block size is shrunk to a few rows so that
+block edges fall inside the matrix and on rows with no ones, and no
+pack may take more rows than one block.
 """
 
 import os
@@ -44,8 +46,16 @@ def random_vector(rng, length: int) -> BitVector:
     )
 
 
-def packed_whole(M):
-    raise AssertionError(f"{M!r} packed whole")
+def packing_at_most(block_rows: int):
+    """A stand-in for ``gf2._pack`` that fails on more than
+    ``block_rows`` rows at once."""
+    real = gf2._pack
+
+    def pack(rows, *args):
+        if rows > block_rows:
+            raise AssertionError(f"{rows} rows packed at once")
+        return real(rows, *args)
+    return pack
 
 
 @st.composite
@@ -67,14 +77,14 @@ def test_row_blocks_match_the_dense_rows(case):
     rows, cols = dense.shape
     block_bytes = block_rows * 8 * gf2._n_words(cols)
     with mock.patch.object(gf2, "BLOCK_BYTES", block_bytes):
-        check_against_dense(dense, rng)
+        check_against_dense(dense, rng, block_rows)
 
 
-def check_against_dense(dense: np.ndarray, rng) -> None:
+def check_against_dense(dense: np.ndarray, rng, block_rows: int) -> None:
     rows, cols = dense.shape
     M = BitMatrix.from_nonzero(rows, cols, *np.nonzero(dense))
     want = dense_rows(dense)
-    with mock.patch.object(BitMatrix, "words", property(packed_whole)):
+    with mock.patch.object(gf2, "_pack", packing_at_most(block_rows)):
         assert list(gf2._int_rows(M)) == want
         assert gf2.rank(M) == len(gf2.int_echelon(want, masks=False))
         for _ in range(3):
@@ -83,9 +93,12 @@ def check_against_dense(dense: np.ndarray, rng) -> None:
             assert gf2.in_row_space(M, v) == member
             v = M.transpose().mul_vector(random_vector(rng, rows))
             assert gf2.in_row_space(M, v)
-        assert formats.write_bin(M) == dense_bin(dense)
-    words = M.words
+        blob = formats.write_bin(M)
+        assert blob == dense_bin(dense)
+        assert formats.read_bin(blob) == M
+    words = gf2._pack(rows, cols, *M.nonzero())
     assert [int.from_bytes(w.tobytes(), "little") for w in words] == want
+    assert BitMatrix.from_nonzero(rows, cols, *gf2._peel(words)) == M
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 64), (5, 0), (3, 65)])
@@ -94,8 +107,11 @@ def test_empty_shapes_pack_to_the_dense_rows(shape):
     M = BitMatrix.from_dense(dense)
     assert gf2.rank(M) == 0 and list(gf2._int_rows(M)) == [0] * shape[0]
     assert formats.write_bin(M) == dense_bin(dense)
-    assert M.words.shape == (shape[0], gf2._n_words(shape[1]))
-    assert not M.words.any()
+    assert formats.read_bin(dense_bin(dense)) == M
+    words = gf2._pack(*shape, *M.nonzero())
+    assert words.shape == (shape[0], gf2._n_words(shape[1]))
+    assert not words.any()
+    assert all(a.size == 0 for a in gf2._peel(words))
 
 
 # -- regression guards -----------------------------------------------------
@@ -105,8 +121,10 @@ def test_empty_shapes_pack_to_the_dense_rows(shape):
 def test_tower_exports_and_rank_pack_no_words(monkeypatch, tmp_path, fmt,
                                               capsys):
     # The text formats read the kept coordinates and bin packs one row
-    # block at a time, so nothing packs the exported matrix whole.
-    monkeypatch.setattr(BitMatrix, "words", property(packed_whole))
+    # block at a time, so nothing packs the exported matrix whole: at
+    # 4 KiB blocks the 512-column M packs 64 rows at a time, U 128.
+    monkeypatch.setattr(gf2, "BLOCK_BYTES", 1 << 12)
+    monkeypatch.setattr(gf2, "_pack", packing_at_most(128))
     built = []
     real = formats.write_matrix
 

@@ -8,7 +8,7 @@ import pytest
 
 from cayleycss import cayley, css, gf2, repetition
 from cayleycss.cayley import SizeGuardError
-from cayleycss.gf2 import BitMatrix, BitVector
+from cayleycss.gf2 import BitVector
 from cayleycss.repetition import (
     QuadSplit,
     build_recursive,
@@ -102,7 +102,8 @@ def test_characterization_block_length_guard():
 def test_recursive_kernel_basis(n_total, expected):
     basis = kernel_basis_recursive(n_total - 2)
     assert len(basis) == expected
-    assert gf2.rank(BitMatrix.from_rows(basis)) == expected
+    rank = len(gf2.int_echelon((v.to_int() for v in basis), masks=False))
+    assert rank == expected
     M = matrix(n_total)
     for v in basis:
         assert M.mul_vector(v).is_zero()
@@ -141,7 +142,7 @@ def test_recursive_kernel_basis_eliminates_the_level_matrix_once(
     # M(7) (128 x 128) has its columns eliminated once for the kernel
     # and every solve, and its rows once, which the pair coefficients
     # extend without building a residual matrix; the independence check
-    # of the level-9 words is the only other matrix eliminated.
+    # eliminates the level-9 words as ints, building no matrix.
     shapes = []
     real = gf2._int_rows
 
@@ -150,7 +151,7 @@ def test_recursive_kernel_basis_eliminates_the_level_matrix_once(
         return real(M)
     monkeypatch.setattr(gf2, "_int_rows", spy)
     basis = kernel_basis_recursive(7)
-    assert shapes == [(128, 128), (128, 128), (len(basis), 512)]
+    assert len(basis) == 272 and shapes == [(128, 128), (128, 128)]
 
 
 @pytest.mark.parametrize("n, count, digest", [
@@ -191,7 +192,8 @@ def test_image_elements_span_the_row_space():
             blocks = [BitVector.zeros(8)] * 4
             blocks[i] = BitVector.from_support(8, [p])
             rows.append(image_element(M, *blocks))
-    assert gf2.rank(BitMatrix.from_rows(rows)) == gf2.rank(matrix(5))
+    rank = len(gf2.int_echelon((v.to_int() for v in rows), masks=False))
+    assert rank == gf2.rank(matrix(5))
 
 
 def test_normal_form_of_image_word():
